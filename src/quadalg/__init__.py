@@ -4,6 +4,8 @@ The package provides, over exact Laurent-polynomial scalars:
 
   * ``ring``       q-integers, q-factorials, exact division, cyclotomic
                    root-of-unity tests, and the fraction field of Q[q, q^-1]
+  * ``lin``        the shared linear-combination core: zero-dropping
+                   accumulation and the base class of the element classes
   * ``aq``         the quadratic algebra on w1..w4 with PBW normal ordering
   * ``qcalc``      q-difference operators z^a K^d [d]^g in canonical form
   * ``transform``  the divided-powers correspondence and right-dual operators

@@ -14,7 +14,8 @@ suite by reducing with two different strategies.
 
 from __future__ import annotations
 
-from .ring import LaurentPoly, mi_add, mi_check
+from .lin import Lin, add_into, as_laurent
+from .ring import LaurentPoly, mi_check
 
 _Q = LaurentPoly.q
 _MU = _Q(1) - _Q(-1)  # q - q^-1
@@ -56,12 +57,7 @@ def reduce_word(word, coeff=None, rightmost=False):
                 spot = i
                 break
         if spot is None:
-            g = _exponents_of(w)
-            s = out.get(g, LaurentPoly.zero()) + c
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
+            add_into(out, _exponents_of(w), c)
             continue
         a, b = w[spot], w[spot + 1]
         swapped = w[:spot] + (b, a) + w[spot + 2 :]
@@ -76,24 +72,14 @@ def reduce_word(word, coeff=None, rightmost=False):
     return out
 
 
-class AqElement:
+class AqElement(Lin):
     """A linear combination of normal-ordered monomials with Laurent coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for g, c in terms.items():
-                if c:
-                    clean[mi_check(g)] = c
-        self.terms = clean
+    __slots__ = ()
+    coerce = staticmethod(as_laurent)
+    check_key = staticmethod(mi_check)
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def one(cls):
@@ -113,35 +99,6 @@ class AqElement:
 
     # -- algebra ----------------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, AqElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return AqElement({g: -c for g, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, AqElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            s = out.get(g, LaurentPoly.zero()) + c
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
-        return AqElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
             return self.scale(other)
@@ -152,12 +109,8 @@ class AqElement:
             w1 = _word_of(g1)
             for g2, c2 in other.terms.items():
                 for g, c in reduce_word(w1 + _word_of(g2), c1 * c2).items():
-                    s = out.get(g, LaurentPoly.zero()) + c
-                    if s:
-                        out[g] = s
-                    else:
-                        out.pop(g, None)
-        return AqElement(out)
+                    add_into(out, g, c)
+        return AqElement._make(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -172,34 +125,15 @@ class AqElement:
             out = out * self
         return out
 
-    def scale(self, c):
-        if isinstance(c, int):
-            c = LaurentPoly.const(c)
-        return AqElement({g: c * v for g, v in self.terms.items()})
-
     def degrees(self):
         return sorted({sum(g) for g in self.terms})
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for g in sorted(self.terms):
-            c = self.terms[g]
-            mon = "*".join(
-                "w%d" % (i + 1) if n == 1 else "w%d^%d" % (i + 1, n)
-                for i, n in enumerate(g) if n
-            )
-            if not mon:
-                parts.append("(%s)" % c)
-            elif c == LaurentPoly.one():
-                parts.append(mon)
-            else:
-                parts.append("(%s)*%s" % (c, mon))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "AqElement(%s)" % self
+    @staticmethod
+    def _mon(g):
+        return "*".join(
+            "w%d" % (i + 1) if n == 1 else "w%d^%d" % (i + 1, n)
+            for i, n in enumerate(g) if n
+        )
 
 
 def normal_order(word) -> AqElement:

@@ -2,7 +2,8 @@
 
 Subcommands: normalize, mul, serre-reduce, dims, star, dual, dirac,
 singular-vector, verify.  Exit codes: 0 on success, 1 when a
-verification check fails, 2 on usage or parse errors.
+verification check fails, 2 on usage, parse or arithmetic errors (such
+as a scalar that is not a Laurent polynomial where one is required).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from . import dirac, transform, uq, verma
 from .aq import AqElement
-from .parse import ParseError, parse_expression
+from .parse import ParseError, _combine, _Value, parse_expression
 from .ring import LaurentPoly
 from .suites import SUITES, run_suite
 from .uq import MU, NU, UqElement
@@ -32,36 +33,11 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-def _promote(kind, target, value):
-    if kind == target:
-        return value
-    if kind != "scalar":
-        raise ParseError("cannot multiply %s by %s" % (kind, target), 0)
-    if target == "aq":
-        return AqElement.one().scale(value.to_laurent())
-    if target == "uq":
-        return UqElement.one().scale(value)
-    from .qcalc import QOperator
-
-    return QOperator.scalar(value)
-
-
 def cmd_mul(args) -> int:
-    kind1, a = parse_expression(args.left)
-    kind2, b = parse_expression(args.right)
-    if kind1 == "scalar" and kind2 == "scalar":
-        kind, out = "scalar", a * b
-    else:
-        kind = kind1 if kind1 != "scalar" else kind2
-        a = _promote(kind1, kind, a)
-        b = _promote(kind2, kind, b)
-        if kind == "op":
-            from .qcalc import compose
-
-            out = compose(a, b)
-        else:
-            out = a * b
-    _emit(args, {"kind": kind, "product": str(out)}, str(out))
+    left = _Value(*parse_expression(args.left))
+    right = _Value(*parse_expression(args.right))
+    out = _combine(left, right, "*", 0)
+    _emit(args, {"kind": out.kind, "product": str(out.data)}, str(out.data))
     return 0
 
 
@@ -77,6 +53,8 @@ def cmd_serre_reduce(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must be >= 0")
     dims = [uq.graded_dimension(d) for d in range(args.max_degree + 1)]
     payload = {"max_degree": args.max_degree, "dimensions": dims}
     _emit(args, payload, " ".join(str(d) for d in dims))
@@ -243,10 +221,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ArithmeticError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -19,7 +19,7 @@ compose to -q^-1 times the diagonal wave operator, exactly.
 from __future__ import annotations
 
 from .aq import AqElement
-from .qcalc import Poly4, Poly4Vec2, QOperator, compose, mul_z, scaling
+from .qcalc import Poly4Vec2, QOperator, compose, mul_z, qdiff, scaling
 from .ring import LaurentPoly, indices_up_to
 from .transform import DualFunctional, box_operator, psi, right_dual_bruteforce, right_dual_closed
 
@@ -98,14 +98,14 @@ def _extra_entry() -> QOperator:
     )
 
 
-def dirac_plus_parts():
-    """The first-order matrix and the extra wave-operator term, separately."""
+def _dirac_parts(top, bottom):
+    """First-order matrix and extra term with dual(w_top), dual(w_bottom) on the diagonal."""
     zero = QOperator.zero()
     minus_qinv = -_Q(-1)
     first = OpMatrix2(
         (
-            (right_dual_closed(2), right_dual_closed(4)),
-            (_first_order_w1().scale(minus_qinv), right_dual_closed(3).scale(minus_qinv)),
+            (right_dual_closed(top), right_dual_closed(4)),
+            (_first_order_w1().scale(minus_qinv), right_dual_closed(bottom).scale(minus_qinv)),
         )
     )
     extra = OpMatrix2(((zero, zero), (_extra_entry(), zero)))
@@ -114,27 +114,22 @@ def dirac_plus_parts():
 
 def _first_order_w1() -> QOperator:
     """K_2 K_3 K_4^2 [d_1]: the first-order part of dual(w1)."""
-    from .qcalc import qdiff
-
     return compose(compose(scaling(2), scaling(3)), compose(scaling(4, 2), qdiff(1)))
+
+
+def dirac_plus_parts():
+    """The first-order matrix and the extra wave-operator term, separately."""
+    return _dirac_parts(2, 3)
+
+
+def dirac_minus_parts():
+    """As ``dirac_plus_parts`` with the roles of w2 and w3 interchanged."""
+    return _dirac_parts(3, 2)
 
 
 def dirac_plus() -> OpMatrix2:
     first, extra = dirac_plus_parts()
     return first + extra
-
-
-def dirac_minus_parts():
-    zero = QOperator.zero()
-    minus_qinv = -_Q(-1)
-    first = OpMatrix2(
-        (
-            (right_dual_closed(3), right_dual_closed(4)),
-            (_first_order_w1().scale(minus_qinv), right_dual_closed(2).scale(minus_qinv)),
-        )
-    )
-    extra = OpMatrix2(((zero, zero), (_extra_entry(), zero)))
-    return first, extra
 
 
 def dirac_minus() -> OpMatrix2:

@@ -1,0 +1,146 @@
+"""Sparse linear combinations: the one core under every element class.
+
+A combination is a dict {key: coefficient} that never holds a zero
+coefficient, so equality of combinations is equality of dicts.  The two
+primitives keep that invariant while accumulating; ``Lin`` builds the
+shared linear structure of the element classes on top of them.
+"""
+
+from __future__ import annotations
+
+from .ring import LaurentPoly, RatQ
+
+
+def add_into(acc: dict, key, c) -> None:
+    """``acc[key] += c``, dropping the key when the sum is zero."""
+    old = acc.get(key)
+    if old is None:
+        if c:
+            acc[key] = c
+        return
+    s = old + c
+    if s:
+        acc[key] = s
+    else:
+        del acc[key]
+
+
+def add_scaled(acc: dict, row: dict, c, skip=None) -> None:
+    """``acc += c * row`` (leaving out the key ``skip``), dropping zero sums.
+
+    ``row`` is read only.
+    """
+    if not c:
+        return
+    get = acc.get
+    for key, v in row.items():
+        if key == skip:
+            continue
+        t = c * v
+        old = get(key)
+        if old is None:
+            acc[key] = t
+            continue
+        s = old + t
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+
+
+def as_laurent(c) -> LaurentPoly:
+    return c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+
+
+def as_ratq(c) -> RatQ:
+    return c if isinstance(c, RatQ) else RatQ(c)
+
+
+class Lin:
+    """A finitely supported linear combination of monomials.
+
+    Per-class hooks: ``coerce`` converts a coefficient to the scalar type
+    (``RatQ`` unless a subclass sets ``as_laurent``); ``check_key``, when
+    set, validates a monomial key; ``_mon`` renders a monomial, with the
+    empty string for the unit monomial, and a class whose terms print
+    differently overrides ``_term``.  Instances are immutable by
+    convention.
+    """
+
+    __slots__ = ("terms",)
+
+    coerce = staticmethod(as_ratq)
+    check_key = None
+
+    def __init__(self, terms=None):
+        clean = {}
+        if terms:
+            coerce, check = self.coerce, self.check_key
+            for key, c in terms.items():
+                c = coerce(c)
+                if c:
+                    clean[check(key) if check else key] = c
+        self.terms = clean
+
+    @classmethod
+    def _make(cls, terms):
+        """Wrap a dict that already has valid keys and no zero coefficient."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._make({})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __neg__(self):
+        return self._make({k: -c for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_into(out, k, c)
+        return self._make(out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_into(out, k, -c)
+        return self._make(out)
+
+    def scale(self, c):
+        c = self.coerce(c)
+        if not c:
+            return self.zero()
+        return self._make({k: c * v for k, v in self.terms.items()})
+
+    def _term(self, key, c) -> str:
+        mon = self._mon(key)
+        if not mon:
+            return "(%s)" % c
+        if c == 1:
+            return mon
+        return "(%s)*%s" % (c, mon)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(self._term(k, self.terms[k]) for k in sorted(self.terms))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)

@@ -20,6 +20,7 @@ import re
 from fractions import Fraction
 
 from .aq import AqElement
+from .lin import as_ratq
 from .qcalc import QOperator, compose, mul_z, qdiff, scaling
 from .ring import LaurentPoly, RatQ
 from .uq import BETA, MU, NU, UqElement
@@ -75,7 +76,7 @@ class _Value:
 
 
 def _scalar(c) -> _Value:
-    return _Value("scalar", c if isinstance(c, RatQ) else RatQ(c))
+    return _Value("scalar", as_ratq(c))
 
 
 def _promote(value: _Value, kind: str, pos: int) -> _Value:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .lin import Lin, add_into, as_ratq
 from .ring import LaurentPoly, RatQ, mi_check, q_int
 
 _Q = LaurentPoly.q
@@ -38,32 +39,14 @@ _MU = RatQ(_Q(1) - _Q(-1))  # q - q^-1
 ZERO4 = (0, 0, 0, 0)
 
 
-def _coerce_scalar(c) -> RatQ:
-    if isinstance(c, RatQ):
-        return c
-    return RatQ(c)
-
-
 # ------------------------------------------------------------ Poly4
 
 
-class Poly4:
+class Poly4(Lin):
     """A polynomial in z1..z4 with exact Q(q) coefficients, stored sparsely."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for a, c in terms.items():
-                c = _coerce_scalar(c)
-                if c:
-                    clean[mi_check(a)] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
+    check_key = staticmethod(mi_check)
 
     @classmethod
     def one(cls):
@@ -71,61 +54,14 @@ class Poly4:
 
     @classmethod
     def monomial(cls, alpha, coeff=1):
-        return cls({mi_check(alpha): _coerce_scalar(coeff)})
+        return cls({mi_check(alpha): coeff})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly4):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return Poly4({a: -c for a, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, Poly4):
-            return NotImplemented
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            s = out.get(a, RatQ.zero()) + c
-            if s:
-                out[a] = s
-            else:
-                out.pop(a, None)
-        return Poly4(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = _coerce_scalar(c)
-        return Poly4({a: c * v for a, v in self.terms.items()})
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for a in sorted(self.terms):
-            mon = "*".join(
-                "z_%d" % (i + 1) if n == 1 else "z_%d^%d" % (i + 1, n)
-                for i, n in enumerate(a) if n
-            )
-            c = self.terms[a]
-            if not mon:
-                parts.append("(%s)" % c)
-            elif c == RatQ.one():
-                parts.append(mon)
-            else:
-                parts.append("(%s)*%s" % (c, mon))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "Poly4(%s)" % self
+    @staticmethod
+    def _mon(a):
+        return "*".join(
+            "z_%d" % (i + 1) if n == 1 else "z_%d^%d" % (i + 1, n)
+            for i, n in enumerate(a) if n
+        )
 
 
 class Poly4Vec2:
@@ -165,25 +101,9 @@ def _axis_factor(g: int):
     hi = -RatQ(_Q(j)) / _MU
     out = {}
     for e, c in prev.items():
-        for de, dc in ((-1, lo), (1, hi)):
-            k = e + de
-            s = out.get(k, RatQ.zero()) + c * dc
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        add_into(out, e - 1, c * lo)
+        add_into(out, e + 1, c * hi)
     return tuple(sorted(out.items()))
-
-
-def _tpoly_add_into(acc, tp, factor=None):
-    for e, c in tp.items():
-        if factor is not None:
-            c = c * factor
-        s = acc.get(e, RatQ.zero()) + c
-        if s:
-            acc[e] = s
-        else:
-            acc.pop(e, None)
 
 
 def _tpoly_mul(a, b):
@@ -191,11 +111,7 @@ def _tpoly_mul(a, b):
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-            s = out.get(e, RatQ.zero()) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            add_into(out, e, c1 * c2)
     return out
 
 
@@ -247,12 +163,7 @@ def _divide_axis(tp, i, g):
             f = fib[emax] / lead
             quot[fexp] = f
             for de, dc in div.items():
-                k = fexp + de
-                s = fib.get(k, RatQ.zero()) - f * dc
-                if s:
-                    fib[k] = s
-                else:
-                    fib.pop(k, None)
+                add_into(fib, fexp + de, -(f * dc))
         for e_i, c in quot.items():
             e = rest[:i] + (e_i,) + rest[i:]
             out[e] = c
@@ -262,7 +173,7 @@ def _divide_axis(tp, i, g):
 # ------------------------------------------------------------ QOperator
 
 
-class QOperator:
+class QOperator(Lin):
     """A q-difference operator in canonical normal form.
 
     Terms map (alpha, delta, gamma) -> coefficient with, on every axis,
@@ -270,73 +181,28 @@ class QOperator:
     maps are equal.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None, _canonical=False):
-        if not terms:
-            self.terms = {}
-            return
-        if _canonical:
-            self.terms = {k: c for k, c in terms.items() if c}
-            return
-        self.terms = _from_symbol(_to_symbol(terms))
+    def __init__(self, terms=None):
+        self.terms = _from_symbol(_to_symbol(terms)) if terms else {}
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def identity(cls):
-        return cls({(ZERO4, ZERO4, ZERO4): RatQ.one()}, _canonical=True)
+        return cls._make({(ZERO4, ZERO4, ZERO4): RatQ.one()})
 
     @classmethod
     def scalar(cls, c):
-        c = _coerce_scalar(c)
-        return cls({(ZERO4, ZERO4, ZERO4): c} if c else {}, _canonical=True)
+        c = as_ratq(c)
+        return cls._make({(ZERO4, ZERO4, ZERO4): c} if c else {})
 
     @classmethod
     def monomial(cls, alpha, delta, gamma, coeff=1):
         alpha = mi_check(alpha)
         gamma = mi_check(gamma)
         delta = tuple(int(d) for d in delta)
-        return cls({(alpha, delta, gamma): _coerce_scalar(coeff)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, QOperator):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return QOperator({k: -c for k, c in self.terms.items()}, _canonical=True)
-
-    def __add__(self, other):
-        if not isinstance(other, QOperator):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, RatQ.zero()) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return QOperator(out, _canonical=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = _coerce_scalar(c)
-        if not c:
-            return QOperator.zero()
-        return QOperator({k: c * v for k, v in self.terms.items()}, _canonical=True)
+        return cls({(alpha, delta, gamma): as_ratq(coeff)})
 
     def __mul__(self, other):
         """Composition self o other (other applied first)."""
@@ -369,12 +235,8 @@ class QOperator:
                 if k:
                     coeff = coeff * RatQ(_Q(-k))
                 target = tuple(a + b - g for a, b, g in zip(alpha, beta, gamma))
-                s = out.get(target, RatQ.zero()) + coeff
-                if s:
-                    out[target] = s
-                else:
-                    out.pop(target, None)
-        return Poly4(out)
+                add_into(out, target, coeff)
+        return Poly4._make(out)
 
     def __call__(self, p: Poly4) -> Poly4:
         return self.apply(p)
@@ -383,33 +245,14 @@ class QOperator:
         """Sorted set of total [d]-orders over the canonical terms."""
         return sorted({sum(g) for (_, _, g) in self.terms})
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for alpha, delta, gamma in sorted(self.terms):
-            c = self.terms[(alpha, delta, gamma)]
-            factors = []
-            for i, n in enumerate(alpha):
+    @staticmethod
+    def _mon(key):
+        factors = []
+        for name, exps in zip("zKd", key):
+            for i, n in enumerate(exps):
                 if n:
-                    factors.append("z_%d" % (i + 1) if n == 1 else "z_%d^%d" % (i + 1, n))
-            for i, n in enumerate(delta):
-                if n:
-                    factors.append("K_%d" % (i + 1) if n == 1 else "K_%d^%d" % (i + 1, n))
-            for i, n in enumerate(gamma):
-                if n:
-                    factors.append("d_%d" % (i + 1) if n == 1 else "d_%d^%d" % (i + 1, n))
-            mon = "*".join(factors)
-            if not mon:
-                parts.append("(%s)" % c)
-            elif c == RatQ.one():
-                parts.append(mon)
-            else:
-                parts.append("(%s)*%s" % (c, mon))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "QOperator(%s)" % self
+                    factors.append("%s_%d" % (name, i + 1) + ("" if n == 1 else "^%d" % n))
+        return "*".join(factors)
 
 
 def _to_symbol(terms):
@@ -418,8 +261,9 @@ def _to_symbol(terms):
         if not c:
             continue
         shift = tuple(a - g for a, g in zip(alpha, gamma))
-        tp = _term_symbol(alpha, delta, gamma, c)
-        _tpoly_add_into(sym.setdefault(shift, {}), tp)
+        acc = sym.setdefault(shift, {})
+        for e, tc in _term_symbol(alpha, delta, gamma, c).items():
+            add_into(acc, e, tc)
     return {s: tp for s, tp in sym.items() if tp}
 
 
@@ -448,10 +292,11 @@ def compose(a: QOperator, b: QOperator) -> QOperator:
     for s2, c2 in sb.items():
         for s1, c1 in sa.items():
             shift = tuple(x + y for x, y in zip(s1, s2))
-            tp = _tpoly_mul(c2, _tpoly_shift_arg(c1, s2))
-            _tpoly_add_into(sym.setdefault(shift, {}), tp)
+            acc = sym.setdefault(shift, {})
+            for e, c in _tpoly_mul(c2, _tpoly_shift_arg(c1, s2)).items():
+                add_into(acc, e, c)
     sym = {s: tp for s, tp in sym.items() if tp}
-    return QOperator(_from_symbol(sym), _canonical=True)
+    return QOperator._make(_from_symbol(sym))
 
 
 # ------------------------------------------------- generator operators
@@ -463,7 +308,7 @@ def qdiff(i: int) -> QOperator:
         raise ValueError("axis must be 1..4, got %r" % (i,))
     e = [0, 0, 0, 0]
     e[i - 1] = 1
-    return QOperator({(ZERO4, ZERO4, tuple(e)): RatQ.one()}, _canonical=True)
+    return QOperator._make({(ZERO4, ZERO4, tuple(e)): RatQ.one()})
 
 
 def scaling(i: int, power: int = 1) -> QOperator:
@@ -472,7 +317,7 @@ def scaling(i: int, power: int = 1) -> QOperator:
         raise ValueError("axis must be 1..4, got %r" % (i,))
     e = [0, 0, 0, 0]
     e[i - 1] = power
-    return QOperator({(ZERO4, tuple(e), ZERO4): RatQ.one()}, _canonical=True)
+    return QOperator._make({(ZERO4, tuple(e), ZERO4): RatQ.one()})
 
 
 def mul_z(i: int, power: int = 1) -> QOperator:
@@ -483,4 +328,4 @@ def mul_z(i: int, power: int = 1) -> QOperator:
         raise ValueError("z powers must be non-negative")
     e = [0, 0, 0, 0]
     e[i - 1] = power
-    return QOperator({(tuple(e), ZERO4, ZERO4): RatQ.one()}, _canonical=True)
+    return QOperator._make({(tuple(e), ZERO4, ZERO4): RatQ.one()})

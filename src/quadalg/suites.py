@@ -37,7 +37,8 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        """True iff the report has at least one check and every check passed."""
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
     def add(self, name, ok, witness=None):
         self.checks.append(Check(name, bool(ok), witness if not ok else None))
@@ -301,9 +302,12 @@ SUITES = {
 
 
 def run_suite(name, degree=None, scan=None, convention="twisted") -> Report:
-    """Run one named suite; raises KeyError on an unknown name."""
+    """Run one named suite; raises KeyError on an unknown name and
+    ValueError on a negative degree bound."""
     if name not in SUITES:
         raise KeyError(name)
+    if degree is not None and degree < 0:
+        raise ValueError("degree bound must be >= 0, got %d" % degree)
     fn, default_degree = SUITES[name]
     params = {}
     start = time.monotonic()

@@ -22,6 +22,7 @@ multiplication on every monomial indicator up to a degree bound.
 from __future__ import annotations
 
 from .aq import AqElement, center_element
+from .lin import Lin, as_laurent
 from .qcalc import Poly4, QOperator, compose, mul_z, qdiff, scaling
 from .ring import (
     LaurentPoly,
@@ -35,72 +36,42 @@ from .ring import (
 _Q = LaurentPoly.q
 
 
-class DualFunctional:
+class DualFunctional(Lin):
     """A finitely supported functional on the monomial basis w^gamma."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
+    coerce = staticmethod(as_laurent)
+    check_key = staticmethod(mi_check)
 
-    def __init__(self, values=None):
-        clean = {}
-        if values:
-            for g, c in values.items():
-                if c:
-                    clean[mi_check(g)] = c
-        self.values = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    @property
+    def values(self):
+        """The values {gamma: LaurentPoly}; the same dict as ``terms``."""
+        return self.terms
 
     @classmethod
     def indicator(cls, gamma):
-        return cls({mi_check(gamma): LaurentPoly.one()})
-
-    def __bool__(self):
-        return bool(self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, DualFunctional):
-            return NotImplemented
-        return self.values == other.values
-
-    def __add__(self, other):
-        out = dict(self.values)
-        for g, c in other.values.items():
-            s = out.get(g, LaurentPoly.zero()) + c
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
-        return DualFunctional(out)
-
-    def scale(self, c):
-        return DualFunctional({g: c * v for g, v in self.values.items()})
+        return cls({gamma: LaurentPoly.one()})
 
     def max_degree(self) -> int:
-        return max((mi_degree(g) for g in self.values), default=-1)
+        return max((mi_degree(g) for g in self.terms), default=-1)
 
     def evaluate(self, a: AqElement):
         """Linear extension: the value on an arbitrary algebra element."""
         out = LaurentPoly.zero()
         for g, c in a.terms.items():
-            v = self.values.get(g)
+            v = self.terms.get(g)
             if v is not None:
                 out = out + c * v
         return out
 
-    def __str__(self):
-        if not self.values:
-            return "0"
-        return " + ".join(
-            "(%s)*delta%s" % (self.values[g], (g,)) for g in sorted(self.values)
-        )
+    def _term(self, g, c):
+        return "(%s)*delta%s" % (c, (g,))
 
 
 def psi(f: DualFunctional) -> Poly4:
     """The divided-powers polynomial of a functional."""
     return Poly4(
-        {g: RatQ(v, q_factorial(g)) for g, v in f.values.items()}
+        {g: RatQ(v, q_factorial(g)) for g, v in f.terms.items()}
     )
 
 
@@ -132,7 +103,7 @@ def right_dual_bruteforce(w0: AqElement):
             val = f.evaluate(prod)
             if val:
                 out[g] = val
-        return DualFunctional(out)
+        return DualFunctional._make(out)
 
     return act
 

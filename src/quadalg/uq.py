@@ -29,6 +29,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .aq import AqElement
+from .lin import Lin, add_into, add_scaled, as_ratq
 from .ring import LaurentPoly, RatQ
 
 MU, NU, BETA = 0, 1, 2
@@ -104,12 +105,7 @@ class _Component:
                         for v in words_of_content(vsub):
                             row = {}
                             for wmid, c in rel.items():
-                                w = u + wmid + v
-                                s = row.get(w, RatQ.zero()) + RatQ(c)
-                                if s:
-                                    row[w] = s
-                                else:
-                                    row.pop(w, None)
+                                add_into(row, u + wmid + v, RatQ(c))
                             self._insert(row)
 
     def _insert(self, row):
@@ -120,32 +116,20 @@ class _Component:
         inv = row[pivot].inverse()
         row = {w: c * inv for w, c in row.items()}
         # back-substitute into the existing rows
-        for p, r in self.pivots.items():
+        for r in self.pivots.values():
             c = r.get(pivot)
             if c:
-                for w, rc in row.items():
-                    s = r.get(w, RatQ.zero()) - c * rc
-                    if s:
-                        r[w] = s
-                    else:
-                        r.pop(w, None)
+                add_scaled(r, row, -c)
         self.pivots[pivot] = row
 
     def reduce(self, vec):
         """Canonical coset representative of a coefficient vector."""
         vec = {w: c for w, c in vec.items() if c}
         for p in sorted((w for w in vec if w in self.pivots), reverse=True):
-            c = vec.pop(p, None)
-            if not c:
-                continue
-            for w, rc in self.pivots[p].items():
-                if w == p:
-                    continue
-                s = vec.get(w, RatQ.zero()) - c * rc
-                if s:
-                    vec[w] = s
-                else:
-                    vec.pop(w, None)
+            c = vec.get(p)
+            if c:
+                del vec[p]
+                add_scaled(vec, self.pivots[p], -c, skip=p)
         return vec
 
     @property
@@ -178,13 +162,12 @@ def serre_reduce(element) -> dict:
     """
     by_content = {}
     for w, c in element.items():
-        c = c if isinstance(c, RatQ) else RatQ(c)
+        c = as_ratq(c)
         if c:
             by_content.setdefault(word_content(w), {})[w] = c
     out = {}
     for content, vec in by_content.items():
-        for w, c in component(content).reduce(vec).items():
-            out[w] = c
+        out.update(component(content).reduce(vec))
     return out
 
 
@@ -256,38 +239,20 @@ def straighten_word(symbols, coeff=None) -> "UqElement":
     for fword, k, eword, c in done:
         for fw, fc in serre_reduce({fword: RatQ.one()}).items():
             for ew, ec in serre_reduce({eword: RatQ.one()}).items():
-                key = (fw, k, ew)
-                s = terms.get(key, RatQ.zero()) + c * fc * ec
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-    return UqElement(terms)
+                add_into(terms, (fw, k, ew), c * fc * ec)
+    return UqElement._make(terms)
 
 
-class UqElement:
+class UqElement(Lin):
     """A straightened element: sum of (F word) (K monomial) (E word) terms.
 
     F and E words are quotient-basis representatives; coefficients are
     exact rational functions of q.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = c if isinstance(c, RatQ) else RatQ(c)
-                if c:
-                    clean[key] = c
-        self.terms = clean
+    __slots__ = ()
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def one(cls):
@@ -307,54 +272,20 @@ class UqElement:
         k[i] = power
         return cls({((), tuple(k), ()): RatQ.one()})
 
-    # -- linear structure -------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, UqElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return UqElement({k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, UqElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, RatQ.zero()) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return UqElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = c if isinstance(c, RatQ) else RatQ(c)
-        return UqElement({k: c * v for k, v in self.terms.items()})
+    # -- algebra ----------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly, RatQ)):
             return self.scale(other)
         if not isinstance(other, UqElement):
             return NotImplemented
-        out = UqElement.zero()
+        out = {}
         for (f1, k1, e1), c1 in self.terms.items():
             for (f2, k2, e2), c2 in other.terms.items():
                 if not e1 and not any(k1):
                     # fast path: pure F times anything needs no engine
                     for fw, fc in serre_reduce({f1 + f2: RatQ.one()}).items():
-                        piece = UqElement({(fw, k2, e2): c1 * c2 * fc})
-                        out = out + piece
+                        add_into(out, (fw, k2, e2), c1 * c2 * fc)
                     continue
                 word = [("F", i) for i in f1]
                 word += [("K", i, e) for i, e in enumerate(k1) if e]
@@ -362,8 +293,9 @@ class UqElement:
                 word += [("F", i) for i in f2]
                 word += [("K", i, e) for i, e in enumerate(k2) if e]
                 word += [("E", i) for i in e2]
-                out = out + straighten_word(word, c1 * c2)
-        return out
+                for key, c in straighten_word(word, c1 * c2).terms.items():
+                    add_into(out, key, c)
+        return UqElement._make(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPoly, RatQ)):
@@ -374,7 +306,7 @@ class UqElement:
 
     def f_only_part(self) -> "UqElement":
         """The terms with no raising letters and no K monomial."""
-        return UqElement(
+        return UqElement._make(
             {k: c for k, c in self.terms.items() if not k[2] and not any(k[1])}
         )
 
@@ -385,39 +317,20 @@ class UqElement:
         """Drop terms with raising letters; send every K monomial to 1."""
         out = {}
         for (fw, k, ew), c in self.terms.items():
-            if ew:
-                continue
-            key = (fw, (0, 0, 0), ())
-            s = out.get(key, RatQ.zero()) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return UqElement(out)
+            if not ew:
+                add_into(out, (fw, (0, 0, 0), ()), c)
+        return UqElement._make(out)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for fw, k, ew in sorted(self.terms):
-            c = self.terms[(fw, k, ew)]
-            factors = [LETTER_NAMES[i] for i in fw]
-            factors += [
-                K_NAMES[i] + ("" if e == 1 else "^%d" % e)
-                for i, e in enumerate(k) if e
-            ]
-            factors += [E_NAMES[i] for i in ew]
-            mon = "*".join(factors)
-            if not mon:
-                parts.append("(%s)" % c)
-            elif c == RatQ.one():
-                parts.append(mon)
-            else:
-                parts.append("(%s)*%s" % (c, mon))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "UqElement(%s)" % self
+    @staticmethod
+    def _mon(key):
+        fw, k, ew = key
+        factors = [LETTER_NAMES[i] for i in fw]
+        factors += [
+            K_NAMES[i] + ("" if e == 1 else "^%d" % e)
+            for i, e in enumerate(k) if e
+        ]
+        factors += [E_NAMES[i] for i in ew]
+        return "*".join(factors)
 
 
 def straighten(symbols, coeff=None) -> UqElement:
@@ -510,18 +423,10 @@ def counit(x: UqElement) -> RatQ:
     return total
 
 
-class TensorSum:
+class TensorSum(Lin):
     """A sum of simple tensors of straightened elements (for Hopf checks)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    clean[key] = c
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -529,18 +434,8 @@ class TensorSum:
         for left, right in pairs:
             for k1, c1 in left.terms.items():
                 for k2, c2 in right.terms.items():
-                    key = (k1, k2)
-                    s = out.get(key, RatQ.zero()) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-        return cls(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorSum):
-            return NotImplemented
-        return self.terms == other.terms
+                    add_into(out, (k1, k2), c1 * c2)
+        return cls._make(out)
 
     def __mul__(self, other):
         out = {}
@@ -550,13 +445,12 @@ class TensorSum:
                 right = UqElement({b1: RatQ.one()}) * UqElement({b2: RatQ.one()})
                 for k1, d1 in left.terms.items():
                     for k2, d2 in right.terms.items():
-                        key = (k1, k2)
-                        s = out.get(key, RatQ.zero()) + c1 * c2 * d1 * d2
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
-        return TensorSum(out)
+                        add_into(out, (k1, k2), c1 * c2 * d1 * d2)
+        return TensorSum._make(out)
+
+    @staticmethod
+    def _mon(key):
+        return "%s (x) %s" % tuple(UqElement._mon(side) or "1" for side in key)
 
 
 def coproduct(x: UqElement) -> TensorSum:
@@ -569,13 +463,8 @@ def coproduct(x: UqElement) -> TensorSum:
         symbols += [("E", i) for i in ew]
         for s in symbols:
             cur = cur * TensorSum.from_pairs(coproduct_pairs(s))
-        for key, v in cur.terms.items():
-            tot = total.get(key, RatQ.zero()) + c * v
-            if tot:
-                total[key] = tot
-            else:
-                total.pop(key, None)
-    return TensorSum(total)
+        add_scaled(total, cur.terms, c)
+    return TensorSum._make(total)
 
 
 # --------------------------------------------------------- star action
@@ -625,45 +514,23 @@ def _w_pbw_matrix(content):
         vec = dict(col)
         sol = {idx: RatQ.one()}
         for pw in sorted((w for w in vec if w in pivots), reverse=True):
-            c = vec.pop(pw, None)
-            if not c:
-                continue
-            prow, psol = pivots[pw]
-            for w, rc in prow.items():
-                if w == pw:
-                    continue
-                s = vec.get(w, RatQ.zero()) - c * rc
-                if s:
-                    vec[w] = s
-                else:
-                    vec.pop(w, None)
-            for k, rc in psol.items():
-                s = sol.get(k, RatQ.zero()) - c * rc
-                if s:
-                    sol[k] = s
-                else:
-                    sol.pop(k, None)
+            c = vec.get(pw)
+            if c:
+                del vec[pw]
+                prow, psol = pivots[pw]
+                add_scaled(vec, prow, -c, skip=pw)
+                add_scaled(sol, psol, -c)
         if not vec:
             raise ArithmeticError("PBW items are dependent at %r" % (content,))
         pw = max(vec)
         inv = vec[pw].inverse()
         vec = {w: c * inv for w, c in vec.items()}
         sol = {k: c * inv for k, c in sol.items()}
-        for other_pw, (prow, psol) in pivots.items():
+        for prow, psol in pivots.values():
             c = prow.get(pw)
             if c:
-                for w, rc in vec.items():
-                    s = prow.get(w, RatQ.zero()) - c * rc
-                    if s:
-                        prow[w] = s
-                    else:
-                        prow.pop(w, None)
-                for k, rc in sol.items():
-                    s = psol.get(k, RatQ.zero()) - c * rc
-                    if s:
-                        psol[k] = s
-                    else:
-                        psol.pop(k, None)
+                add_scaled(prow, vec, -c)
+                add_scaled(psol, sol, -c)
         pivots[pw] = (vec, sol)
     return items, pivots
 
@@ -686,27 +553,16 @@ def w_decompose(x: UqElement) -> dict:
         weights = {}
         vec = dict(vec)
         for pw in sorted(vec, reverse=True):
-            c = vec.pop(pw, None)
+            c = vec.get(pw)
             if not c:
                 continue
+            del vec[pw]
             entry = pivots.get(pw)
             if entry is None:
                 raise NotInWSpanError("no PBW pivot for word %r" % (pw,))
             prow, psol = entry
-            for w, rc in prow.items():
-                if w == pw:
-                    continue
-                s = vec.get(w, RatQ.zero()) - c * rc
-                if s:
-                    vec[w] = s
-                else:
-                    vec.pop(w, None)
-            for k, rc in psol.items():
-                s = weights.get(k, RatQ.zero()) + c * rc
-                if s:
-                    weights[k] = s
-                else:
-                    weights.pop(k, None)
+            add_scaled(vec, prow, -c, skip=pw)
+            add_scaled(weights, psol, c)
         for idx, c in weights.items():
             coords[items[idx]] = c
     return coords

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .lin import Lin, add_into
 from .ring import LaurentPoly, RatQ, q_int, vanishes_at_root_of_unity
 from .uq import BETA, LETTER_NAMES, MU, NU, UqElement, w_gen
 
@@ -47,67 +48,24 @@ class Weight:
         return -raw if convention == "twisted" else raw
 
 
-class VermaVector:
+class VermaVector(Lin):
     """A combination of quotient-basis lowering words applied to v."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                c = c if isinstance(c, RatQ) else RatQ(c)
-                if c:
-                    clean[tuple(w)] = c
-        self.terms = clean
+    __slots__ = ()
+    check_key = staticmethod(tuple)
 
     @classmethod
     def highest_weight(cls):
         return cls({(): RatQ.one()})
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, RatQ.zero()) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return VermaVector(out)
-
-    def scale(self, c):
-        c = c if isinstance(c, RatQ) else RatQ(c)
-        return VermaVector({w: c * v for w, v in self.terms.items()})
-
     def laurent_terms(self):
         """Coefficients cleared to Laurent form, {word: LaurentPoly}."""
         return {w: c.to_laurent() for w, c in self.terms.items()}
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            mon = "*".join(LETTER_NAMES[i] for i in w) if w else "1"
-            head = mon if c == RatQ.one() and w else "(%s)*%s" % (c, mon)
-            parts.append(head + "*v")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "VermaVector(%s)" % self
+    def _term(self, w, c):
+        mon = "*".join(LETTER_NAMES[i] for i in w) if w else "1"
+        head = mon if c == 1 and w else "(%s)*%s" % (c, mon)
+        return head + "*v"
 
 
 def _evaluate(element: UqElement, weight: Weight, convention: str) -> VermaVector:
@@ -117,14 +75,8 @@ def _evaluate(element: UqElement, weight: Weight, convention: str) -> VermaVecto
         if ew:
             continue
         k = weight.exponent_of(kexp, convention)
-        if k:
-            c = c * RatQ(_Q(k))
-        s = out.get(fw, RatQ.zero()) + c
-        if s:
-            out[fw] = s
-        else:
-            out.pop(fw, None)
-    return VermaVector(out)
+        add_into(out, fw, c * RatQ(_Q(k)) if k else c)
+    return VermaVector._make(out)
 
 
 def apply_element(element: UqElement, v: VermaVector, weight: Weight,

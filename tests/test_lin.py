@@ -1,0 +1,92 @@
+import pytest
+
+from quadalg.aq import AqElement, center_element, normal_order
+from quadalg.lin import add_into, add_scaled
+from quadalg.qcalc import Poly4, QOperator
+from quadalg.ring import LaurentPoly, RatQ
+from quadalg.transform import DualFunctional, box_operator, right_dual_closed
+from quadalg.uq import MU, TensorSum, UqElement, coproduct, w_gen
+from quadalg.verma import VermaVector
+
+Q = LaurentPoly.q
+
+
+def _samples():
+    """Per class: two overlapping elements and the coefficient type."""
+    fm, em, km_inv = UqElement.f_gen(MU), UqElement.e_gen(MU), UqElement.k_gen(MU, -1)
+    return [
+        (normal_order((4, 1)), center_element(), LaurentPoly),
+        (w_gen(2), em * fm + fm.scale(Q(1)), RatQ),
+        (
+            Poly4({(1, 0, 0, 0): 2, (0, 1, 0, 0): Q(1)}),
+            Poly4({(0, 1, 0, 0): RatQ(Q(1), Q(1) + 1), (0, 0, 0, 3): -1}),
+            RatQ,
+        ),
+        (box_operator(), right_dual_closed(1), RatQ),
+        (
+            DualFunctional({(0, 0, 0, 1): Q(1), (1, 0, 0, 0): 2}),
+            DualFunctional.indicator((0, 0, 0, 1)),
+            LaurentPoly,
+        ),
+        (
+            VermaVector({(MU,): 1, (): Q(1)}),
+            VermaVector({(MU,): RatQ(Q(1), Q(1) + 1)}),
+            RatQ,
+        ),
+        (coproduct(fm), TensorSum.from_pairs([(fm, km_inv), (em, fm)]), RatQ),
+    ]
+
+
+SAMPLES = _samples()
+
+
+@pytest.mark.parametrize("x, y, scalar", SAMPLES, ids=lambda v: type(v).__name__)
+def test_linear_structure(x, y, scalar):
+    cls = type(x)
+    assert x and y
+    assert not x - x and x - x == cls.zero()
+    assert not (x + (-x))
+    assert not x.scale(0) and x.scale(0) == cls.zero()
+    # the same element along different paths: equal, with equal hashes
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    assert x + y == y + x and hash(x + y) == hash(y + x)
+    assert x - y == -(y - x)
+    for z in (x + y, x - y, -x, x.scale(3), x.scale(Q(-1)), y.scale(-2)):
+        assert z.terms and all(type(c) is scalar and c for c in z.terms.values())
+
+
+def test_rendering_keeps_unit_and_coefficient_forms():
+    assert str(AqElement.zero()) == "0"
+    assert str(AqElement.one().scale(2) + AqElement.generator(1)) == "(2) + w1"
+    assert str(DualFunctional.indicator((0, 0, 0, 1))) == "(1)*delta((0, 0, 0, 1),)"
+    assert str(VermaVector.highest_weight()) == "(1)*1*v"
+    assert str(VermaVector({(MU,): 1, (MU, MU): Q(1)})) == "Fm*v + (q)*Fm*Fm*v"
+    assert repr(QOperator.identity()) == "QOperator((1))"
+
+
+def test_add_into_drops_zero_sums():
+    acc = {}
+    add_into(acc, "a", LaurentPoly.zero())
+    assert acc == {}
+    add_into(acc, "a", Q(1))
+    add_into(acc, "b", Q(2))
+    add_into(acc, "a", -Q(1))
+    assert acc == {"b": Q(2)}
+    add_into(acc, "b", Q(-1))
+    assert acc == {"b": Q(2) + Q(-1)} and all(acc.values())
+
+
+def test_add_scaled_drops_zero_sums_and_leaves_row_alone():
+    q = RatQ(Q(1))
+    row = {"a": q, "b": RatQ(1), "c": RatQ(1, Q(1) + 1)}
+    before = dict(row)
+    acc = {"a": q * 2, "b": RatQ(2), "d": RatQ(5)}
+    add_scaled(acc, row, RatQ(-2), skip="c")
+    assert acc == {"d": RatQ(5)}
+    add_scaled(acc, row, q)
+    assert acc == {"d": RatQ(5), "a": q * q, "b": q, "c": RatQ(Q(1), Q(1) + 1)}
+    add_scaled(acc, row, RatQ(0))
+    assert len(acc) == 4 and all(acc.values())
+    add_scaled(acc, row, -q)
+    assert acc == {"d": RatQ(5)}
+    assert row == before and all(row[k] is before[k] for k in row)

@@ -223,3 +223,38 @@ def test_cli_subprocess_end_to_end():
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normalize", "(1/(q+1))*w1"),
+        ("mul", "(1/(q+1))", "w1"),
+        ("mul", "w1", "Fm"),
+        ("verify", "dims", "--degree", "-1", "--json"),
+        ("dims", "--max-degree", "-3"),
+    ],
+)
+def test_cli_rejects_with_exit_2_and_no_traceback(argv, capsys):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_run_suite_rejects_negative_degree():
+    from quadalg.suites import run_suite
+
+    with pytest.raises(ValueError):
+        run_suite("dims", degree=-1)
+
+
+def test_report_without_checks_is_not_ok():
+    from quadalg.suites import Report
+
+    report = Report("empty", {})
+    assert not report.ok
+    assert report.to_dict()["ok"] is False
+    report.add("one check", True)
+    assert report.ok
