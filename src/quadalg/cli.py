@@ -210,8 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--scan", type=_scan_range, default=None, metavar="A..B")
-    p.add_argument("--convention", choices=("twisted", "plain"), default="twisted")
+    p.add_argument("--scan", type=_scan_range, default=None, metavar="A..B",
+                   help="singular-vector only (default 0..6)")
+    p.add_argument("--convention", choices=("twisted", "plain"), default=None,
+                   help="singular-vector only (default twisted)")
 
     return parser
 

@@ -19,9 +19,16 @@ compose to -q^-1 times the diagonal wave operator, exactly.
 from __future__ import annotations
 
 from .aq import AqElement
-from .qcalc import Poly4Vec2, QOperator, compose, mul_z, qdiff, scaling
+from .qcalc import Poly4Vec2, QOperator, compose
 from .ring import LaurentPoly, indices_up_to
-from .transform import DualFunctional, box_operator, psi, right_dual_bruteforce, right_dual_closed
+from .transform import (
+    DualFunctional,
+    box_operator,
+    dual_w1_parts,
+    psi,
+    right_dual_bruteforce,
+    right_dual_closed,
+)
 
 _Q = LaurentPoly.q
 
@@ -91,30 +98,23 @@ class OpMatrix2:
         )
 
 
-def _extra_entry() -> QOperator:
-    """-q^-1 z_4 (1 - q^-2) K_4 box: the second-order departure term."""
-    return compose(mul_z(4), compose(scaling(4), box_operator())).scale(
-        (LaurentPoly.one() - _Q(-2)) * -_Q(-1)
-    )
-
-
 def _dirac_parts(top, bottom):
-    """First-order matrix and extra term with dual(w_top), dual(w_bottom) on the diagonal."""
+    """First-order matrix and extra term with dual(w_top), dual(w_bottom) on the diagonal.
+
+    The lower-left corner is -q^-1 dual(w1), split into its first-order
+    part and the second-order departure -q^-1 z_4 (1 - q^-2) K_4 box.
+    """
     zero = QOperator.zero()
     minus_qinv = -_Q(-1)
+    w1_first, w1_extra = dual_w1_parts()
     first = OpMatrix2(
         (
             (right_dual_closed(top), right_dual_closed(4)),
-            (_first_order_w1().scale(minus_qinv), right_dual_closed(bottom).scale(minus_qinv)),
+            (w1_first.scale(minus_qinv), right_dual_closed(bottom).scale(minus_qinv)),
         )
     )
-    extra = OpMatrix2(((zero, zero), (_extra_entry(), zero)))
+    extra = OpMatrix2(((zero, zero), (w1_extra.scale(minus_qinv), zero)))
     return first, extra
-
-
-def _first_order_w1() -> QOperator:
-    """K_2 K_3 K_4^2 [d_1]: the first-order part of dual(w1)."""
-    return compose(compose(scaling(2), scaling(3)), compose(scaling(4, 2), qdiff(1)))
 
 
 def dirac_plus_parts():

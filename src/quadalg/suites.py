@@ -301,18 +301,26 @@ SUITES = {
 }
 
 
-def run_suite(name, degree=None, scan=None, convention="twisted") -> Report:
+def run_suite(name, degree=None, scan=None, convention=None) -> Report:
     """Run one named suite; raises KeyError on an unknown name and
-    ValueError on a negative degree bound."""
+    ValueError on a negative degree bound or on an option the suite does
+    not take: ``degree`` for a suite without a degree bound, ``scan`` or
+    ``convention`` for any suite but singular-vector."""
     if name not in SUITES:
         raise KeyError(name)
-    if degree is not None and degree < 0:
-        raise ValueError("degree bound must be >= 0, got %d" % degree)
     fn, default_degree = SUITES[name]
+    if degree is not None:
+        if default_degree is None:
+            raise ValueError("suite %s takes no degree bound" % name)
+        if degree < 0:
+            raise ValueError("degree bound must be >= 0, got %d" % degree)
+    if name != "singular-vector" and (scan is not None or convention is not None):
+        raise ValueError("suite %s takes no scan or convention" % name)
     params = {}
     start = time.monotonic()
     if name == "singular-vector":
         scan = scan if scan is not None else range(0, 7)
+        convention = convention if convention is not None else "twisted"
         params = {"scan": "%d..%d" % (min(scan), max(scan)), "convention": convention}
         report = Report(name, params)
         fn(report, list(scan), convention)

@@ -16,17 +16,24 @@ q-difference operators with closed forms:
     box      = dual(w1 w4 - q w2 w3) = K_2 K_3 [d_1][d_4] - q [d_2][d_3]
 
 ``verify_dual`` checks each closed form against brute-force right
-multiplication on every monomial indicator up to a degree bound.
+multiplication on every monomial indicator up to a degree bound.  The
+brute-force side forms each product w^gamma w0 once per process with the
+normal-ordering engine and keeps it transposed, per degree of gamma, so a
+dual reads its values off the columns of the functional's support.  The
+closed forms are built once per process as well; verdicts never are.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .aq import AqElement, center_element
-from .lin import Lin, as_laurent
+from .lin import Lin, add_into, as_laurent
 from .qcalc import Poly4, QOperator, compose, mul_z, qdiff, scaling
 from .ring import (
     LaurentPoly,
     RatQ,
+    all_indices,
     indices_up_to,
     mi_check,
     mi_degree,
@@ -83,37 +90,64 @@ def psi_inv(p: Poly4) -> DualFunctional:
     return DualFunctional(out)
 
 
+@lru_cache(maxsize=1024)
+def _right_mul_transpose(w0: AqElement, degree: int):
+    """Right multiplication by w0 on the monomials of one degree, transposed.
+
+    Maps each w^delta to the pairs (gamma, c), deg gamma = degree, where c
+    is the coefficient of w^delta in w^gamma w0.
+    """
+    table = {}
+    for gamma in all_indices(degree):
+        for delta, c in (AqElement.monomial(gamma) * w0).terms.items():
+            table.setdefault(delta, []).append((gamma, c))
+    return {delta: tuple(pairs) for delta, pairs in table.items()}
+
+
 def right_dual_bruteforce(w0: AqElement):
     """The operator f -> (g: g(w^gamma) = f(w^gamma w0)), computed in the algebra.
 
     Returns a callable on DualFunctional.  Right multiplication by w0 is
-    evaluated with the normal-ordering engine; products are cached per
-    basis monomial.
+    evaluated with the normal-ordering engine, each product w^gamma w0
+    once per process; g is summed from the transposed products over the
+    support of f only.
     """
-    cache = {}
+    degrees = w0.degrees()
 
     def act(f: DualFunctional) -> DualFunctional:
-        bound = f.max_degree()
         out = {}
-        for g in indices_up_to(max(bound, 0)) if bound >= 0 else []:
-            prod = cache.get(g)
-            if prod is None:
-                prod = AqElement.monomial(g) * w0
-                cache[g] = prod
-            val = f.evaluate(prod)
-            if val:
-                out[g] = val
+        for delta, v in f.terms.items():
+            d = mi_degree(delta)
+            for k in degrees:
+                if k > d:
+                    break
+                for gamma, c in _right_mul_transpose(w0, d - k).get(delta, ()):
+                    add_into(out, gamma, c * v)
         return DualFunctional._make(out)
 
     return act
 
 
+@lru_cache(maxsize=None)
 def box_operator() -> QOperator:
     """The quantized wave operator K_2 K_3 [d_1][d_4] - q [d_2][d_3]."""
     main = compose(compose(scaling(2), scaling(3)), compose(qdiff(1), qdiff(4)))
     return main - compose(qdiff(2), qdiff(3)).scale(_Q(1))
 
 
+@lru_cache(maxsize=None)
+def dual_w1_parts():
+    """The two parts of dual(w1): K_2 K_3 K_4^2 [d_1] and z_4 (1 - q^-2) K_4 box."""
+    first = compose(
+        compose(scaling(2), scaling(3)), compose(scaling(4, 2), qdiff(1))
+    )
+    extra = compose(mul_z(4), compose(scaling(4), box_operator())).scale(
+        LaurentPoly.one() - _Q(-2)
+    )
+    return first, extra
+
+
+@lru_cache(maxsize=None)
 def right_dual_closed(which) -> QOperator:
     """Closed form of the dual of right multiplication by w1..w4 or the center ("box")."""
     if which == 4:
@@ -123,12 +157,7 @@ def right_dual_closed(which) -> QOperator:
     if which == 3:
         return compose(scaling(4), qdiff(3))
     if which == 1:
-        first = compose(
-            compose(scaling(2), scaling(3)), compose(scaling(4, 2), qdiff(1))
-        )
-        extra = compose(mul_z(4), compose(scaling(4), box_operator())).scale(
-            LaurentPoly.one() - _Q(-2)
-        )
+        first, extra = dual_w1_parts()
         return first + extra
     if which == "box":
         return box_operator()

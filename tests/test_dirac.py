@@ -1,3 +1,4 @@
+from quadalg.aq import AqElement
 from quadalg.dirac import (
     OpMatrix2,
     VectorDualFunctional,
@@ -126,3 +127,34 @@ def test_intertwine_check_degree_0():
 def test_intertwine_check_degree_4_both_variants():
     assert intertwine_check(4, "plus")
     assert intertwine_check(4, "minus")
+
+
+def test_intertwine_bruteforce_matches_reference_duals():
+    from test_transform import reference_dual
+
+    w = {i: AqElement.generator(i) for i in (1, 2, 3, 4)}
+    qinv = Q(-1)
+    for variant, top, bottom in (("plus", 2, 3), ("minus", 3, 2)):
+        d_top, d_w1, d_w4, d_bottom = (reference_dual(w[i]) for i in (top, 1, 4, bottom))
+        for gamma in indices_up_to(3):
+            for slot in (1, 2):
+                f = VectorDualFunctional.indicator(gamma, slot)
+                expected = VectorDualFunctional(
+                    d_top(f.f1) + d_w1(f.f2).scale(-qinv),
+                    d_w4(f.f1) + d_bottom(f.f2).scale(-qinv),
+                )
+                assert intertwine_bruteforce(f, variant) == expected, (variant, gamma, slot)
+
+
+def test_intertwine_check_recomputes_its_verdict(monkeypatch):
+    from quadalg import dirac
+
+    assert intertwine_check(2, "plus")
+    plus = dirac.dirac_plus
+
+    def swapped():
+        m = plus()
+        return OpMatrix2(((m[1, 1], m[0, 1]), (m[1, 0], m[0, 0])))
+
+    monkeypatch.setattr(dirac, "dirac_plus", swapped)
+    assert not intertwine_check(2, "plus")

@@ -1,10 +1,12 @@
 import json
+import os
 import random
 import subprocess
 import sys
 
 import pytest
 
+import quadalg
 from quadalg.aq import AqElement, center_element
 from quadalg.cli import main
 from quadalg.parse import ParseError, parse_expression
@@ -217,9 +219,13 @@ def test_cli_reports_byte_identical():
 
 
 def test_cli_subprocess_end_to_end():
+    # The child must import the quadalg under test, wherever it came from.
+    src = os.path.dirname(os.path.dirname(quadalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     cmd = [sys.executable, "-m", "quadalg", "verify", "aq-power-identity", "--json"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["ok"] is True
@@ -233,6 +239,11 @@ def test_cli_subprocess_end_to_end():
         ("mul", "w1", "Fm"),
         ("verify", "dims", "--degree", "-1", "--json"),
         ("dims", "--max-degree", "-3"),
+        ("verify", "aq-relations", "--degree", "3", "--json"),
+        ("verify", "singular-vector", "--degree", "3"),
+        ("verify", "dims", "--scan", "0..3", "--convention", "plain"),
+        ("verify", "dims", "--scan", "0..3"),
+        ("verify", "box", "--convention", "twisted", "--json"),
     ],
 )
 def test_cli_rejects_with_exit_2_and_no_traceback(argv, capsys):
@@ -248,6 +259,35 @@ def test_run_suite_rejects_negative_degree():
 
     with pytest.raises(ValueError):
         run_suite("dims", degree=-1)
+
+
+@pytest.mark.parametrize(
+    "name, options",
+    [
+        ("aq-relations", {"degree": 3}),
+        ("singular-vector", {"degree": 0}),
+        ("dims", {"scan": range(0, 4)}),
+        ("dims", {"convention": "plain"}),
+    ],
+)
+def test_run_suite_rejects_options_the_suite_does_not_take(name, options):
+    from quadalg.suites import run_suite
+
+    with pytest.raises(ValueError):
+        run_suite(name, **options)
+
+
+def test_cli_verify_applies_the_options_a_suite_takes():
+    code, out = run_cli("verify", "dims", "--degree", "3", "--json")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"degree": 3}
+    code, out = run_cli(
+        "verify", "singular-vector", "--scan", "0..3", "--convention", "twisted", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"scan": "0..3", "convention": "twisted"}
+    code, out = run_cli("verify", "singular-vector", "--json")
+    assert json.loads(out)["parameters"] == {"scan": "0..6", "convention": "twisted"}
 
 
 def test_report_without_checks_is_not_ok():

@@ -1,7 +1,10 @@
+import random
 from itertools import product
 
+import pytest
+
 from quadalg.aq import AqElement, center_element
-from quadalg.qcalc import Poly4, compose, qdiff, scaling
+from quadalg.qcalc import Poly4, compose, mul_z, qdiff, scaling
 from quadalg.ring import LaurentPoly, RatQ, indices_up_to, q_int
 from quadalg.transform import (
     DualFunctional,
@@ -102,3 +105,98 @@ def test_box_is_dual_of_center():
     for gamma in indices_up_to(6):
         f = DualFunctional.indicator(gamma)
         assert psi(brute(f)) == box.apply(psi(f))
+
+
+# ------------------------------- transposed table against the old algorithm
+
+def reference_dual(w0):
+    """The previous oracle: f(w^gamma w0) for every gamma up to f's degree."""
+    products = {}
+
+    def act(f):
+        out = {}
+        for g in indices_up_to(f.max_degree()):
+            if g not in products:
+                products[g] = AqElement.monomial(g) * w0
+            val = f.evaluate(products[g])
+            if val:
+                out[g] = val
+        return DualFunctional(out)
+
+    return act
+
+
+def _w(i):
+    return AqElement.generator(i)
+
+
+EQUIVALENCE_ELEMENTS = [
+    _w(1), _w(2), _w(3), _w(4), center_element(), AqElement.one(), AqElement.zero(),
+    AqElement.one() + _w(1) + _w(2) * _w(3), _w(1) * _w(4),
+]
+
+
+def equivalence_functionals():
+    rng = random.Random(20261018)
+    out = [DualFunctional.zero()]
+    out += [DualFunctional.indicator(g) for g in indices_up_to(5)]
+    support = indices_up_to(5)
+    for _ in range(50):
+        out.append(DualFunctional({
+            g: LaurentPoly({e: rng.choice((-3, -1, 1, 2)) for e in rng.sample(range(-3, 4), 2)})
+            for g in rng.sample(support, rng.randint(2, 6))
+        }))
+    return out
+
+
+@pytest.mark.parametrize("w0", EQUIVALENCE_ELEMENTS, ids=str)
+def test_transposed_dual_matches_reference(w0):
+    new, old = right_dual_bruteforce(w0), reference_dual(w0)
+    for f in equivalence_functionals():
+        assert new(f) == old(f), f
+
+
+def test_each_product_is_formed_once_per_process(monkeypatch):
+    from quadalg import transform
+    from quadalg.dirac import intertwine_check
+
+    count = [0]
+    mul = AqElement.__mul__
+
+    def counting(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    transform._right_mul_transpose.cache_clear()
+    monkeypatch.setattr(AqElement, "__mul__", counting)
+    # w^gamma w_i for the four generators and every gamma of degree <= 3
+    assert intertwine_check(4, "plus") and intertwine_check(4, "minus")
+    assert count[0] == 4 * len(indices_up_to(3))
+    for which in (1, 2, 3, 4, "box"):
+        assert verify_dual(which, 5)
+    assert count[0] == 4 * len(indices_up_to(4)) + len(indices_up_to(3))
+
+
+# ------------------------------------- warm caches keep every check live
+
+def test_verify_dual_recomputes_its_verdict(monkeypatch):
+    from quadalg import transform
+
+    assert verify_dual(2, 3) and verify_dual(3, 3)
+    closed = transform.right_dual_closed
+    monkeypatch.setattr(
+        transform, "right_dual_closed", lambda which: closed({2: 3, 3: 2}.get(which, which))
+    )
+    assert not verify_dual(2, 3)
+    assert not verify_dual(3, 3)
+
+
+def test_memoized_closed_forms_are_not_changed_by_arithmetic():
+    op = right_dual_closed(1)
+    before = dict(op.terms)
+    results = [op.scale(Q(2)), op + op, op - right_dual_closed(4), -op]
+    assert all(r is not op and r.terms is not op.terms for r in results)
+    assert right_dual_closed(1).terms == before
+    assert right_dual_closed(1) == compose(
+        compose(scaling(2), scaling(3)), compose(scaling(4, 2), qdiff(1))
+    ) + compose(mul_z(4), compose(scaling(4), box_operator())).scale(ONE - Q(-2))
