@@ -7,17 +7,23 @@ Three symbol families, never mixed inside one expression:
     negative allowed on the K's)
   * operators: d_1..d_4, K_1..K_4 (negative powers allowed), z_1..z_4
 
-Products are written with ``*``, ``.`` or juxtaposition; ``+``/``-`` add;
-``^`` takes integer powers of a symbol.  Scalars are Laurent-polynomial
-literals in parentheses (with ``/`` for exact scalar division) or bare
-integers.  Noncommutative products are kept in input order and only
-normal-ordered by the algebra itself.
+One grammar covers scalars and elements alike:
+
+  expression := term (("+" | "-") term)*
+  term       := factor (("*" | "." | "/" | juxtaposition) factor)*
+  factor     := ("+" | "-") factor | integer | "(" expression ")"
+              | symbol ["^" ["+" | "-"] integer]
+
+A unary sign may come before any factor.  ``/`` is exact division and is
+allowed only between two scalars.  Parentheses hold scalars only: the
+symbol ``q`` and integers combined into elements of Q(q), such as
+``(q - q^-1)`` or ``(1/2)``.  Noncommutative products are kept in input
+order and only normal-ordered by the algebra itself.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .aq import AqElement
 from .lin import as_ratq
@@ -97,9 +103,16 @@ def _promote(value: _Value, kind: str, pos: int) -> _Value:
 
 
 def _combine(a: _Value, b: _Value, op: str, pos: int) -> _Value:
+    """``a op b`` for op in ``+ - * /``; ``/`` only between two scalars."""
     if a.kind == "scalar" and b.kind == "scalar":
         x, y = a.data, b.data
+        if op == "/":
+            if not y:
+                raise ParseError("scalar division by zero", pos)
+            return _scalar(x / y)
         return _scalar(x + y if op == "+" else x - y if op == "-" else x * y)
+    if op == "/":
+        raise ParseError("division is defined between scalars only", pos)
     kind = a.kind if a.kind != "scalar" else b.kind
     a = _promote(a, kind, pos)
     b = _promote(b, kind, pos)
@@ -131,54 +144,6 @@ class _Parser:
         if kind != "op" or val != symbol:
             raise ParseError("expected %r" % symbol, pos)
 
-    # -- scalar sub-grammar (inside parentheses) ------------------------
-
-    def scalar_expr(self) -> RatQ:
-        total = self.scalar_term()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.scalar_term()
-                total = total + rhs if val == "+" else total - rhs
-            else:
-                return total
-
-    def scalar_term(self) -> RatQ:
-        total = self.scalar_atom()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.scalar_atom()
-                if val == "/":
-                    if not rhs:
-                        raise ParseError("scalar division by zero", pos)
-                    total = total / rhs
-                else:
-                    total = total * rhs
-            elif kind in ("name", "int") or (kind == "op" and val == "("):
-                total = total * self.scalar_atom()
-            else:
-                return total
-
-    def scalar_atom(self) -> RatQ:
-        kind, val, pos = self.next()
-        if kind == "op" and val == "-":
-            return -self.scalar_atom()
-        if kind == "op" and val == "+":
-            return self.scalar_atom()
-        if kind == "int":
-            return RatQ(val)
-        if kind == "name" and val == "q":
-            exp = self.maybe_power(pos)
-            return RatQ(LaurentPoly.q(exp if exp is not None else 1))
-        if kind == "op" and val == "(":
-            inner = self.scalar_expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError("expected a scalar", pos)
-
     def maybe_power(self, pos):
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -196,17 +161,10 @@ class _Parser:
             raise ParseError("expected an integer exponent", pos)
         return sign * val
 
-    # -- main grammar -----------------------------------------------------
+    # -- the grammar ------------------------------------------------------
 
     def expression(self) -> _Value:
-        kind, val, pos = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.next()
-            negate = val == "-"
         total = self.term()
-        if negate:
-            total = _combine(_scalar(-1), total, "*", pos)
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
@@ -219,9 +177,9 @@ class _Parser:
         total = self.factor()
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val in "*.":
+            if kind == "op" and val in "*./":
                 self.next()
-                total = _combine(total, self.factor(), "*", pos)
+                total = _combine(total, self.factor(), "/" if val == "/" else "*", pos)
             elif kind in ("name", "int") or (kind == "op" and val == "("):
                 total = _combine(total, self.factor(), "*", pos)
             else:
@@ -229,12 +187,17 @@ class _Parser:
 
     def factor(self) -> _Value:
         kind, val, pos = self.next()
+        if kind == "op" and val in "+-":
+            inner = self.factor()
+            return _Value(inner.kind, -inner.data) if val == "-" else inner
         if kind == "int":
             return _scalar(val)
         if kind == "op" and val == "(":
-            inner = self.scalar_expr()
+            inner = self.expression()
             self.expect_op(")")
-            return _scalar(inner)
+            if inner.kind != "scalar":
+                raise ParseError("expected a scalar", pos)
+            return inner
         if kind != "name":
             raise ParseError("expected a symbol, integer or scalar literal", pos)
         return self.symbol_power(val, pos)

@@ -256,6 +256,11 @@ def q_factorial_int(n: int) -> LaurentPoly:
 
 def q_factorial(gamma) -> LaurentPoly:
     """Product of the single-index q-factorials over a multi-index."""
+    return _q_factorial(tuple(gamma))
+
+
+@lru_cache(maxsize=None)
+def _q_factorial(gamma) -> LaurentPoly:
     out = LaurentPoly.one()
     for n in gamma:
         out = out * q_factorial_int(n)
@@ -319,22 +324,9 @@ def _dense_gcd(a, b):
 
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic gcd of the polynomial parts, as a Laurent polynomial with valuation 0."""
-    if not a:
-        return _monic_val0(b)
-    if not b:
-        return _monic_val0(a)
-    _, da = _to_dense(a)
-    _, db = _to_dense(b)
-    g = _dense_gcd(da, db)
-    return LaurentPoly({i: c for i, c in enumerate(g)})
-
-
-def _monic_val0(p: LaurentPoly) -> LaurentPoly:
-    if not p:
-        return LaurentPoly.zero()
-    v, d = _to_dense(p)
-    lead = d[-1]
-    return LaurentPoly({i: c / lead for i, c in enumerate(d)})
+    da = _to_dense(a)[1] if a else []
+    db = _to_dense(b)[1] if b else []
+    return LaurentPoly(dict(enumerate(_dense_gcd(da, db))))
 
 
 # -- cyclotomic reduction ----------------------------------------------
@@ -357,19 +349,15 @@ def cyclotomic(m: int):
 def vanishes_at_root_of_unity(p: LaurentPoly, m: int) -> bool:
     """True iff p(q) = 0 at every primitive m-th root of unity.
 
-    Negative exponents are cleared with a unit q-power (harmless at roots
-    of unity) and the result is reduced modulo the m-th cyclotomic
-    polynomial; vanishing is equivalent to a zero remainder.
+    The unit q-power that ``_to_dense`` strips is harmless at roots of
+    unity, so the remaining polynomial is reduced modulo the m-th
+    cyclotomic polynomial; vanishing is equivalent to a zero remainder.
     """
     if m < 1:
         raise ValueError("root-of-unity order must be >= 1")
     if not p:
         return True
-    v = p.valuation
-    shifted = p * LaurentPoly.q(-v) if v < 0 else p
-    _, dense = _to_dense(shifted)
-    if shifted.valuation > 0:
-        dense = [Fraction(0)] * shifted.valuation + dense
+    _, dense = _to_dense(p)
     _, rem = _dense_divmod(dense, [Fraction(c) for c in cyclotomic(m)])
     return not rem
 

@@ -11,7 +11,10 @@ Ideal membership is decided degree by degree: the component of the
 two-sided Serre ideal in a multidegree is spanned by all u * r * v with r
 a defining relation, and is kept as a reduced row echelon basis over Q(q)
 with pivots on lexicographically largest words, so every coset has a
-canonical representative supported on lex-earliest words.
+canonical representative supported on lex-earliest words.  The same
+sparse echelon, with tags that follow every row operation, inverts the
+PBW change of basis used by the star action below; it is the only
+elimination in this module.
 
 Elements of the full fragment are straightened to (F word) (K monomial)
 (E word) with both words reduced to quotient-basis coordinates.
@@ -56,7 +59,6 @@ def serre_relations():
     for i, j in ((NU, BETA), (MU, BETA), (BETA, NU), (BETA, MU)):
         rels.append({(i, i, j): _ONE, (i, j, i): -two, (j, i, i): _ONE})
     rels.append({(NU, MU): _ONE, (MU, NU): -_ONE})
-    rels.append({(MU, NU): _ONE, (NU, MU): -_ONE})
     return rels
 
 
@@ -76,29 +78,73 @@ def words_of_content(content):
     return tuple(sorted(set(permutations(letters))))
 
 
-class _Component:
-    """Reduced row echelon data of the ideal inside one multidegree."""
+class _Echelon:
+    """Reduced row echelon rows over Q(q), each carrying a dict of tags.
 
-    __slots__ = ("content", "pivots", "basis")
+    Every row has coefficient 1 at its pivot, its lexicographically
+    largest word, and holds no other row's pivot word.  A row's tags
+    ({key: RatQ}) undergo the same row operations as its words, so they
+    record which combination of the inserted vectors the row is.
+    """
+
+    __slots__ = ("pivots", "tags")
+
+    def __init__(self):
+        self.pivots = {}  # pivot word -> {word: RatQ} with pivot coeff 1
+        self.tags = {}  # pivot word -> {key: RatQ}
+
+    def reduce(self, vec, tags=None):
+        """Canonical coset representative of a coefficient vector.
+
+        Subtracts multiples of the rows until no pivot word is left; when
+        ``tags`` is given, the same multiples of the rows' tags are
+        subtracted from it in place.
+        """
+        vec = {w: c for w, c in vec.items() if c}
+        for p in sorted((w for w in vec if w in self.pivots), reverse=True):
+            c = vec.get(p)
+            if c:
+                del vec[p]
+                add_scaled(vec, self.pivots[p], -c, skip=p)
+                if tags is not None:
+                    add_scaled(tags, self.tags[p], -c)
+        return vec
+
+    def insert(self, vec, tags=None):
+        """Add ``vec`` (tagged ``tags``) as a row; its pivot, or None if it reduced to 0."""
+        tags = dict(tags) if tags else {}
+        row = self.reduce(vec, tags)
+        if not row:
+            return None
+        pivot = max(row)
+        inv = row[pivot].inverse()
+        row = {w: c * inv for w, c in row.items()}
+        tags = {k: c * inv for k, c in tags.items()}
+        # back-substitute into the existing rows
+        for p, r in self.pivots.items():
+            c = r.get(pivot)
+            if c:
+                add_scaled(r, row, -c)
+                add_scaled(self.tags[p], tags, -c)
+        self.pivots[pivot] = row
+        self.tags[pivot] = tags
+        return pivot
+
+
+class _Component(_Echelon):
+    """The ideal inside one multidegree, as untagged echelon rows."""
+
+    __slots__ = ("content", "basis")
 
     def __init__(self, content):
+        super().__init__()
         self.content = content
-        self.pivots = {}  # pivot word -> {word: RatQ} with pivot coeff 1
-        self._build()
-        self.basis = tuple(
-            w for w in words_of_content(content) if w not in self.pivots
-        )
-
-    def _build(self):
-        content = self.content
-        total = sum(content)
         for rel in serre_relations():
             rc = word_content(next(iter(rel)))
             rest = tuple(c - r for c, r in zip(content, rc))
             if any(x < 0 for x in rest):
                 continue
-            rlen = sum(rc)
-            for ulen in range(total - rlen + 1):
+            for ulen in range(sum(rest) + 1):
                 for usub in _subcontents(rest, ulen):
                     vsub = tuple(r - u for r, u in zip(rest, usub))
                     for u in words_of_content(usub):
@@ -106,31 +152,10 @@ class _Component:
                             row = {}
                             for wmid, c in rel.items():
                                 add_into(row, u + wmid + v, RatQ(c))
-                            self._insert(row)
-
-    def _insert(self, row):
-        row = self.reduce(row)
-        if not row:
-            return
-        pivot = max(row)
-        inv = row[pivot].inverse()
-        row = {w: c * inv for w, c in row.items()}
-        # back-substitute into the existing rows
-        for r in self.pivots.values():
-            c = r.get(pivot)
-            if c:
-                add_scaled(r, row, -c)
-        self.pivots[pivot] = row
-
-    def reduce(self, vec):
-        """Canonical coset representative of a coefficient vector."""
-        vec = {w: c for w, c in vec.items() if c}
-        for p in sorted((w for w in vec if w in self.pivots), reverse=True):
-            c = vec.get(p)
-            if c:
-                del vec[p]
-                add_scaled(vec, self.pivots[p], -c, skip=p)
-        return vec
+                            self.insert(row)
+        self.basis = tuple(
+            w for w in words_of_content(content) if w not in self.pivots
+        )
 
     @property
     def dimension(self):
@@ -490,8 +515,9 @@ def _w_pbw_basis(content):
 def _w_pbw_matrix(content):
     """Row-reduced expansion of the PBW items in quotient coordinates.
 
-    Returns (items, pivots) where pivots maps a basis word to
-    (normalized row, solved coefficients per item).
+    Returns (items, echelon): the echelon rows hold the items' expansions,
+    each inserted with the tag {item index: 1}, so a row's tags are its
+    weights over the items.
     """
     items = _w_pbw_basis(content)
     comp = component(content)
@@ -500,39 +526,17 @@ def _w_pbw_matrix(content):
             "PBW mismatch at %r: %d items vs dimension %d"
             % (content, len(items), comp.dimension)
         )
-    columns = []
-    for gamma, r, s in items:
+    echelon = _Echelon()
+    for idx, (gamma, r, s) in enumerate(items):
         el = w_embed(AqElement.monomial(gamma))
         for _ in range(r):
             el = el * UqElement.f_gen(MU)
         for _ in range(s):
             el = el * UqElement.f_gen(NU)
-        columns.append({fw: c for (fw, k, ew), c in el.terms.items()})
-    # Gaussian elimination on the transpose: solve coords -> item weights
-    pivots = {}
-    for idx, col in enumerate(columns):
-        vec = dict(col)
-        sol = {idx: RatQ.one()}
-        for pw in sorted((w for w in vec if w in pivots), reverse=True):
-            c = vec.get(pw)
-            if c:
-                del vec[pw]
-                prow, psol = pivots[pw]
-                add_scaled(vec, prow, -c, skip=pw)
-                add_scaled(sol, psol, -c)
-        if not vec:
+        column = {fw: c for (fw, k, ew), c in el.terms.items()}
+        if echelon.insert(column, {idx: RatQ.one()}) is None:
             raise ArithmeticError("PBW items are dependent at %r" % (content,))
-        pw = max(vec)
-        inv = vec[pw].inverse()
-        vec = {w: c * inv for w, c in vec.items()}
-        sol = {k: c * inv for k, c in sol.items()}
-        for prow, psol in pivots.values():
-            c = prow.get(pw)
-            if c:
-                add_scaled(prow, vec, -c)
-                add_scaled(psol, sol, -c)
-        pivots[pw] = (vec, sol)
-    return items, pivots
+    return items, echelon
 
 
 class NotInWSpanError(ValueError):
@@ -549,22 +553,14 @@ def w_decompose(x: UqElement) -> dict:
     for (fw, _, _), c in x.terms.items():
         by_content.setdefault(word_content(fw), {})[fw] = c
     for content, vec in by_content.items():
-        items, pivots = _w_pbw_matrix(content)
-        weights = {}
-        vec = dict(vec)
-        for pw in sorted(vec, reverse=True):
-            c = vec.get(pw)
-            if not c:
-                continue
-            del vec[pw]
-            entry = pivots.get(pw)
-            if entry is None:
-                raise NotInWSpanError("no PBW pivot for word %r" % (pw,))
-            prow, psol = entry
-            add_scaled(vec, prow, -c, skip=pw)
-            add_scaled(weights, psol, c)
-        for idx, c in weights.items():
-            coords[items[idx]] = c
+        items, echelon = _w_pbw_matrix(content)
+        # vec - sum of tagged rows leaves -weights in the tags
+        tags = {}
+        residual = echelon.reduce(vec, tags)
+        if residual:
+            raise NotInWSpanError("no PBW pivot for word %r" % (max(residual),))
+        for idx, c in tags.items():
+            coords[items[idx]] = -c
     return coords
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -13,9 +14,10 @@ from quadalg.parse import ParseError, parse_expression
 from quadalg.qcalc import QOperator, compose, mul_z, qdiff, scaling
 from quadalg.ring import LaurentPoly, RatQ
 from quadalg.transform import box_operator
-from quadalg.uq import BETA, MU, NU, UqElement, w_gen
+from quadalg.uq import BETA, MU, NU, UqElement, straighten, w_gen
 
 Q = LaurentPoly.q
+ONE = LaurentPoly.one()
 
 
 # ------------------------------------------------------------ the parser
@@ -75,6 +77,40 @@ def test_parse_errors():
     assert err is not None and "position" in str(err)
 
 
+@pytest.mark.parametrize(
+    "text, kind, expected",
+    [
+        ("((q)/(q^2 + 1))*Fm", "uq", UqElement.f_gen(MU).scale(RatQ(Q(1), Q(2) + ONE))),
+        ("(q^2 * -1)*Fm", "uq", UqElement.f_gen(MU).scale(-Q(2))),
+        ("(- - 2)", "scalar", RatQ(2)),
+        ("(q + 1/2)*w1", "aq", AqElement.generator(1).scale(Q(1) + LaurentPoly.const(Fraction(1, 2)))),
+        ("(1 - q^-2)*d_1", "op", qdiff(1).scale(ONE - Q(-2))),
+    ],
+)
+def test_scalar_literals_parse_to_fixed_values(text, kind, expected):
+    assert parse_expression(text) == (kind, expected)
+
+
+@pytest.mark.parametrize(
+    "text, same_as",
+    [
+        ("w1 * -w2", "-w1*w2"),
+        ("--w1", "w1"),
+        ("(2.q)", "(2*q)"),
+        ("1/2*w1", "(1/2)*w1"),
+        ("-Fm * -(q)Fb", "(q)*Fm*Fb"),
+    ],
+)
+def test_signs_dots_and_division_in_either_context(text, same_as):
+    assert parse_expression(text) == parse_expression(same_as)
+
+
+@pytest.mark.parametrize("text", ["(w1 - w1)", "w1*2/3", "()"])
+def test_parenthesized_and_divided_non_scalars_are_rejected(text):
+    with pytest.raises(ParseError):
+        parse_expression(text)
+
+
 def test_negative_k_powers():
     kind, value = parse_expression("K_4^-2")
     assert value == scaling(4, -2)
@@ -110,6 +146,12 @@ def rand_op(rng):
     for _ in range(rng.randint(1, 3)):
         el = compose(el, rng.choice(ops))
     return el.scale(Q(rng.randint(-1, 1)) + LaurentPoly.const(rng.randint(0, 1)))
+
+
+def test_roundtrip_non_laurent_coefficient():
+    value = straighten([("E", BETA), ("F", BETA)])
+    assert any(not c.is_laurent() for c in value.terms.values())
+    assert parse_expression(str(value)) == ("uq", value)
 
 
 def test_roundtrip_corpus_50():
@@ -244,6 +286,10 @@ def test_cli_subprocess_end_to_end():
         ("verify", "dims", "--scan", "0..3", "--convention", "plain"),
         ("verify", "dims", "--scan", "0..3"),
         ("verify", "box", "--convention", "twisted", "--json"),
+        ("normalize", "(w1)"),
+        ("normalize", "w1/2"),
+        ("normalize", "(1/0)"),
+        ("normalize", "(d_1)*w1"),
     ],
 )
 def test_cli_rejects_with_exit_2_and_no_traceback(argv, capsys):
@@ -252,6 +298,19 @@ def test_cli_rejects_with_exit_2_and_no_traceback(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_builds_its_parser_once(monkeypatch):
+    from quadalg import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._shared_parser.cache_clear()
+    assert run_cli("dims", "--max-degree", "2")[0] == 0
+    assert run_cli("normalize", "w4*w1")[0] == 0
+    assert len(built) == 1
+    assert build() is not build()
 
 
 def test_run_suite_rejects_negative_degree():

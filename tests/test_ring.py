@@ -9,6 +9,7 @@ from quadalg.ring import (
     RatQ,
     cyclotomic,
     divide_exact,
+    laurent_gcd,
     parse_laurent,
     q_factorial,
     q_int,
@@ -55,6 +56,11 @@ def test_q_factorial():
 
 
 # ---------------------------------------------------------- ring axioms
+
+def test_q_factorial_takes_any_sequence_and_is_memoized():
+    assert q_factorial([2, 1, 0, 3]) is q_factorial((2, 1, 0, 3))
+    assert q_factorial(iter((0, 2, 2, 0))) == q_int(2) * q_int(2)
+
 
 def test_ring_axioms_random():
     rng = random.Random(20240811)
@@ -117,6 +123,22 @@ def test_vanishes_examples():
     # at a primitive cube root w: w + w^-1 = -1 != 0
     assert vanishes_at_root_of_unity(Q(1) + Q(-1), 3) is False
     assert vanishes_at_root_of_unity(LaurentPoly.zero(), 7) is True
+
+
+def test_vanishes_with_positive_valuation():
+    # the unit q^3 changes nothing at a root of unity
+    assert vanishes_at_root_of_unity(Q(3) * (Q(2) + ONE), 4) is True
+    assert vanishes_at_root_of_unity(Q(3) * (Q(2) + ONE), 3) is False
+
+
+def test_laurent_gcd_is_monic_with_valuation_zero():
+    zero = LaurentPoly.zero()
+    assert laurent_gcd(zero, zero) == zero
+    p = Q(3) * LaurentPoly.const(2) + Q(4) * LaurentPoly.const(4)
+    monic = LaurentPoly({0: Fraction(1, 2), 1: 1})
+    assert laurent_gcd(zero, p) == monic
+    assert laurent_gcd(p, zero) == monic
+    assert laurent_gcd(Q(-2) * (Q(2) - ONE), Q(5) * (Q(1) - ONE)) == Q(1) - ONE
 
 
 def test_vanishes_qm_minus_one():

@@ -1,5 +1,6 @@
 import pytest
 
+from quadalg import uq
 from quadalg.aq import AqElement, relation_pairs
 from quadalg.ring import LaurentPoly, RatQ
 from quadalg.uq import (
@@ -50,6 +51,22 @@ def test_serre_relation_reduces_to_zero():
     two = Q(1) + Q(-1)
     el = {(NU, NU, BETA): RatQ.one(), (NU, BETA, NU): -RatQ(two), (BETA, NU, NU): RatQ.one()}
     assert serre_reduce(el) == {}
+
+
+def ratio(a, b):
+    """The scalar r with a == r * b, or None when there is none."""
+    if set(a) != set(b):
+        return None
+    ratios = {RatQ(a[w]) / RatQ(b[w]) for w in a}
+    return ratios.pop() if len(ratios) == 1 else None
+
+
+def test_no_two_serre_relations_are_proportional():
+    rels = uq.serre_relations()
+    for i, a in enumerate(rels):
+        for b in rels[i + 1:]:
+            assert ratio(a, b) is None, (a, b)
+    assert ratio(rels[0], {w: -c for w, c in rels[0].items()}) == RatQ(-1)
 
 
 def test_mu_nu_commute():
@@ -258,6 +275,72 @@ def test_w_pbw_spans_low_degrees():
                 for word in comp.basis:
                     coords = w_decompose(UqElement({(word, (0, 0, 0), ()): RatQ.one()}))
                     assert coords, word
+
+
+def contents_up_to(d):
+    return [(a, b, n - a - b) for n in range(d + 1) for a in range(n + 1) for b in range(n + 1 - a)]
+
+
+def test_w_decompose_recovers_each_pbw_item():
+    for content in contents_up_to(4):
+        for item in uq._w_pbw_basis(content):
+            gamma, r, s = item
+            el = w_embed(AqElement.monomial(gamma))
+            for _ in range(r):
+                el = el * Fm
+            for _ in range(s):
+                el = el * Fn
+            assert w_decompose(el) == {item: RatQ.one()}, item
+
+
+def assert_reduced_echelon(echelon):
+    for pivot, row in echelon.pivots.items():
+        assert row[pivot] == RatQ.one()
+        assert pivot == max(row)
+        assert not (set(row) - {pivot}) & set(echelon.pivots)
+        assert all(row.values())
+
+
+def test_echelon_rows_are_reduced():
+    for content in contents_up_to(5):
+        comp = component(content)
+        assert_reduced_echelon(comp)
+        assert not set(comp.basis) & set(comp.pivots)
+        assert all(not tags for tags in comp.tags.values())
+    for content in contents_up_to(4):
+        items, echelon = uq._w_pbw_matrix(content)
+        assert_reduced_echelon(echelon)
+        assert len(echelon.pivots) == len(items)
+
+
+def test_echelon_tags_follow_the_row_operations():
+    # a row's tags say which combination of the inserted vectors it is
+    ech = uq._Echelon()
+    a, b, c = (0,), (1,), (2,)
+    vecs = [{c: RatQ(2), a: RatQ.one()}, {c: RatQ.one(), b: RatQ(Q(1))}, {b: RatQ(3)}]
+
+    def combine(tags):
+        out = {}
+        for i, t in tags.items():
+            for w, x in vecs[i].items():
+                out[w] = out.get(w, RatQ.zero()) + t * x
+        return {w: x for w, x in out.items() if x}
+
+    for i, vec in enumerate(vecs):
+        assert ech.insert(vec, {i: RatQ.one()}) is not None
+    assert ech.insert({a: RatQ.one()}, {"x": RatQ.one()}) is None
+    for pivot, row in ech.pivots.items():
+        assert combine(ech.tags[pivot]) == row
+    tags = {}
+    assert ech.reduce({c: RatQ(5)}, tags) == {}
+    assert combine({i: -t for i, t in tags.items()}) == {c: RatQ(5)}
+
+
+def test_uq_memo_tables_expose_cache_info():
+    # the perfbench worker reads these on every pass
+    for name in ("words_of_content", "component", "w_gen", "_w_pbw_basis", "_w_pbw_matrix"):
+        info = getattr(uq, name).cache_info()
+        assert info.currsize >= 0, name
 
 
 def test_w_decompose_roundtrip():
