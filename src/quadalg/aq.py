@@ -14,8 +14,8 @@ suite by reducing with two different strategies.
 
 from __future__ import annotations
 
-from .lin import Lin, add_into, as_laurent
-from .ring import LaurentPoly, mi_check
+from .lin import Lin, add_into
+from .ring import LaurentPoly, as_laurent, mi_check
 
 _Q = LaurentPoly.q
 _MU = _Q(1) - _Q(-1)  # q - q^-1

@@ -3,12 +3,12 @@
 A combination is a dict {key: coefficient} that never holds a zero
 coefficient, so equality of combinations is equality of dicts.  The two
 primitives keep that invariant while accumulating; ``Lin`` builds the
-shared linear structure of the element classes on top of them.
+shared linear structure on top of them, for the Laurent polynomials of
+``ring`` as for the element classes over them.  This module imports
+nothing from the package, so ``ring`` can build on it.
 """
 
 from __future__ import annotations
-
-from .ring import LaurentPoly, RatQ
 
 
 def add_into(acc: dict, key, c) -> None:
@@ -48,28 +48,20 @@ def add_scaled(acc: dict, row: dict, c, skip=None) -> None:
             del acc[key]
 
 
-def as_laurent(c) -> LaurentPoly:
-    return c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-
-
-def as_ratq(c) -> RatQ:
-    return c if isinstance(c, RatQ) else RatQ(c)
-
-
 class Lin:
     """A finitely supported linear combination of monomials.
 
     Per-class hooks: ``coerce`` converts a coefficient to the scalar type
-    (``RatQ`` unless a subclass sets ``as_laurent``); ``check_key``, when
-    set, validates a monomial key; ``_mon`` renders a monomial, with the
-    empty string for the unit monomial, and a class whose terms print
+    and has no default, so every subclass names its own (``as_laurent``,
+    ``as_ratq`` or the Fraction coercion of ``ring``); ``check_key``,
+    when set, validates a monomial key; ``_mon`` renders a monomial, with
+    the empty string for the unit monomial, and a class whose terms print
     differently overrides ``_term``.  Instances are immutable by
     convention.
     """
 
     __slots__ = ("terms",)
 
-    coerce = staticmethod(as_ratq)
     check_key = None
 
     def __init__(self, terms=None):

@@ -26,9 +26,8 @@ from __future__ import annotations
 import re
 
 from .aq import AqElement
-from .lin import as_ratq
 from .qcalc import QOperator, compose, mul_z, qdiff, scaling
-from .ring import LaurentPoly, RatQ
+from .ring import LaurentPoly, RatQ, as_ratq
 from .uq import BETA, MU, NU, UqElement
 
 

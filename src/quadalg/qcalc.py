@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lin import Lin, add_into, as_ratq
-from .ring import LaurentPoly, RatQ, mi_check, q_int
+from .lin import Lin, add_into
+from .ring import LaurentPoly, RatQ, as_ratq, mi_check, q_int
 
 _Q = LaurentPoly.q
 _MU = RatQ(_Q(1) - _Q(-1))  # q - q^-1
@@ -46,6 +46,7 @@ class Poly4(Lin):
     """A polynomial in z1..z4 with exact Q(q) coefficients, stored sparsely."""
 
     __slots__ = ()
+    coerce = staticmethod(as_ratq)
     check_key = staticmethod(mi_check)
 
     @classmethod
@@ -182,9 +183,20 @@ class QOperator(Lin):
     """
 
     __slots__ = ()
+    coerce = staticmethod(as_ratq)
+
+    @staticmethod
+    def check_key(key):
+        alpha, delta, gamma = key
+        delta = tuple(int(d) for d in delta)
+        if len(delta) != 4:
+            raise ValueError("K exponent must be 4 integers, got %r" % (delta,))
+        return mi_check(alpha), delta, mi_check(gamma)
 
     def __init__(self, terms=None):
-        self.terms = _from_symbol(_to_symbol(terms)) if terms else {}
+        super().__init__(terms)
+        if self.terms:
+            self.terms = _from_symbol(_to_symbol(self.terms))
 
     # -- constructors --------------------------------------------------
 
@@ -199,10 +211,7 @@ class QOperator(Lin):
 
     @classmethod
     def monomial(cls, alpha, delta, gamma, coeff=1):
-        alpha = mi_check(alpha)
-        gamma = mi_check(gamma)
-        delta = tuple(int(d) for d in delta)
-        return cls({(alpha, delta, gamma): as_ratq(coeff)})
+        return cls({(alpha, delta, gamma): coeff})
 
     def __mul__(self, other):
         """Composition self o other (other applied first)."""

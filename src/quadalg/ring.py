@@ -4,6 +4,13 @@ Everything downstream (normal ordering, operator calculus, ideal
 membership) runs over this ring or over its fraction field, with
 rational coefficients throughout.  No floating point anywhere.
 
+``LaurentPoly`` is a ``lin.Lin`` over integer exponents.  Each scalar
+type has one coercion, next to it: ``as_laurent`` (int and Fraction
+become constants) and ``as_ratq`` (int, Fraction and LaurentPoly become
+x/1).  Element classes name one of them as their ``coerce``, and the
+arithmetic dunders use them too, returning NotImplemented for any other
+operand type.
+
 Also provides the q-combinatorics ([n]_q, q-factorials of multi-indices)
 and an exact root-of-unity vanishing test via cyclotomic reduction.
 """
@@ -13,7 +20,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
+
+from .lin import Lin, add_into
 
 
 class ExactDivisionError(ArithmeticError):
@@ -28,97 +37,75 @@ def _as_fraction(x) -> Fraction:
     raise TypeError("coefficients must be int or Fraction, got %r" % (x,))
 
 
-class LaurentPoly:
+def _coerced(coerce):
+    """Decorate a binary operator to pass its operand through ``coerce``.
+
+    An operand that ``coerce`` rejects with TypeError gets NotImplemented.
+    """
+    def wrap(op):
+        @wraps(op)
+        def method(self, other):
+            try:
+                other = coerce(other)
+            except TypeError:
+                return NotImplemented
+            return op(self, other)
+        return method
+    return wrap
+
+
+def as_laurent(c) -> LaurentPoly:
+    """The Laurent coercion: int and Fraction become constants.
+
+    Any other type but LaurentPoly raises TypeError.
+    """
+    return c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+
+
+class LaurentPoly(Lin):
     """A Laurent polynomial in q with Fraction coefficients.
 
-    Stored sparsely as {exponent: coefficient} with no zero coefficients,
-    so equality is structural.  Instances are immutable by convention.
+    A ``Lin`` over int exponents: {exponent: coefficient} with no zero
+    coefficients, so equality is structural.  ``int`` and ``Fraction``
+    operands enter the ring as constants through ``as_laurent``.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                c = _as_fraction(c)
-                if c:
-                    clean[int(k)] = c
-        self.terms = clean
+    __slots__ = ()
+    coerce = staticmethod(_as_fraction)
+    check_key = int
 
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return cls._make({0: Fraction(1)})
 
     @classmethod
     def q(cls, exp: int = 1) -> "LaurentPoly":
-        return cls({exp: 1})
+        return cls._make({int(exp): Fraction(1)})
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
-        return cls({0: _as_fraction(c)})
+        return cls({0: c})
 
     # -- ring structure ----------------------------------------------
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    __eq__ = _coerced(as_laurent)(Lin.__eq__)
+    __hash__ = Lin.__hash__
+    __add__ = __radd__ = _coerced(as_laurent)(Lin.__add__)
+    __sub__ = _coerced(as_laurent)(Lin.__sub__)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LaurentPoly":
-        return self + (-other if isinstance(other, LaurentPoly) else LaurentPoly.const(-other))
-
+    @_coerced(as_laurent)
     def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
+        return other - self
 
+    @_coerced(as_laurent)
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return LaurentPoly(out)
+                add_into(out, k1 + k2, c1 * c2)
+        return LaurentPoly._make(out)
 
     __rmul__ = __mul__
 
@@ -151,7 +138,7 @@ class LaurentPoly:
 
     def subs_q_inverse(self) -> "LaurentPoly":
         """The image under the bar involution q -> q^-1."""
-        return LaurentPoly({-k: c for k, c in self.terms.items()})
+        return LaurentPoly._make({-k: c for k, c in self.terms.items()})
 
     def is_unit(self) -> bool:
         """True for c*q^k with c != 0."""
@@ -177,9 +164,6 @@ class LaurentPoly:
             else:
                 parts.append(("- " if c < 0 else "+ ") + body)
         return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return "LaurentPoly(%s)" % self
 
     def to_json(self) -> list:
         return [
@@ -365,6 +349,14 @@ def vanishes_at_root_of_unity(p: LaurentPoly, m: int) -> bool:
 # -- fraction field -----------------------------------------------------
 
 
+def as_ratq(c) -> RatQ:
+    """The Q(q) coercion: int, Fraction and LaurentPoly become c/1.
+
+    Any other type but RatQ raises TypeError.
+    """
+    return c if isinstance(c, RatQ) else RatQ(c)
+
+
 class RatQ:
     """An element of Q(q), stored as num/den with a canonical denominator.
 
@@ -376,21 +368,18 @@ class RatQ:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = LaurentPoly.const(num)
-        if den is None:
-            den = LaurentPoly.one()
-        elif isinstance(den, (int, Fraction)):
-            den = LaurentPoly.const(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator in RatQ")
-        if not num:
-            self.num = LaurentPoly.zero()
+        num = as_laurent(num)
+        if den is not None:
+            den = as_laurent(den)
+            if not den:
+                raise ZeroDivisionError("zero denominator in RatQ")
+        if den is None or not num:
+            self.num = num
             self.den = LaurentPoly.one()
             return
         if den.is_unit():
             (k, c), = den.terms.items()
-            self.num = num * LaurentPoly({-k: Fraction(1) / c})
+            self.num = num * LaurentPoly._make({-k: 1 / c})
             self.den = LaurentPoly.one()
             return
         g = laurent_gcd(num, den)
@@ -399,8 +388,8 @@ class RatQ:
             den = divide_exact(den, g)
         vd, dd = _to_dense(den)
         lead = dd[-1]
-        self.den = LaurentPoly({i: c / lead for i, c in enumerate(dd)})
-        self.num = num * LaurentPoly({-vd: Fraction(1) / lead})
+        self.den = LaurentPoly._make({i: c / lead for i, c in enumerate(dd) if c})
+        self.num = num * LaurentPoly._make({-vd: 1 / lead})
 
     @classmethod
     def zero(cls) -> "RatQ":
@@ -413,10 +402,8 @@ class RatQ:
     def __bool__(self):
         return bool(self.num)
 
+    @_coerced(as_ratq)
     def __eq__(self, other):
-        other = _coerce_ratq(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -428,29 +415,24 @@ class RatQ:
         out.den = self.den
         return out
 
+    @_coerced(as_ratq)
     def __add__(self, other):
-        other = _coerce_ratq(other)
-        if other is NotImplemented:
-            return NotImplemented
         if self.den == other.den:
             return RatQ(self.num + other.num, self.den)
         return RatQ(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
+    @_coerced(as_ratq)
     def __sub__(self, other):
-        other = _coerce_ratq(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
+    @_coerced(as_ratq)
     def __rsub__(self, other):
-        return (-self) + other
+        return other - self
 
+    @_coerced(as_ratq)
     def __mul__(self, other):
-        other = _coerce_ratq(other)
-        if other is NotImplemented:
-            return NotImplemented
         if self.den.terms == {0: Fraction(1)} and other.den.terms == {0: Fraction(1)}:
             out = object.__new__(RatQ)
             out.num = self.num * other.num
@@ -460,16 +442,15 @@ class RatQ:
 
     __rmul__ = __mul__
 
+    @_coerced(as_ratq)
     def __truediv__(self, other):
-        other = _coerce_ratq(other)
-        if other is NotImplemented:
-            return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero in RatQ")
         return RatQ(self.num * other.den, self.den * other.num)
 
+    @_coerced(as_ratq)
     def __rtruediv__(self, other):
-        return _coerce_ratq(other) / self
+        return other / self
 
     def inverse(self) -> "RatQ":
         return RatQ(self.den, self.num)
@@ -489,16 +470,6 @@ class RatQ:
 
     def __repr__(self):
         return "RatQ(%s)" % self
-
-
-def _coerce_ratq(x):
-    if isinstance(x, RatQ):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RatQ(x)
-    if isinstance(x, LaurentPoly):
-        return RatQ(x)
-    return NotImplemented
 
 
 # -- multi-indices ------------------------------------------------------

@@ -28,12 +28,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .aq import AqElement, center_element
-from .lin import Lin, add_into, as_laurent
+from .lin import Lin, add_into
 from .qcalc import Poly4, QOperator, compose, mul_z, qdiff, scaling
 from .ring import (
     LaurentPoly,
     RatQ,
     all_indices,
+    as_laurent,
     indices_up_to,
     mi_check,
     mi_degree,

@@ -32,8 +32,8 @@ from functools import lru_cache
 from itertools import permutations
 
 from .aq import AqElement
-from .lin import Lin, add_into, add_scaled, as_ratq
-from .ring import LaurentPoly, RatQ
+from .lin import Lin, add_into, add_scaled
+from .ring import LaurentPoly, RatQ, as_ratq
 
 MU, NU, BETA = 0, 1, 2
 LETTER_NAMES = ("Fm", "Fn", "Fb")
@@ -276,6 +276,7 @@ class UqElement(Lin):
     """
 
     __slots__ = ()
+    coerce = staticmethod(as_ratq)
 
     # -- constructors ---------------------------------------------------
 
@@ -452,6 +453,7 @@ class TensorSum(Lin):
     """A sum of simple tensors of straightened elements (for Hopf checks)."""
 
     __slots__ = ()
+    coerce = staticmethod(as_ratq)
 
     @classmethod
     def from_pairs(cls, pairs):

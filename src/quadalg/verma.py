@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lin import Lin, add_into
-from .ring import LaurentPoly, RatQ, q_int, vanishes_at_root_of_unity
+from .ring import LaurentPoly, RatQ, as_ratq, q_int, vanishes_at_root_of_unity
 from .uq import BETA, LETTER_NAMES, MU, NU, UqElement, w_gen
 
 _Q = LaurentPoly.q
@@ -52,6 +52,7 @@ class VermaVector(Lin):
     """A combination of quotient-basis lowering words applied to v."""
 
     __slots__ = ()
+    coerce = staticmethod(as_ratq)
     check_key = staticmethod(tuple)
 
     @classmethod
@@ -151,9 +152,13 @@ def singular_test(u0: UqElement, x: int, convention: str = "twisted",
     """Raising values on u0 v for the weight (1, 0, x), with exact scalars.
 
     The beta obstruction is reported with the root-of-unity orders at
-    which it vanishes; by default the divisors of 2x - 4 (twisted) or
-    2x + 4 (plain) and every order up to 12 are scanned.
+    which it vanishes; the divisors of 2x - 4 (twisted) or 2x + 4 (plain)
+    and every order from 1 to ``max_order`` (12 by default) are scanned.
     """
+    if max_order is None:
+        max_order = 12
+    elif max_order < 0:
+        raise ValueError("max_order must be >= 0, got %d" % max_order)
     weight = Weight(1, 0, x)
     v = VermaVector.highest_weight()
     u0v = apply_element(u0, v, weight, convention)
@@ -171,7 +176,7 @@ def singular_test(u0: UqElement, x: int, convention: str = "twisted",
     report.vanishes_generically = not report.e_beta
     if not report.vanishes_generically:
         modulus = 2 * x - 4 if convention == "twisted" else 2 * x + 4
-        orders = set(_divisors(modulus)) | set(range(1, (max_order or 12) + 1))
+        orders = set(_divisors(modulus)) | set(range(1, max_order + 1))
         coeffs = list(report.e_beta.laurent_terms().values())
         found = [
             m for m in sorted(orders)

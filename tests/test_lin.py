@@ -1,7 +1,12 @@
+import ast
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+from quadalg import lin
 from quadalg.aq import AqElement, center_element, normal_order
-from quadalg.lin import add_into, add_scaled
+from quadalg.lin import Lin, add_into, add_scaled
 from quadalg.qcalc import Poly4, QOperator
 from quadalg.ring import LaurentPoly, RatQ
 from quadalg.transform import DualFunctional, box_operator, right_dual_closed
@@ -53,6 +58,41 @@ def test_linear_structure(x, y, scalar):
     assert x - y == -(y - x)
     for z in (x + y, x - y, -x, x.scale(3), x.scale(Q(-1)), y.scale(-2)):
         assert z.terms and all(type(c) is scalar and c for c in z.terms.values())
+
+
+def test_laurent_poly_linear_structure():
+    x, y = Q(1) + Fraction(1, 2), Q(-1) - 3 * Q(1)
+    assert isinstance(x, Lin)
+    assert not x - x and x - x == LaurentPoly.zero()
+    assert not (x + (-x))
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+    assert hash(x * (y + 1)) == hash(x * y + x)
+    for z in (x + y, x - y, -x, x * y, x.scale(3)):
+        assert z.terms and all(type(c) is Fraction and c for c in z.terms.values())
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_lin_subclass_names_its_own_coerce():
+    subs = set(_subclasses(Lin))
+    assert len(subs) == 8
+    assert not hasattr(Lin, "coerce")
+    assert [c.__name__ for c in subs if "coerce" not in vars(c)] == []
+
+
+def test_lin_imports_nothing_from_the_package():
+    tree = ast.parse(Path(lin.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.dump(node)
+            assert not (node.module or "").startswith("quadalg"), ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("quadalg") for a in node.names), ast.dump(node)
 
 
 def test_rendering_keeps_unit_and_coefficient_forms():

@@ -1,6 +1,8 @@
 import random
 from itertools import product
 
+import pytest
+
 from quadalg.qcalc import Poly4, QOperator, compose, mul_z, qdiff, scaling
 from quadalg.ring import LaurentPoly, RatQ, divide_exact, indices_up_to, q_int
 
@@ -122,6 +124,27 @@ def test_monomial_constructor_canonicalizes():
     raw = QOperator.monomial((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1))
     built = compose(mul_z(4), compose(scaling(4), qdiff(4)))
     assert raw == built
+
+
+def test_constructor_coerces_coefficients_and_checks_keys():
+    z = (0, 0, 0, 0)
+    with pytest.raises(TypeError):
+        QOperator({(z, z, z): 1.5})
+    op = QOperator({(z, z, z): 1})
+    assert op == QOperator.identity() and hash(op) == hash(QOperator.identity())
+    assert all(type(c) is RatQ for c in op.terms.values())
+    assert QOperator({(z, (0, 0, 0, 2), (0, 0, 0, 1)): Q(1)}).terms
+    for key in (
+        ((0, 0, 1), z, z),
+        ((0, 0, 0, -1), z, z),
+        (z, (0, 0, 1), z),
+        (z, z, (1, 0, 0, 0, 0)),
+        (z, z),
+    ):
+        with pytest.raises(ValueError):
+            QOperator({key: 1})
+    with pytest.raises(ValueError):
+        QOperator.monomial((0, 0, 1), z, z)
 
 
 def test_operator_equality_vs_action_sweep():

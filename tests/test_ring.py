@@ -7,6 +7,8 @@ from quadalg.ring import (
     ExactDivisionError,
     LaurentPoly,
     RatQ,
+    as_laurent,
+    as_ratq,
     cyclotomic,
     divide_exact,
     laurent_gcd,
@@ -230,3 +232,51 @@ def test_ratq_denominator_canonical():
     assert x.den == LaurentPoly({2: 1, 0: -1})
     assert x.num == Q(1)
     assert str(x) == "(q)/(q^2 - 1)"
+
+
+# ---------------------------------------------------------- coercion
+
+def test_laurent_mixed_operands_agree_with_ratq():
+    ops = {
+        "==": lambda a, b: a == b,
+        "+": lambda a, b: a + b,
+        "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b,
+    }
+    polys = [LaurentPoly.const(Fraction(1, 2)), Q(1) - 2, LaurentPoly.const(3)]
+    others = polys + [3, Fraction(1, 2), RatQ(Q(1), Q(1) + 1), RatQ(3)]
+    for p in polys:
+        for other in others:
+            for name, f in ops.items():
+                for a, b in ((p, other), (other, p)):
+                    got = f(a, b)
+                    want = f(as_ratq(a), as_ratq(b))
+                    if name == "==":
+                        assert got is want, (a, name, b)
+                        continue
+                    assert as_ratq(got) == want, (a, name, b)
+                    assert isinstance(got, RatQ if isinstance(other, RatQ) else LaurentPoly)
+
+
+def test_scalar_coercions_reject_foreign_types():
+    for bad in (1.5, 0.0, "1", None):
+        with pytest.raises(TypeError):
+            as_laurent(bad)
+        with pytest.raises(TypeError):
+            as_ratq(bad)
+        with pytest.raises(TypeError):
+            LaurentPoly({0: bad})
+    for x in (Q(1), RatQ(Q(1), Q(1) + 1)):
+        for op in ("__eq__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            assert getattr(x, op)(1.5) is NotImplemented, op
+    with pytest.raises(TypeError):
+        Q(1) * 1.5
+    with pytest.raises(TypeError):
+        1.5 - RatQ(1)
+
+
+def test_ratq_without_denominator_keeps_the_numerator():
+    p = Q(2) - Fraction(1, 3)
+    assert RatQ(p).num is p and RatQ(p).den == ONE
+    assert RatQ(Fraction(2, 3)).num == LaurentPoly.const(Fraction(2, 3))
+    assert as_ratq(p) == RatQ(p, ONE) and as_ratq(RatQ(p)) == RatQ(p)

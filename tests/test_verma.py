@@ -1,5 +1,6 @@
 import pytest
 
+from quadalg import verma
 from quadalg.ring import LaurentPoly, RatQ, q_int, vanishes_at_root_of_unity
 from quadalg.uq import BETA, MU, NU, UqElement, w_gen
 from quadalg.verma import (
@@ -150,3 +151,22 @@ def test_plain_convention_obstruction():
         assert r.e_beta == VermaVector({(MU,): RatQ(expected_beta_obstruction(x, "plain"))})
         coeff = -expected_beta_obstruction(x, "plain")
         assert vanishes_at_root_of_unity(coeff, 2 * x + 4) == (2 * x + 4 >= 3)
+
+
+def test_max_order_zero_scans_only_divisors_of_the_modulus(monkeypatch):
+    u0 = singular_candidate_plus()
+    scanned = set()
+
+    def spy(p, m):
+        scanned.add(m)
+        return vanishes_at_root_of_unity(p, m)
+
+    monkeypatch.setattr(verma, "vanishes_at_root_of_unity", spy)
+    r = singular_test(u0, 5, max_order=0)
+    assert scanned == {1, 2, 3, 6}  # the divisors of 2*5 - 4
+    assert r.root_of_unity_orders == (3, 6)
+    scanned.clear()
+    singular_test(u0, 5)
+    assert scanned == set(range(1, 13))
+    with pytest.raises(ValueError):
+        singular_test(u0, 5, max_order=-1)
