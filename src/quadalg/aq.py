@@ -100,10 +100,8 @@ class AqElement(Lin):
     # -- algebra ----------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            return self.scale(other)
         if not isinstance(other, AqElement):
-            return NotImplemented
+            return self._scalar_mul(other)
         out = {}
         for g1, c1 in self.terms.items():
             w1 = _word_of(g1)
@@ -113,9 +111,7 @@ class AqElement(Lin):
         return AqElement._make(out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            return self.scale(other)
-        return NotImplemented
+        return self._scalar_mul(other)
 
     def __pow__(self, n: int):
         if n < 0:

@@ -121,6 +121,14 @@ class Lin:
             return self.zero()
         return self._make({k: c * v for k, v in self.terms.items()})
 
+    def _scalar_mul(self, c):
+        """``*`` by a non-element: ``scale``, or NotImplemented if ``coerce`` rejects ``c``."""
+        try:
+            c = self.coerce(c)
+        except TypeError:
+            return NotImplemented
+        return self.scale(c)
+
     def _term(self, key, c) -> str:
         mon = self._mon(key)
         if not mon:

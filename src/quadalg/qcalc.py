@@ -215,16 +215,12 @@ class QOperator(Lin):
 
     def __mul__(self, other):
         """Composition self o other (other applied first)."""
-        if isinstance(other, (int, LaurentPoly, RatQ)):
-            return self.scale(other)
         if not isinstance(other, QOperator):
-            return NotImplemented
+            return self._scalar_mul(other)
         return compose(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, LaurentPoly, RatQ)):
-            return self.scale(other)
-        return NotImplemented
+        return self._scalar_mul(other)
 
     # -- action ----------------------------------------------------------
 

@@ -91,7 +91,11 @@ class LaurentPoly(Lin):
     # -- ring structure ----------------------------------------------
 
     __eq__ = _coerced(as_laurent)(Lin.__eq__)
-    __hash__ = Lin.__hash__
+
+    def __hash__(self):
+        # a constant hashes as the int or Fraction it equals
+        return hash(self.terms.get(0, 0)) if self.terms.keys() <= {0} else Lin.__hash__(self)
+
     __add__ = __radd__ = _coerced(as_laurent)(Lin.__add__)
     __sub__ = _coerced(as_laurent)(Lin.__sub__)
 
@@ -135,10 +139,6 @@ class LaurentPoly(Lin):
 
     def coeff(self, exp: int) -> Fraction:
         return self.terms.get(exp, Fraction(0))
-
-    def subs_q_inverse(self) -> "LaurentPoly":
-        """The image under the bar involution q -> q^-1."""
-        return LaurentPoly._make({-k: c for k, c in self.terms.items()})
 
     def is_unit(self) -> bool:
         """True for c*q^k with c != 0."""
@@ -407,7 +407,8 @@ class RatQ:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # x/1 hashes as the x it equals
+        return hash(self.num) if self.is_laurent() else hash((self.num, self.den))
 
     def __neg__(self):
         out = object.__new__(RatQ)
@@ -485,19 +486,8 @@ def mi_check(gamma):
     return g
 
 
-def mi_add(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-
 def mi_degree(a) -> int:
     return a[0] + a[1] + a[2] + a[3]
-
-
-def unit_index(i: int):
-    """The multi-index with a single 1 in axis i (1-based)."""
-    e = [0, 0, 0, 0]
-    e[i - 1] = 1
-    return tuple(e)
 
 
 def all_indices(degree: int):

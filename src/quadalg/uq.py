@@ -7,14 +7,14 @@ sides through the A3 pairing ((a,a) = 2, mu/beta and nu/beta adjacent = -1,
 (mu,nu) = 0).  mu and nu play symmetric roles on opposite ends of the
 Dynkin path mu -- beta -- nu.
 
-Ideal membership is decided degree by degree: the component of the
-two-sided Serre ideal in a multidegree is spanned by all u * r * v with r
-a defining relation, and is kept as a reduced row echelon basis over Q(q)
-with pivots on lexicographically largest words, so every coset has a
-canonical representative supported on lex-earliest words.  The same
-sparse echelon, with tags that follow every row operation, inverts the
-PBW change of basis used by the star action below; it is the only
-elimination in this module.
+Ideal membership is decided degree by degree by the finite
+Groebner-Shirshov basis of the Serre ideal (Bokut & Malcolmson 1996):
+eight rules rewrite leading words to lex-smaller words, the basis words
+are those with no leading word, and each component keeps the unique
+(diamond lemma) normal forms as reduced echelon rows with pivots on
+lexicographically largest words, so every coset has a canonical
+representative on lex-earliest words.  The same sparse echelon, with
+tags, inverts the PBW change of basis used by the star action below.
 
 Elements of the full fragment are straightened to (F word) (K monomial)
 (E word) with both words reduced to quotient-basis coordinates.
@@ -29,11 +29,10 @@ quadratic algebra, matching its generator-by-generator table.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
 from .aq import AqElement
 from .lin import Lin, add_into, add_scaled
-from .ring import LaurentPoly, RatQ, as_ratq
+from .ring import LaurentPoly, RatQ, as_laurent, as_ratq
 
 MU, NU, BETA = 0, 1, 2
 LETTER_NAMES = ("Fm", "Fn", "Fb")
@@ -72,10 +71,32 @@ def word_content(word):
 @lru_cache(maxsize=None)
 def words_of_content(content):
     """All distinct words with the given letter counts, ascending lex."""
-    letters = []
-    for letter, n in enumerate(content):
-        letters.extend([letter] * n)
-    return tuple(sorted(set(permutations(letters))))
+    # each word extended by its remaining letters in ascending order stays in lex order
+    words = [((), tuple(content))]
+    for _ in range(sum(content)):
+        words = [(w + (x,), left[:x] + (n - 1,) + left[x + 1:])
+                 for w, left in words for x, n in enumerate(left) if n]
+    return tuple(w for w, _ in words)
+
+
+# The Groebner-Shirshov rules as data: each leading word equals its right
+# side modulo the ideal, and none is a factor of another.  They are not
+# derived from serre_relations(), the specification the tests check them by.
+_BRACKET2 = _Q(1) + _Q(-1)
+RULES = {
+    tuple(map(int, lead)): {tuple(map(int, w)): as_laurent(c) for w, c in rhs.items()}
+    for lead, rhs in (
+        ("10", {"01": 1}),
+        ("200", {"002": -1, "020": _BRACKET2}),
+        ("211", {"112": -1, "121": _BRACKET2}),
+        ("220", {"022": -1, "202": _BRACKET2}),
+        ("221", {"122": -1, "212": _BRACKET2}),
+        ("2011", {"1120": -1, "1201": _BRACKET2}),
+        ("2120", {"0212": -1, "1202": 1, "2021": 1}),
+        ("20201", {"01202": 1, "02012": -_BRACKET2, "02021": 1, "12020": -1, "20120": _BRACKET2}),
+    )
+}
+_LEAD_LENGTHS = sorted({len(lead) for lead in RULES})
 
 
 class _Echelon:
@@ -90,7 +111,7 @@ class _Echelon:
     __slots__ = ("pivots", "tags")
 
     def __init__(self):
-        self.pivots = {}  # pivot word -> {word: RatQ} with pivot coeff 1
+        self.pivots = {}  # pivot word -> {word: scalar} with pivot coeff 1
         self.tags = {}  # pivot word -> {key: RatQ}
 
     def reduce(self, vec, tags=None):
@@ -132,45 +153,46 @@ class _Echelon:
 
 
 class _Component(_Echelon):
-    """The ideal inside one multidegree, as untagged echelon rows."""
+    """The ideal inside one multidegree, as untagged echelon rows.
+
+    Each reducible word w, in ascending lex order, gets the row w - NF(w)
+    over Q[q, q^-1]: w[0] times the normal form of a reducible tail w[1:],
+    or else the rule for the leading word that prefixes w.  Both give
+    lex-smaller words of the same content, whose rows already exist.
+    """
 
     __slots__ = ("content", "basis")
 
     def __init__(self, content):
         super().__init__()
         self.content = content
-        for rel in serre_relations():
-            rc = word_content(next(iter(rel)))
-            rest = tuple(c - r for c, r in zip(content, rc))
-            if any(x < 0 for x in rest):
-                continue
-            for ulen in range(sum(rest) + 1):
-                for usub in _subcontents(rest, ulen):
-                    vsub = tuple(r - u for r, u in zip(rest, usub))
-                    for u in words_of_content(usub):
-                        for v in words_of_content(vsub):
-                            row = {}
-                            for wmid, c in rel.items():
-                                add_into(row, u + wmid + v, RatQ(c))
-                            self.insert(row)
-        self.basis = tuple(
-            w for w in words_of_content(content) if w not in self.pivots
-        )
+        tails = [component(content[:x] + (n - 1,) + content[x + 1:]) if n else None
+                 for x, n in enumerate(content)]
+        rows = self.pivots  # reducible w -> w - NF(w)
+        basis = []
+        for w in words_of_content(content):
+            tail_row = tails[w[0]].pivots.get(w[1:]) if w else None
+            if tail_row is not None:
+                # w = w[0] NF(w[1:]), and NF(w[1:]) = w[1:] - tail_row
+                rhs = [(w[:1] + u, -c) for u, c in tail_row.items() if u != w[1:]]
+            else:
+                lead = next((w[:n] for n in _LEAD_LENGTHS if w[:n] in RULES), None)
+                if lead is None:
+                    basis.append(w)
+                    continue
+                rhs = [(u + w[len(lead):], c) for u, c in RULES[lead].items()]
+            row = {w: _ONE}  # w - sum c NF(x), with NF(x) = x - rows[x]
+            for x, c in rhs:
+                if x in rows:
+                    add_scaled(row, rows[x], c, skip=x)
+                else:
+                    add_into(row, x, -c)
+            rows[w] = row
+        self.basis = tuple(basis)
 
     @property
     def dimension(self):
         return len(self.basis)
-
-
-def _subcontents(content, size):
-    a, b, c = content
-    out = []
-    for x in range(min(a, size) + 1):
-        for y in range(min(b, size - x) + 1):
-            z = size - x - y
-            if z <= c:
-                out.append((x, y, z))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -197,15 +219,19 @@ def serre_reduce(element) -> dict:
 
 
 def graded_dimension(d: int) -> int:
-    """Dimension of the degree-d component of the Serre quotient."""
+    """Dimension of the degree-d Serre quotient: the number of words no rule applies to."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    total = 0
-    for a in range(d + 1):
-        for b in range(d + 1 - a):
-            c = d - a - b
-            total += component((a, b, c)).dimension
-    return total
+    counts = {(): 1}  # last letters a leading word can still overlap -> words
+    for _ in range(d):
+        grown = {}
+        for suffix, n in counts.items():
+            for x in range(3):
+                w = suffix + (x,)
+                if not any(w[-k:] in RULES for k in _LEAD_LENGTHS):
+                    add_into(grown, w[1 - _LEAD_LENGTHS[-1]:], n)
+        counts = grown
+    return sum(counts.values())
 
 
 # ----------------------------------------------------- straightened form
@@ -301,10 +327,8 @@ class UqElement(Lin):
     # -- algebra ----------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly, RatQ)):
-            return self.scale(other)
         if not isinstance(other, UqElement):
-            return NotImplemented
+            return self._scalar_mul(other)
         out = {}
         for (f1, k1, e1), c1 in self.terms.items():
             for (f2, k2, e2), c2 in other.terms.items():
@@ -324,20 +348,9 @@ class UqElement(Lin):
         return UqElement._make(out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, LaurentPoly, RatQ)):
-            return self.scale(other)
-        return NotImplemented
+        return self._scalar_mul(other)
 
     # -- structure maps ---------------------------------------------------
-
-    def f_only_part(self) -> "UqElement":
-        """The terms with no raising letters and no K monomial."""
-        return UqElement._make(
-            {k: c for k, c in self.terms.items() if not k[2] and not any(k[1])}
-        )
-
-    def has_raising_part(self) -> bool:
-        return any(k[2] for k in self.terms)
 
     def counit_on_cartan(self) -> "UqElement":
         """Drop terms with raising letters; send every K monomial to 1."""

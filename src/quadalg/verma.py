@@ -136,11 +136,6 @@ class SingularReport:
     vanishes_generically: bool
     root_of_unity_orders: tuple
 
-    @property
-    def minimal_root_of_unity_order(self):
-        """Smallest order killing the obstruction, or None."""
-        return self.root_of_unity_orders[0] if self.root_of_unity_orders else None
-
 
 def _divisors(n: int):
     n = abs(n)

@@ -130,3 +130,24 @@ def test_add_scaled_drops_zero_sums_and_leaves_row_alone():
     add_scaled(acc, row, -q)
     assert acc == {"d": RatQ(5)}
     assert row == before and all(row[k] is before[k] for k in row)
+
+
+@pytest.mark.parametrize("x", [
+    AqElement.generator(1), UqElement.f_gen(MU), box_operator(),
+], ids=lambda v: type(v).__name__)
+def test_element_times_any_coercible_scalar(x):
+    cls = type(x)
+    assert "__mul__" in cls.__dict__ and "__rmul__" in cls.__dict__
+    scalars = [2, Fraction(1, 2), Q(1) - 1]
+    if cls is not AqElement:
+        scalars.append(RatQ(Q(1), Q(1) + 1))
+    for c in scalars:
+        assert x * c == x.scale(c) == c * x, c
+    for bad in (1.5, "2", None):
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
+    foreign = RatQ(Q(1), Q(1) + 1) if cls is AqElement else AqElement.one()
+    with pytest.raises(TypeError):
+        x * foreign

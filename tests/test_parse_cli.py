@@ -209,6 +209,14 @@ def test_cli_dims():
     assert json.loads(out)["dimensions"] == [1, 3, 8, 17]
 
 
+def test_cli_dims_at_degree_12():
+    # coefficients of 1/((1-t)^3 (1-t^2)^2 (1-t^3))
+    want = [1, 3, 8, 17, 33, 58, 97, 153, 233, 342, 489, 681, 930]
+    code, out = run_cli("dims", "--max-degree", "12", "--json")
+    assert code == 0
+    assert json.loads(out) == {"max_degree": 12, "dimensions": want}
+
+
 def test_cli_star():
     code, out = run_cli("star", "--k", "Fm", "--w", "1", "--json")
     assert code == 0

@@ -253,9 +253,23 @@ def test_laurent_mixed_operands_agree_with_ratq():
                     want = f(as_ratq(a), as_ratq(b))
                     if name == "==":
                         assert got is want, (a, name, b)
+                        if got:
+                            assert hash(a) == hash(b), (a, b)
                         continue
                     assert as_ratq(got) == want, (a, name, b)
                     assert isinstance(got, RatQ if isinstance(other, RatQ) else LaurentPoly)
+
+
+def test_equal_scalars_hash_alike():
+    assert len({LaurentPoly.const(2), 2, RatQ(2), Fraction(2)}) == 1
+    assert len({LaurentPoly.zero(), 0, RatQ.zero()}) == 1
+    half = Fraction(1, 2)
+    assert hash(LaurentPoly.const(half)) == hash(half) == hash(RatQ(half))
+    # x/1 hashes as x, also when it came out of a division
+    p = Q(1) - 2
+    assert RatQ(p * (Q(1) + 1), Q(1) + 1) == p
+    assert hash(RatQ(p * (Q(1) + 1), Q(1) + 1)) == hash(p)
+    assert hash(RatQ(1, Q(1))) == hash(Q(-1))
 
 
 def test_scalar_coercions_reject_foreign_types():

@@ -1,3 +1,8 @@
+import hashlib
+from functools import lru_cache
+from itertools import permutations
+from math import factorial
+
 import pytest
 
 from quadalg import uq
@@ -22,6 +27,7 @@ from quadalg.uq import (
     w_decompose,
     w_embed,
     w_gen,
+    words_of_content,
 )
 
 Q = LaurentPoly.q
@@ -83,6 +89,150 @@ def test_graded_dimensions():
     oracle = series_dims(6)
     assert [graded_dimension(d) for d in range(7)] == oracle
     assert oracle == [1, 3, 8, 17, 33, 58, 97]
+
+
+def test_graded_dimensions_count_irreducible_words_without_components():
+    before = component.cache_info().misses
+    assert [graded_dimension(d) for d in range(15)] == series_dims(14)
+    assert graded_dimension(12) == 930
+    assert component.cache_info().misses == before
+
+
+# ------------------------------------------------- row-reduction oracle
+#
+# The ideal at a multidegree spanned by all products u * r * v of a
+# Serre relation r and row-reduced into an echelon: the construction the
+# rewriting engine replaced, kept here as its oracle.  It shares only
+# ``_Echelon`` and ``serre_relations`` with the engine.
+
+
+def _subcontents(content, size):
+    a, b, c = content
+    out = []
+    for x in range(min(a, size) + 1):
+        for y in range(min(b, size - x) + 1):
+            z = size - x - y
+            if z <= c:
+                out.append((x, y, z))
+    return out
+
+
+def _all_words(content):
+    letters = [x for x, n in enumerate(content) for _ in range(n)]
+    return tuple(sorted(set(permutations(letters))))
+
+
+@lru_cache(maxsize=None)
+def oracle_component(content):
+    """(basis, echelon) of the ideal at ``content``, by u * r * v row reduction."""
+    ech = uq._Echelon()
+    for rel in uq.serre_relations():
+        rc = uq.word_content(next(iter(rel)))
+        rest = tuple(c - r for c, r in zip(content, rc))
+        if any(x < 0 for x in rest):
+            continue
+        for ulen in range(sum(rest) + 1):
+            for usub in _subcontents(rest, ulen):
+                vsub = tuple(r - u for r, u in zip(rest, usub))
+                for u in _all_words(usub):
+                    for v in _all_words(vsub):
+                        ech.insert({u + w + v: RatQ(c) for w, c in rel.items()})
+    basis = tuple(w for w in _all_words(content) if w not in ech.pivots)
+    return basis, ech
+
+
+def component_digest(max_degree):
+    """sha256 of every component's basis and pivot rows through ``max_degree``."""
+    h = hashlib.sha256()
+    for content in contents_up_to(max_degree):
+        comp = component(content)
+        h.update(repr((content, comp.basis)).encode())
+        for p in sorted(comp.pivots):
+            h.update(repr((p, sorted((w, str(c)) for w, c in comp.pivots[p].items()))).encode())
+    return h.hexdigest()
+
+
+def test_components_match_the_row_reduction_oracle():
+    for content in contents_up_to(6):
+        comp = component(content)
+        basis, ech = oracle_component(content)
+        assert comp.basis == basis, content
+        assert set(comp.pivots) == set(ech.pivots), content
+        for p, row in ech.pivots.items():
+            assert comp.pivots[p] == row, (content, p)
+            assert {w: str(c) for w, c in comp.pivots[p].items()} == {
+                w: str(c) for w, c in row.items()
+            }
+
+
+def test_component_digest_through_degree_7_is_pinned():
+    # taken from the u * r * v row reduction through degree 7
+    assert component_digest(7) == (
+        "c335ec855864a1a4183077af72e590e917a978b089ba711ea757981ad3540b65"
+    )
+
+
+def test_components_hold_one_row_per_non_basis_word():
+    for content in contents_up_to(6):
+        comp = component(content)
+        words = set(words_of_content(content))
+        assert set(comp.pivots) == words - set(comp.basis), content
+        assert len(comp.pivots) + comp.dimension == len(words), content
+
+
+def test_rules_are_integral_and_hold_in_the_oracle():
+    two = Q(1) + Q(-1)
+    leads = list(uq.RULES)
+    assert len(leads) == 8
+    for lead, rhs in uq.RULES.items():
+        # no leading word is a factor of another
+        for other in leads:
+            if other != lead:
+                assert not any(
+                    lead[i:i + len(other)] == other for i in range(len(lead))
+                ), (lead, other)
+        for w, c in rhs.items():
+            assert w < lead and uq.word_content(w) == uq.word_content(lead)
+            assert c in (ONE, -ONE, two, -two), (lead, w)
+        vec = {lead: RatQ.one()}
+        for w, c in rhs.items():
+            vec[w] = -RatQ(c)
+        _, ech = oracle_component(uq.word_content(lead))
+        assert ech.reduce(vec) == {}, lead
+        assert lead in ech.pivots
+
+
+def _rewrite_at(word, pos, lead):
+    assert word[pos:pos + len(lead)] == lead
+    out = {}
+    for u, c in uq.RULES[lead].items():
+        out[word[:pos] + u + word[pos + len(lead):]] = c
+    return out
+
+
+def test_every_overlap_ambiguity_resolves():
+    # diamond lemma: the two one-step rewrites of each overlap agree
+    overlaps = [
+        (a, b, k)
+        for a in uq.RULES for b in uq.RULES
+        for k in range(1, min(len(a), len(b)))
+        if a[-k:] == b[:k]
+    ]
+    assert len(overlaps) == 13
+    for a, b, k in overlaps:
+        word = a + b[k:]
+        left = serre_reduce(_rewrite_at(word, 0, a))
+        right = serre_reduce(_rewrite_at(word, len(a) - k, b))
+        assert left == right, (a, b, k)
+        assert left == serre_reduce({word: ONE}), (a, b, k)
+
+
+def test_words_of_content_lists_distinct_words_in_lex_order():
+    for content in contents_up_to(6):
+        assert words_of_content(content) == _all_words(content), content
+    words = words_of_content((4, 4, 3))
+    assert len(words) == factorial(11) // (factorial(4) ** 2 * factorial(3))
+    assert list(words) == sorted(set(words))
 
 
 # ------------------------------------------------------------- w embed
