@@ -14,6 +14,11 @@ this orientation is forced by the intertwiner computation
 for the map f -> f(. u0) with u0 = w2 - q^-1 w1 F_mu, read through the
 divided-powers correspondence componentwise.  With it both products
 compose to -q^-1 times the diagonal wave operator, exactly.
+
+``intertwine_check`` compares the brute-force pushforward with the matrix
+action as pairs of functionals, in divided coordinates
+(``OpMatrix2.apply_divided``, over Z[q, q^-1]); psi, taken componentwise,
+ties this to ``OpMatrix2.apply`` on pairs of polynomials.
 """
 
 from __future__ import annotations
@@ -85,6 +90,13 @@ class OpMatrix2:
         return Poly4Vec2(
             self.entries[0][0].apply(v.p1) + self.entries[1][0].apply(v.p2),
             self.entries[0][1].apply(v.p1) + self.entries[1][1].apply(v.p2),
+        )
+
+    def apply_divided(self, v: "VectorDualFunctional") -> "VectorDualFunctional":
+        """``apply`` in divided coordinates: slot j is sum_i M_ij.apply_divided(v_i)."""
+        return VectorDualFunctional(
+            self.entries[0][0].apply_divided(v.f1) + self.entries[1][0].apply_divided(v.f2),
+            self.entries[0][1].apply_divided(v.f1) + self.entries[1][1].apply_divided(v.f2),
         )
 
     @classmethod
@@ -211,17 +223,26 @@ def intertwine_bruteforce(f: VectorDualFunctional, variant: str = "plus") -> Vec
     return VectorDualFunctional(g1, g2)
 
 
-def intertwine_check(degree_bound: int, variant: str = "plus") -> bool:
-    """True iff psi of the brute-force pushforward equals the matrix action
-    on psi, for every vector indicator of total degree <= degree_bound."""
+def first_intertwine_failure(degree_bound: int, variant: str = "plus"):
+    """The first (gamma, slot) of total degree <= degree_bound on which the
+    brute-force pushforward and the matrix action disagree, or None.
+
+    Both sides are compared as vector functionals: the matrix acts in
+    divided coordinates (``OpMatrix2.apply_divided``), which psi carries
+    componentwise to its action on polynomials.
+    """
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     matrix = dirac_plus() if variant == "plus" else dirac_minus()
     for gamma in indices_up_to(degree_bound):
         for slot in (1, 2):
             f = VectorDualFunctional.indicator(gamma, slot)
-            lhs = intertwine_bruteforce(f, variant).psi_pair()
-            rhs = matrix.apply(f.psi_pair())
-            if lhs != rhs:
-                return False
-    return True
+            if intertwine_bruteforce(f, variant) != matrix.apply_divided(f):
+                return gamma, slot
+    return None
+
+
+def intertwine_check(degree_bound: int, variant: str = "plus") -> bool:
+    """True iff the brute-force pushforward equals the matrix action for
+    every vector indicator of total degree <= degree_bound."""
+    return first_intertwine_failure(degree_bound, variant) is None

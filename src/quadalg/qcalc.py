@@ -24,7 +24,8 @@ on symbols and re-expanded.
 Coefficients live in the fraction field Q(q): re-expansion can introduce
 denominators of q - q^-1 even for integer inputs (see the identity
 above).  All displayed operators of interest have plain Laurent
-coefficients.
+coefficients, and ``apply_divided`` acts with them on functionals in
+the divided basis z^beta / [beta]_q! without leaving Z[q, q^-1].
 """
 
 from __future__ import annotations
@@ -171,6 +172,35 @@ def _divide_axis(tp, i, g):
     return out
 
 
+# ------------------------------------------------- action factors
+
+
+@lru_cache(maxsize=None)
+def _falling_factor(beta, gamma, delta) -> LaurentPoly:
+    """prod_i [beta_i]!/[beta_i - gamma_i]! * q^(-delta.(beta-gamma)), for beta >= gamma."""
+    out = _Q(-sum(d * (b - g) for d, b, g in zip(delta, beta, gamma)))
+    for b, g in zip(beta, gamma):
+        for j in range(g):
+            out = out * q_int(b - j)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _rising(n: int, a: int) -> LaurentPoly:
+    """The rising q-factorial [n+1][n+2]...[n+a] = [n+a]!/[n]!."""
+    return LaurentPoly.one() if a == 0 else _rising(n, a - 1) * q_int(n + a)
+
+
+@lru_cache(maxsize=None)
+def _divided_factor(n, alpha, delta) -> LaurentPoly:
+    """prod_i [n_i+alpha_i]!/[n_i]! * q^(-delta.n): z^alpha K^delta on e_n, in e_(n+alpha)."""
+    out = _Q(-(delta[0] * n[0] + delta[1] * n[1] + delta[2] * n[2] + delta[3] * n[3]))
+    for m, a in zip(n, alpha):
+        if a:
+            out = out * _rising(m, a)
+    return out
+
+
 # ------------------------------------------------------------ QOperator
 
 
@@ -230,18 +260,34 @@ class QOperator(Lin):
             for beta, pc in p.terms.items():
                 if any(b < g for b, g in zip(beta, gamma)):
                     continue
-                coeff = c * pc
-                for i in range(4):
-                    for j in range(gamma[i]):
-                        coeff = coeff * RatQ(q_int(beta[i] - j))
-                if not coeff:
-                    continue
-                k = sum(d * (b - g) for d, b, g in zip(delta, beta, gamma))
-                if k:
-                    coeff = coeff * RatQ(_Q(-k))
+                coeff = RatQ(
+                    c.num * pc.num * _falling_factor(beta, gamma, delta), c.den * pc.den
+                )
                 target = tuple(a + b - g for a, b, g in zip(alpha, beta, gamma))
                 add_into(out, target, coeff)
         return Poly4._make(out)
+
+    def apply_divided(self, f):
+        """The action on a functional f (a ``DualFunctional``) in divided coordinates.
+
+        f stands for sum_beta f(w^beta) e_beta with e_beta = z^beta / [beta]_q!,
+        and z^alpha K^delta [d]^gamma sends e_beta to
+        q^(-delta.(beta-gamma)) [beta-gamma+alpha]!/[beta-gamma]! e_(beta-gamma+alpha),
+        or to 0 unless beta >= gamma.  Every factor is a Laurent polynomial,
+        so the values are computed in Z[q, q^-1] with no division.  Returns a
+        functional of f's type; raises ``ExactDivisionError`` if a
+        coefficient of the operator is not a Laurent polynomial.
+        """
+        terms = [(key, c.to_laurent()) for key, c in self.terms.items()]
+        out = {}
+        for beta, v in f.terms.items():
+            for (alpha, delta, gamma), c in terms:
+                n = (beta[0] - gamma[0], beta[1] - gamma[1], beta[2] - gamma[2], beta[3] - gamma[3])
+                if min(n) < 0:
+                    continue
+                target = (n[0] + alpha[0], n[1] + alpha[1], n[2] + alpha[2], n[3] + alpha[3])
+                add_into(out, target, c * v * _divided_factor(n, alpha, delta))
+        return type(f)._make(out)
 
     def __call__(self, p: Poly4) -> Poly4:
         return self.apply(p)

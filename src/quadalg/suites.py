@@ -195,8 +195,12 @@ def suite_recorded_identities(report):
 def suite_dual_closed_forms(report, degree):
     for which in (1, 2, 3, 4, "box"):
         label = "w%s" % which if which != "box" else "center"
-        ok = transform.verify_dual(which, degree)
-        report.add("closed form of dual(%s) through degree %d" % (label, degree), ok)
+        bad = transform.first_dual_failure(which, degree)
+        report.add(
+            "closed form of dual(%s) through degree %d" % (label, degree),
+            bad is None,
+            "first failure at %s" % (bad,),
+        )
 
 
 def suite_box(report, degree):
@@ -210,14 +214,15 @@ def suite_box(report, degree):
         },
         str(box),
     )
+    bad = transform.first_dual_failure("box", degree)
     report.add(
         "wave operator is the dual of the center through degree %d" % degree,
-        transform.verify_dual("box", degree),
+        bad is None,
+        "first failure at %s" % (bad,),
     )
 
 
 def suite_dirac_factorization(report, degree):
-    from .qcalc import Poly4, Poly4Vec2
     from .ring import indices_up_to
 
     dp, dm = dirac.dirac_plus(), dirac.dirac_minus()
@@ -227,16 +232,15 @@ def suite_dirac_factorization(report, degree):
     report.add("D+ then D- equals -q^-1 diag(box, box) exactly", pm == target)
     report.add("D- then D+ equals -q^-1 diag(box, box) exactly", mp == target)
     report.add("the two products agree", pm == mp)
-    box = transform.box_operator()
     bad = None
     for gamma in indices_up_to(degree):
         for slot in (1, 2):
-            p = Poly4.monomial(gamma)
-            v = Poly4Vec2(p, Poly4.zero()) if slot == 1 else Poly4Vec2(Poly4.zero(), p)
-            expected = Poly4Vec2(
-                box.apply(v.p1).scale(-_Q(-1)), box.apply(v.p2).scale(-_Q(-1))
-            )
-            if dm.apply(dp.apply(v)) != expected or dp.apply(dm.apply(v)) != expected:
+            v = dirac.VectorDualFunctional.indicator(gamma, slot)
+            expected = target.apply_divided(v)
+            if (
+                dm.apply_divided(dp.apply_divided(v)) != expected
+                or dp.apply_divided(dm.apply_divided(v)) != expected
+            ):
                 bad = (gamma, slot)
                 break
         if bad:
@@ -250,11 +254,12 @@ def suite_dirac_factorization(report, degree):
 
 def suite_dirac_intertwine(report, degree):
     for variant in ("plus", "minus"):
-        ok = dirac.intertwine_check(degree, variant)
+        bad = dirac.first_intertwine_failure(degree, variant)
         report.add(
             "matrix matches the algebraic intertwiner (%s) through degree %d"
             % (variant, degree),
-            ok,
+            bad is None,
+            "first failure at %s" % (bad,),
         )
 
 

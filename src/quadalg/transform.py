@@ -16,7 +16,12 @@ q-difference operators with closed forms:
     box      = dual(w1 w4 - q w2 w3) = K_2 K_3 [d_1][d_4] - q [d_2][d_3]
 
 ``verify_dual`` checks each closed form against brute-force right
-multiplication on every monomial indicator up to a degree bound.  The
+multiplication on every monomial indicator up to a degree bound, and
+``first_dual_failure`` names the first indicator where they disagree.
+The check compares functionals in divided coordinates: the closed form
+acts on the values f(w^gamma) through ``QOperator.apply_divided``, over
+Z[q, q^-1], and psi (a bijection) ties that action to ``apply`` on the
+polynomials Psi_f, so no Q(q) arithmetic is needed.  The
 brute-force side forms each product w^gamma w0 once per process with the
 normal-ordering engine and keeps it transposed, per degree of gamma, so a
 dual reads its values off the columns of the functional's support.  The
@@ -171,15 +176,26 @@ def _brute_element(which) -> AqElement:
     return AqElement.generator(which)
 
 
-def verify_dual(which, degree_bound: int) -> bool:
-    """True iff the closed form matches brute-force right multiplication
-    through psi on every monomial indicator of total degree <= degree_bound."""
+def first_dual_failure(which, degree_bound: int):
+    """The first monomial indicator of total degree <= degree_bound on which
+    brute-force right multiplication and the closed form disagree, or None.
+
+    Both sides are compared as functionals: the closed form acts in divided
+    coordinates (``QOperator.apply_divided``), which psi carries to its
+    action on polynomials.
+    """
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     closed = right_dual_closed(which)
     brute = right_dual_bruteforce(_brute_element(which))
     for gamma in indices_up_to(degree_bound):
         f = DualFunctional.indicator(gamma)
-        if psi(brute(f)) != closed.apply(psi(f)):
-            return False
-    return True
+        if brute(f) != closed.apply_divided(f):
+            return gamma
+    return None
+
+
+def verify_dual(which, degree_bound: int) -> bool:
+    """True iff the closed form matches brute-force right multiplication
+    on every monomial indicator of total degree <= degree_bound."""
+    return first_dual_failure(which, degree_bound) is None

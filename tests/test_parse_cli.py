@@ -365,3 +365,12 @@ def test_report_without_checks_is_not_ok():
     assert report.to_dict()["ok"] is False
     report.add("one check", True)
     assert report.ok
+
+
+@pytest.mark.parametrize("suite,degree", [("dual-closed-forms", 9), ("dirac-intertwine", 7)])
+def test_cli_verify_oracles_above_their_default_bounds(suite, degree):
+    code, out = run_cli("verify", suite, "--degree", str(degree), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True and payload["parameters"] == {"degree": degree}
+    assert payload["checks"] and all(c["ok"] and c["witness"] is None for c in payload["checks"])

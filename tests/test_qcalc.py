@@ -163,3 +163,59 @@ def test_str_roundtrip_flavour():
     op = compose(scaling(2), qdiff(1)) - mul_z(4).scale(Q(-1))
     s = str(op)
     assert "K_2" in s and "d_1" in s and "z_4" in s
+
+
+# --------------------------------------------- divided-power coordinates
+
+def test_apply_divided_on_generators():
+    from quadalg.transform import DualFunctional
+
+    e = DualFunctional.indicator
+    # [d] e_n = e_(n-1): the q-factorials cancel
+    assert qdiff(4).apply_divided(e((0, 0, 0, 3))) == e((0, 0, 0, 2))
+    assert not qdiff(1).apply_divided(e((0, 1, 0, 0)))
+    # z e_n = [n+1] e_(n+1), z^2 e_n = [n+1][n+2] e_(n+2)
+    assert mul_z(2).apply_divided(e((0, 2, 0, 0))) == e((0, 3, 0, 0)).scale(q_int(3))
+    assert mul_z(2, 2).apply_divided(e((0, 1, 0, 0))) == e((0, 3, 0, 0)).scale(
+        q_int(2) * q_int(3)
+    )
+    # K scales e_n by q^-n, K^-2 by q^(2n)
+    assert scaling(3).apply_divided(e((0, 0, 2, 0))) == e((0, 0, 2, 0)).scale(Q(-2))
+    assert scaling(3, -2).apply_divided(e((0, 0, 2, 0))) == e((0, 0, 2, 0)).scale(Q(4))
+    # K acts after [d]: K [d] e_3 = K e_2 = q^-2 e_2
+    assert compose(scaling(1), qdiff(1)).apply_divided(e((3, 0, 0, 0))) == e(
+        (2, 0, 0, 0)
+    ).scale(Q(-2))
+    assert not QOperator.zero().apply_divided(e((1, 0, 0, 0)))
+    assert QOperator.identity().apply_divided(DualFunctional.zero()) == DualFunctional.zero()
+
+
+def test_apply_divided_is_apply_through_psi_on_composites():
+    from quadalg.transform import DualFunctional, psi
+
+    # [d] only on axes 1-2 and z only on axes 3-4 keeps every coefficient
+    # Laurent; K_1^k [d_1] pins the K shift to beta - gamma
+    rng = random.Random(11)
+    gens = [qdiff(1), qdiff(2), scaling(1), scaling(3, -2), scaling(4, 2), mul_z(3), mul_z(4, 2)]
+    ops = [compose(scaling(1, k), qdiff(1)) for k in (1, -2)]
+    for _ in range(15):
+        op = QOperator.identity()
+        for g in rng.sample(gens, 3):
+            op = compose(op, g).scale(rng.choice((1, -1, Q(1), Q(-2))))
+        ops.append(op + rng.choice(gens))
+    for op in ops:
+        for beta in indices_up_to(4):
+            f = DualFunctional.indicator(beta)
+            assert psi(op.apply_divided(f)) == op.apply(psi(f)), (op, beta)
+
+
+def test_apply_divided_rejects_non_laurent_coefficients():
+    from quadalg.ring import ExactDivisionError
+    from quadalg.transform import DualFunctional
+
+    # z_1 K_1 [d_1] = (q - q K_1^2)/(q - q^-1) in canonical form
+    op = QOperator.monomial((1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0))
+    assert any(not c.is_laurent() for c in op.terms.values())
+    for f in (DualFunctional.indicator((1, 0, 0, 0)), DualFunctional.zero()):
+        with pytest.raises(ExactDivisionError):
+            op.apply_divided(f)

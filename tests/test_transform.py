@@ -200,3 +200,109 @@ def test_memoized_closed_forms_are_not_changed_by_arithmetic():
     assert right_dual_closed(1) == compose(
         compose(scaling(2), scaling(3)), compose(scaling(4, 2), qdiff(1))
     ) + compose(mul_z(4), compose(scaling(4), box_operator())).scale(ONE - Q(-2))
+
+
+# ------------------------- divided coordinates against the psi picture
+
+def _operators_with_laurent_coefficients():
+    from quadalg.dirac import dirac_minus, dirac_plus
+
+    ops = [right_dual_closed(which) for which in (1, 2, 3, 4, "box")]
+    for m in (dirac_plus(), dirac_minus()):
+        ops += [m[i, j] for i in (0, 1) for j in (0, 1)]
+    return ops + [box_operator().scale(-Q(-1))]
+
+
+def test_apply_divided_is_apply_through_psi():
+    for op in _operators_with_laurent_coefficients():
+        for gamma in indices_up_to(5):
+            f = DualFunctional.indicator(gamma)
+            assert psi(op.apply_divided(f)) == op.apply(psi(f)), (op, gamma)
+
+
+def reference_first_dual_failure(which, degree_bound):
+    """The psi-based oracle: both sides compared as polynomials in Q(q)."""
+    from quadalg import transform
+
+    closed = transform.right_dual_closed(which)
+    brute = right_dual_bruteforce(transform._brute_element(which))
+    for gamma in indices_up_to(degree_bound):
+        f = DualFunctional.indicator(gamma)
+        if psi(brute(f)) != closed.apply(psi(f)):
+            return gamma
+    return None
+
+
+def reference_first_intertwine_failure(degree_bound, variant):
+    from quadalg.dirac import VectorDualFunctional, dirac_minus, dirac_plus, intertwine_bruteforce
+
+    matrix = dirac_plus() if variant == "plus" else dirac_minus()
+    for gamma in indices_up_to(degree_bound):
+        for slot in (1, 2):
+            f = VectorDualFunctional.indicator(gamma, slot)
+            if intertwine_bruteforce(f, variant).psi_pair() != matrix.apply(f.psi_pair()):
+                return gamma, slot
+    return None
+
+
+def _swap_w2_w3(monkeypatch):
+    from quadalg import dirac, transform
+
+    closed = transform.right_dual_closed
+
+    def swapped(which):
+        return closed({2: 3, 3: 2}.get(which, which))
+
+    monkeypatch.setattr(transform, "right_dual_closed", swapped)
+    monkeypatch.setattr(dirac, "right_dual_closed", swapped)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["closed forms", "w2 and w3 swapped"])
+def test_oracles_agree_with_the_psi_reference(swap, monkeypatch):
+    from quadalg.dirac import first_intertwine_failure
+    from quadalg.transform import first_dual_failure
+
+    if swap:
+        _swap_w2_w3(monkeypatch)
+    verdicts = []
+    for which in (1, 2, 3, 4, "box"):
+        got = first_dual_failure(which, 5)
+        assert got == reference_first_dual_failure(which, 5), which
+        assert verify_dual(which, 5) == (got is None)
+        verdicts.append(got is None)
+    for variant in ("plus", "minus"):
+        got = first_intertwine_failure(5, variant)
+        assert got == reference_first_intertwine_failure(5, variant), variant
+        verdicts.append(got is None)
+    assert all(verdicts) != swap
+
+
+def test_suites_name_the_first_failing_index(monkeypatch):
+    from quadalg.suites import run_suite
+
+    _swap_w2_w3(monkeypatch)
+    report = run_suite("dual-closed-forms")
+    failed = {c.name: c.witness for c in report.checks if not c.ok}
+    assert failed == {
+        "closed form of dual(w%d) through degree 6" % i: "first failure at (0, 0, 1, 0)"
+        for i in (2, 3)
+    }
+    assert all(c.witness is None for c in report.checks if c.ok)
+    report = run_suite("dirac-intertwine")
+    assert [(c.ok, c.witness) for c in report.checks] == [
+        (False, "first failure at ((0, 0, 1, 0), 1)"),
+        (False, "first failure at ((0, 0, 1, 0), 1)"),
+    ]
+
+
+def test_box_suite_names_the_first_failing_index(monkeypatch):
+    from quadalg import transform
+    from quadalg.suites import run_suite
+
+    box = transform.box_operator()
+    monkeypatch.setattr(
+        transform, "right_dual_closed", lambda which: box.scale(Q(1)) if which == "box" else None
+    )
+    report = run_suite("box")
+    assert [c.ok for c in report.checks] == [True, False]
+    assert report.checks[1].witness == "first failure at (0, 1, 1, 0)"
