@@ -7,14 +7,15 @@ Defining relations, oriented toward the normal order w1 < w2 < w3 < w4:
     w1 w4 - w4 w1 = (q - q^-1) w2 w3
 
 Elements are stored on the ordered monomial basis w1^a w2^b w3^c w4^d.
-Rewriting strictly decreases the lexicographic order of words of a fixed
-length, so normal ordering terminates; confluence is checked in the test
-suite by reducing with two different strategies.
+Normal ordering is ``lin.rewrite`` with the rules ``RULES``.  Each rule
+lowers the lexicographic order of words of a fixed length, so rewriting
+terminates; its four overlaps resolve (the test suite checks them), so
+the normal form does not depend on the order of rewriting.
 """
 
 from __future__ import annotations
 
-from .lin import Lin, add_into
+from .lin import Lin, add_into, rewrite
 from .ring import LaurentPoly, as_laurent, mi_check
 
 _Q = LaurentPoly.q
@@ -37,39 +38,33 @@ def _exponents_of(word):
     return tuple(g)
 
 
-def reduce_word(word, coeff=None, rightmost=False):
-    """Normal-order a word of generator indices; returns {multi-index: coeff}.
+# The relations as rewriting rules, leading pair -> {word: factor}: the
+# leading pair equals the sum of factor * word.  They are not derived from
+# relation_pairs(), the specification the tests check them by.
+RULES = {
+    (2, 1): {(1, 2): _Q(-1)},
+    (3, 1): {(1, 3): _Q(-1)},
+    (4, 2): {(2, 4): _Q(-1)},
+    (4, 3): {(3, 4): _Q(-1)},
+    (3, 2): {(2, 3): LaurentPoly.one()},
+    (4, 1): {(1, 4): LaurentPoly.one(), (2, 3): -_MU},
+}
 
-    ``rightmost`` switches the strategy from first to last inversion; both
-    must agree (local confluence), which the tests assert on all short words.
-    """
+
+def _step(word):
+    """The leftmost inversion of ``word`` rewritten by its rule, or None if there is none."""
+    for i in range(len(word) - 1):
+        if word[i] > word[i + 1]:
+            head, tail = word[:i], word[i + 2:]
+            return [(head + w + tail, f) for w, f in RULES[word[i:i + 2]].items()]
+    return None
+
+
+def reduce_word(word, coeff=None):
+    """Normal-order a word of generator indices; returns {multi-index: coeff}."""
     if coeff is None:
         coeff = LaurentPoly.one()
-    out = {}
-    stack = [(tuple(word), coeff)]
-    qinv = _Q(-1)
-    while stack:
-        w, c = stack.pop()
-        spot = None
-        rng = range(len(w) - 2, -1, -1) if rightmost else range(len(w) - 1)
-        for i in rng:
-            if w[i] > w[i + 1]:
-                spot = i
-                break
-        if spot is None:
-            add_into(out, _exponents_of(w), c)
-            continue
-        a, b = w[spot], w[spot + 1]
-        swapped = w[:spot] + (b, a) + w[spot + 2 :]
-        if (a, b) == (4, 1):
-            # w4 w1 = w1 w4 - (q - q^-1) w2 w3
-            stack.append((swapped, c))
-            stack.append((w[:spot] + (2, 3) + w[spot + 2 :], c * (-_MU)))
-        elif (a, b) == (3, 2):
-            stack.append((swapped, c))
-        else:
-            stack.append((swapped, c * qinv))
-    return out
+    return {_exponents_of(w): c for w, c in rewrite({tuple(word): coeff}, _step).items()}
 
 
 class AqElement(Lin):

@@ -110,6 +110,15 @@ class OpMatrix2:
         )
 
 
+_VARIANTS = {"plus": (2, 3), "minus": (3, 2)}  # the w indices (top, bottom) on the diagonal
+
+
+def _roles(variant):
+    if variant not in _VARIANTS:
+        raise ValueError("variant must be 'plus' or 'minus', got %r" % (variant,))
+    return _VARIANTS[variant]
+
+
 def _dirac_parts(top, bottom):
     """First-order matrix and extra term with dual(w_top), dual(w_bottom) on the diagonal.
 
@@ -131,12 +140,12 @@ def _dirac_parts(top, bottom):
 
 def dirac_plus_parts():
     """The first-order matrix and the extra wave-operator term, separately."""
-    return _dirac_parts(2, 3)
+    return _dirac_parts(*_VARIANTS["plus"])
 
 
 def dirac_minus_parts():
     """As ``dirac_plus_parts`` with the roles of w2 and w3 interchanged."""
-    return _dirac_parts(3, 2)
+    return _dirac_parts(*_VARIANTS["minus"])
 
 
 def dirac_plus() -> OpMatrix2:
@@ -207,12 +216,7 @@ def intertwine_bruteforce(f: VectorDualFunctional, variant: str = "plus") -> Vec
     which only require normal-ordered products in the quadratic algebra.
     The minus variant interchanges the roles of w2 and w3.
     """
-    if variant == "plus":
-        top, bottom = 2, 3
-    elif variant == "minus":
-        top, bottom = 3, 2
-    else:
-        raise ValueError("variant must be 'plus' or 'minus', got %r" % (variant,))
+    top, bottom = _roles(variant)
     qinv = _Q(-1)
     d_top = right_dual_bruteforce(AqElement.generator(top))
     d_w1 = right_dual_bruteforce(AqElement.generator(1))
@@ -233,6 +237,7 @@ def first_intertwine_failure(degree_bound: int, variant: str = "plus"):
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
+    _roles(variant)  # an unknown name is rejected before any matrix is built
     matrix = dirac_plus() if variant == "plus" else dirac_minus()
     for gamma in indices_up_to(degree_bound):
         for slot in (1, 2):

@@ -1,11 +1,11 @@
 """Sparse linear combinations: the one core under every element class.
 
 A combination is a dict {key: coefficient} that never holds a zero
-coefficient, so equality of combinations is equality of dicts.  The two
-primitives keep that invariant while accumulating; ``Lin`` builds the
-shared linear structure on top of them, for the Laurent polynomials of
-``ring`` as for the element classes over them.  This module imports
-nothing from the package, so ``ring`` can build on it.
+coefficient, so equality of combinations is equality of dicts.  The three
+primitives keep that invariant while accumulating or rewriting; ``Lin``
+builds the shared linear structure on top of them, for the Laurent
+polynomials of ``ring`` as for the element classes over them.  This
+module imports nothing from the package, so ``ring`` can build on it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,28 @@ def add_scaled(acc: dict, row: dict, c, skip=None) -> None:
             acc[key] = s
         else:
             del acc[key]
+
+
+def rewrite(vec: dict, step) -> dict:
+    """The normal form of the combination ``vec`` {word: coefficient}.
+
+    ``step(word)`` is None for a normal word, else the pairs (word', factor)
+    of one rewrite: word = sum factor * word'.  Each round rewrites every
+    word once and merges equal results, so the cost follows the distinct
+    words, not the rewrite paths.  The rewriting must terminate; if it is
+    confluent, the result does not depend on the rewrite ``step`` picks.
+    """
+    out = {}
+    while vec:
+        todo, vec = vec, {}
+        for word, c in todo.items():
+            rhs = step(word)
+            if rhs is None:
+                add_into(out, word, c)
+                continue
+            for w, f in rhs:
+                add_into(vec, w, c * f)
+    return out
 
 
 class Lin:

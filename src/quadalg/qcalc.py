@@ -176,16 +176,6 @@ def _divide_axis(tp, i, g):
 
 
 @lru_cache(maxsize=None)
-def _falling_factor(beta, gamma, delta) -> LaurentPoly:
-    """prod_i [beta_i]!/[beta_i - gamma_i]! * q^(-delta.(beta-gamma)), for beta >= gamma."""
-    out = _Q(-sum(d * (b - g) for d, b, g in zip(delta, beta, gamma)))
-    for b, g in zip(beta, gamma):
-        for j in range(g):
-            out = out * q_int(b - j)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _rising(n: int, a: int) -> LaurentPoly:
     """The rising q-factorial [n+1][n+2]...[n+a] = [n+a]!/[n]!."""
     return LaurentPoly.one() if a == 0 else _rising(n, a - 1) * q_int(n + a)
@@ -258,13 +248,12 @@ class QOperator(Lin):
         out = {}
         for (alpha, delta, gamma), c in self.terms.items():
             for beta, pc in p.terms.items():
-                if any(b < g for b, g in zip(beta, gamma)):
+                n = tuple(b - g for b, g in zip(beta, gamma))
+                if min(n) < 0:
                     continue
-                coeff = RatQ(
-                    c.num * pc.num * _falling_factor(beta, gamma, delta), c.den * pc.den
-                )
-                target = tuple(a + b - g for a, b, g in zip(alpha, beta, gamma))
-                add_into(out, target, coeff)
+                # z^alpha K^delta [d]^gamma z^beta = [beta]!/[n]! q^(-delta.n) z^(n+alpha)
+                coeff = RatQ(c.num * pc.num * _divided_factor(n, gamma, delta), c.den * pc.den)
+                add_into(out, tuple(a + m for a, m in zip(alpha, n)), coeff)
         return Poly4._make(out)
 
     def apply_divided(self, f):

@@ -16,8 +16,8 @@ lexicographically largest words, so every coset has a canonical
 representative on lex-earliest words.  The same sparse echelon, with
 tags, inverts the PBW change of basis used by the star action below.
 
-Elements of the full fragment are straightened to (F word) (K monomial)
-(E word) with both words reduced to quotient-basis coordinates.
+Elements of the full fragment are straightened by ``lin.rewrite`` to (F word)
+(K monomial) (E word), with both words reduced to quotient-basis coordinates.
 
 The star action of the mu/nu subalgebra on the quadratic algebra is
 computed from the coproduct and antipode and then projected back to the
@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .aq import AqElement
-from .lin import Lin, add_into, add_scaled
+from .lin import Lin, add_into, add_scaled, rewrite
 from .ring import LaurentPoly, RatQ, as_laurent, as_ratq
 
 MU, NU, BETA = 0, 1, 2
@@ -41,7 +41,7 @@ K_NAMES = ("Km", "Kn", "Kb")
 
 _Q = LaurentPoly.q
 _ONE = LaurentPoly.one()
-_MU_POLY = _Q(1) - _Q(-1)
+_INV_MU = RatQ(_ONE, _Q(1) - _Q(-1))  # 1/(q - q^-1)
 
 # A3 Cartan pairing in the letter order (mu, nu, beta)
 CARTAN = (
@@ -238,59 +238,46 @@ def graded_dimension(d: int) -> int:
 #
 # Symbols for the straightening engine: ("F", i), ("E", i), ("K", i, e).
 
+_RANK = {"F": 0, "K": 1, "E": 2}
 
-def _pair(i, j):
-    return CARTAN[i][j]
+
+def _straighten_step(word):
+    """The leftmost E F, E K or K F pair of a symbol word commuted, or None if there is none."""
+    for idx in range(len(word) - 1):
+        x, y = word[idx], word[idx + 1]
+        if _RANK[x[0]] > _RANK[y[0]]:
+            break
+    else:
+        return None
+    head, tail = word[:idx], word[idx + 2:]
+    swapped = head + (y, x) + tail
+    if "K" in (x[0], y[0]):
+        # E_i K_j^e = q^(-e (a_i, a_j)) K_j^e E_i  and  K_i^e F_j = q^(-e (a_i, a_j)) F_j K_i^e
+        e = x[2] if x[0] == "K" else y[2]
+        return [(swapped, RatQ(_Q(-e * CARTAN[x[1]][y[1]])))]
+    if x[1] != y[1]:
+        return [(swapped, RatQ.one())]
+    # E_i F_i - F_i E_i = (K_i - K_i^-1)/(q - q^-1)
+    i = x[1]
+    return [(swapped, RatQ.one()), (head + (("K", i, 1),) + tail, _INV_MU),
+            (head + (("K", i, -1),) + tail, -_INV_MU)]
 
 
 def straighten_word(symbols, coeff=None) -> "UqElement":
     """Normal-order an arbitrary product of generators to F * K * E form."""
     if coeff is None:
         coeff = RatQ.one()
-    rank = {"F": 0, "K": 1, "E": 2}
-    done = []  # list of (fword, kexp, eword, coeff)
-    stack = [(tuple(symbols), coeff)]
-    while stack:
-        word, c = stack.pop()
-        spot = None
-        for idx in range(len(word) - 1):
-            if rank[word[idx][0]] > rank[word[idx + 1][0]]:
-                spot = idx
-                break
-        if spot is None:
-            fword = tuple(s[1] for s in word if s[0] == "F")
-            eword = tuple(s[1] for s in word if s[0] == "E")
-            k = [0, 0, 0]
-            for s in word:
-                if s[0] == "K":
-                    k[s[1]] += s[2]
-            done.append((fword, tuple(k), eword, c))
-            continue
-        x, y = word[spot], word[spot + 1]
-        head, tail = word[:spot], word[spot + 2 :]
-        if x[0] == "E" and y[0] == "F":
-            i, j = x[1], y[1]
-            stack.append((head + (y, x) + tail, c))
-            if i == j:
-                # E_i F_i - F_i E_i = (K_i - K_i^-1)/(q - q^-1)
-                inv_mu = RatQ(_ONE, _MU_POLY)
-                stack.append((head + (("K", i, 1),) + tail, c * inv_mu))
-                stack.append((head + (("K", i, -1),) + tail, -(c * inv_mu)))
-        elif x[0] == "E" and y[0] == "K":
-            # E_i K_j^e = q^(-e (a_i, a_j)) K_j^e E_i
-            fac = RatQ(_Q(-y[2] * _pair(x[1], y[1])))
-            stack.append((head + (y, x) + tail, c * fac))
-        elif x[0] == "K" and y[0] == "F":
-            # K_i^e F_j = q^(-e (a_i, a_j)) F_j K_i^e
-            fac = RatQ(_Q(-x[2] * _pair(x[1], y[1])))
-            stack.append((head + (y, x) + tail, c * fac))
-        else:  # pragma: no cover - unreachable by rank comparison
-            raise AssertionError(word[spot], word[spot + 1])
     terms = {}
-    for fword, k, eword, c in done:
+    for word, c in rewrite({tuple(symbols): coeff}, _straighten_step).items():
+        k = [0, 0, 0]
+        for s in word:
+            if s[0] == "K":
+                k[s[1]] += s[2]
+        fword = tuple(s[1] for s in word if s[0] == "F")
+        eword = tuple(s[1] for s in word if s[0] == "E")
         for fw, fc in serre_reduce({fword: RatQ.one()}).items():
             for ew, ec in serre_reduce({eword: RatQ.one()}).items():
-                add_into(terms, (fw, k, ew), c * fc * ec)
+                add_into(terms, (fw, tuple(k), ew), c * fc * ec)
     return UqElement._make(terms)
 
 

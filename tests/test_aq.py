@@ -2,7 +2,9 @@ import math
 import random
 from itertools import product
 
+from quadalg import aq, lin
 from quadalg.aq import (
+    RULES,
     AqElement,
     center_element,
     commutator,
@@ -11,6 +13,7 @@ from quadalg.aq import (
     reduce_word,
     relation_pairs,
 )
+from quadalg.lin import add_into
 from quadalg.ring import LaurentPoly
 
 Q = LaurentPoly.q
@@ -46,11 +49,76 @@ def test_all_six_relations():
         assert lhs == rhs
 
 
+def _exponents(word):
+    return tuple(word.count(i) for i in (1, 2, 3, 4))
+
+
+def reference_reduce_word(word, rightmost=False):
+    """The reference oracle: a stack rewriter that follows every rewrite path
+    on its own, at the first or at the last inversion, with the relations
+    written out as code rather than read from ``RULES``."""
+    out = {}
+    stack = [(tuple(word), ONE)]
+    while stack:
+        w, c = stack.pop()
+        spots = range(len(w) - 2, -1, -1) if rightmost else range(len(w) - 1)
+        spot = next((i for i in spots if w[i] > w[i + 1]), None)
+        if spot is None:
+            add_into(out, _exponents(w), c)
+            continue
+        a, b = w[spot], w[spot + 1]
+        head, tail = w[:spot], w[spot + 2:]
+        stack.append((head + (b, a) + tail, c if (a, b) in ((4, 1), (3, 2)) else c * Q(-1)))
+        if (a, b) == (4, 1):
+            # w4 w1 = w1 w4 - (q - q^-1) w2 w3
+            stack.append((head + (2, 3) + tail, c * -MU))
+    return out
+
+
 def test_confluence_on_short_words():
-    # every word up to length 4, reduced with both strategies
-    for n in (2, 3, 4):
+    # every word up to length 6 against both strategies of the reference
+    for n in range(1, 7):
         for word in product((1, 2, 3, 4), repeat=n):
-            assert reduce_word(word) == reduce_word(word, rightmost=True), word
+            got = reduce_word(word)
+            assert got == reference_reduce_word(word), word
+            assert got == reference_reduce_word(word, rightmost=True), word
+
+
+def test_rule_overlaps_resolve():
+    overlaps = [w for w in product((1, 2, 3, 4), repeat=3) if w[:2] in RULES and w[1:] in RULES]
+    assert overlaps == [(3, 2, 1), (4, 2, 1), (4, 3, 1), (4, 3, 2)]
+    for a, b, c in overlaps:
+        left, right = {}, {}
+        for w, f in RULES[a, b].items():
+            for g, x in reduce_word(w + (c,), f).items():
+                add_into(left, g, x)
+        for w, f in RULES[b, c].items():
+            for g, x in reduce_word((a,) + w, f).items():
+                add_into(right, g, x)
+        assert left == right == reduce_word((a, b, c)), (a, b, c)
+
+
+def test_rules_agree_with_the_relations():
+    # relation_pairs() lists the relations of w2w1, w3w1, w4w3, w4w2, w3w2, w4w1
+    leads = [(2, 1), (3, 1), (4, 3), (4, 2), (3, 2), (4, 1)]
+    assert sorted(leads) == sorted(RULES)
+    for lead, (_, rhs) in zip(leads, relation_pairs()):
+        rule = AqElement({_exponents(w): f for w, f in RULES[lead].items()})
+        assert all(list(w) == sorted(w) for w in RULES[lead]), lead
+        assert rule == rhs, lead
+
+
+def test_reduce_word_merges_equal_words(monkeypatch):
+    calls = []
+
+    def spy(vec, step):
+        return lin.rewrite(vec, lambda w: calls.append(w) or step(w))
+
+    monkeypatch.setattr(aq, "rewrite", spy)
+    got = reduce_word((4,) * 6 + (1,) * 6)
+    assert len(got) == 7 and got[(6, 0, 0, 6)] == ONE
+    # the per-path rewriter follows this word down 13,327 complete paths
+    assert 0 < len(calls) < 5000
 
 
 def test_pbw_monomial_count():

@@ -1,3 +1,5 @@
+import pytest
+
 from quadalg.aq import AqElement
 from quadalg.dirac import (
     OpMatrix2,
@@ -158,3 +160,17 @@ def test_intertwine_check_recomputes_its_verdict(monkeypatch):
 
     monkeypatch.setattr(dirac, "dirac_plus", swapped)
     assert not intertwine_check(2, "plus")
+
+
+def test_unknown_variant_is_rejected_before_any_matrix_is_built(monkeypatch):
+    from quadalg import dirac
+
+    built = []
+    monkeypatch.setattr(dirac, "dirac_minus", lambda: built.append(1) or dirac_minus())
+    message = "variant must be 'plus' or 'minus', got 'Plus'"
+    with pytest.raises(ValueError) as first:
+        dirac.first_intertwine_failure(2, "Plus")
+    with pytest.raises(ValueError) as brute:
+        intertwine_bruteforce(VectorDualFunctional.indicator((0, 0, 0, 0), 1), "Plus")
+    assert str(first.value) == str(brute.value) == message
+    assert built == []

@@ -6,7 +6,7 @@ import pytest
 
 from quadalg import lin
 from quadalg.aq import AqElement, center_element, normal_order
-from quadalg.lin import Lin, add_into, add_scaled
+from quadalg.lin import Lin, add_into, add_scaled, rewrite
 from quadalg.qcalc import Poly4, QOperator
 from quadalg.ring import LaurentPoly, RatQ
 from quadalg.transform import DualFunctional, box_operator, right_dual_closed
@@ -130,6 +130,40 @@ def test_add_scaled_drops_zero_sums_and_leaves_row_alone():
     add_scaled(acc, row, -q)
     assert acc == {"d": RatQ(5)}
     assert row == before and all(row[k] is before[k] for k in row)
+
+
+def _spied(rules):
+    """A ``step`` over string words with the leading letter rewritten by ``rules``, and its calls."""
+    calls = []
+
+    def step(word):
+        calls.append(word)
+        rhs = rules.get(word[:1])
+        return None if rhs is None else [(w + word[1:], f) for w, f in rhs]
+
+    return step, calls
+
+
+def test_rewrite_merges_words_reached_along_different_paths():
+    step, calls = _spied({"x": [("y", 1), ("z", 2)], "y": [("w", 1)], "z": [("w", 3)]})
+    assert rewrite({"xa": Fraction(1, 2)}, step) == {"wa": Fraction(7, 2)}
+    # "wa" comes from "ya" and from "za" in the same round and is looked at once
+    assert sorted(calls) == ["wa", "xa", "ya", "za"]
+
+
+def test_rewrite_drops_cancelling_terms():
+    step, calls = _spied({"x": [("y", 1), ("z", -1)], "y": [("w", 1)], "z": [("w", 1)]})
+    assert rewrite({"x": Q(1), "v": Q(2)}, step) == {"v": Q(2)}
+    assert "w" not in calls
+
+
+def test_rewrite_leaves_a_normal_combination_unchanged():
+    step, calls = _spied({"x": [("y", 1)]})
+    vec = {"ab": Q(1), "b": 3, "": Fraction(1, 3)}
+    before = dict(vec)
+    assert rewrite(vec, step) == before
+    assert vec == before and sorted(calls) == sorted(before)
+    assert rewrite({}, step) == {}
 
 
 @pytest.mark.parametrize("x", [

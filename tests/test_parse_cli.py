@@ -1,9 +1,13 @@
+import hashlib
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -367,10 +371,37 @@ def test_report_without_checks_is_not_ok():
     assert report.ok
 
 
-@pytest.mark.parametrize("suite,degree", [("dual-closed-forms", 9), ("dirac-intertwine", 7)])
+@pytest.mark.parametrize("suite,degree", [
+    ("dual-closed-forms", 9), ("dirac-intertwine", 7), ("box", 10), ("dirac-factorization", 7),
+])
 def test_cli_verify_oracles_above_their_default_bounds(suite, degree):
     code, out = run_cli("verify", suite, "--degree", str(degree), "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True and payload["parameters"] == {"degree": degree}
     assert payload["checks"] and all(c["ok"] and c["witness"] is None for c in payload["checks"])
+
+
+# sha256 of the --json output of the per-path stack rewriters, which
+# took 21.9 s and 1.7 s for these two requests
+@pytest.mark.parametrize("argv,digest", [
+    (("mul", "w4^7", "w1^7"), "7220547346bcecb29c9720f4a87d3397eacccde8961394ae97d76070541cb5c3"),
+    (("normalize", "Em^4*Fm^4"), "ec811e195061bcf2ce670b6f7b01b2d42c93aa2181b9813e73b70b359070f248"),
+], ids=["mul", "normalize"])
+def test_cli_deep_products_are_pinned(argv, digest):
+    code, out = run_cli(*argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return re.findall(r"^quadalg (.+?)\s+# -> (.+)$", readme.read_text(), re.MULTILINE)
+
+
+def test_readme_examples_print_what_they_say():
+    examples = _readme_examples()
+    assert len(examples) >= 3
+    for command, expected in examples:
+        code, out = run_cli(*shlex.split(command))
+        assert (code, out) == (0, expected + "\n"), command

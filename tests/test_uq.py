@@ -1,12 +1,13 @@
 import hashlib
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
 
 from quadalg import uq
 from quadalg.aq import AqElement, relation_pairs
+from quadalg.lin import add_into
 from quadalg.ring import LaurentPoly, RatQ
 from quadalg.uq import (
     BETA,
@@ -24,6 +25,7 @@ from quadalg.uq import (
     serre_reduce,
     star_act,
     straighten,
+    straighten_word,
     w_decompose,
     w_embed,
     w_gen,
@@ -286,6 +288,50 @@ def test_straighten_eb_fb():
         }
     )
     assert got == expected
+
+
+def reference_straighten(symbols):
+    """The reference oracle: a stack rewriter that follows every rewrite path
+    to F * K * E order on its own, then reduces each F and E word."""
+    rank = {"F": 0, "K": 1, "E": 2}
+    done = []
+    stack = [(tuple(symbols), RatQ.one())]
+    while stack:
+        word, c = stack.pop()
+        spot = next((i for i in range(len(word) - 1)
+                     if rank[word[i][0]] > rank[word[i + 1][0]]), None)
+        if spot is None:
+            k = [0, 0, 0]
+            for s in word:
+                if s[0] == "K":
+                    k[s[1]] += s[2]
+            done.append((tuple(s[1] for s in word if s[0] == "F"), tuple(k),
+                         tuple(s[1] for s in word if s[0] == "E"), c))
+            continue
+        x, y = word[spot], word[spot + 1]
+        head, tail = word[:spot], word[spot + 2:]
+        if x[0] == "E" and y[0] == "F":
+            stack.append((head + (y, x) + tail, c))
+            if x[1] == y[1]:
+                stack.append((head + (("K", x[1], 1),) + tail, c * INV_MU))
+                stack.append((head + (("K", x[1], -1),) + tail, -(c * INV_MU)))
+        elif x[0] == "E":
+            stack.append((head + (y, x) + tail, c * RatQ(Q(-y[2] * uq.CARTAN[x[1]][y[1]]))))
+        else:
+            stack.append((head + (y, x) + tail, c * RatQ(Q(-x[2] * uq.CARTAN[x[1]][y[1]]))))
+    terms = {}
+    for fword, k, eword, c in done:
+        for fw, fc in serre_reduce({fword: RatQ.one()}).items():
+            for ew, ec in serre_reduce({eword: RatQ.one()}).items():
+                add_into(terms, (fw, k, ew), c * fc * ec)
+    return UqElement(terms)
+
+
+def test_straighten_matches_the_per_path_reference():
+    symbols = [("F", MU), ("F", BETA), ("E", MU), ("E", BETA), ("K", MU, 1), ("K", MU, -1)]
+    for n in range(1, 5):
+        for word in product(symbols, repeat=n):
+            assert straighten_word(word) == reference_straighten(word), word
 
 
 def test_straighten_distinct_indices_commute():
