@@ -50,13 +50,19 @@ RULES = {
     (4, 1): {(1, 4): LaurentPoly.one(), (2, 3): -_MU},
 }
 
+# RULES as the step hands them to lin.rewrite: a factor 1 becomes None, so
+# a plain swap moves the coefficient without a product.
+_STEPS = {
+    lead: tuple((w, None if f == 1 else f) for w, f in rhs.items()) for lead, rhs in RULES.items()
+}
+
 
 def _step(word):
     """The leftmost inversion of ``word`` rewritten by its rule, or None if there is none."""
     for i in range(len(word) - 1):
         if word[i] > word[i + 1]:
             head, tail = word[:i], word[i + 2:]
-            return [(head + w + tail, f) for w, f in RULES[word[i:i + 2]].items()]
+            return [(head + w + tail, f) for w, f in _STEPS[word[i:i + 2]]]
     return None
 
 

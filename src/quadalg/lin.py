@@ -52,10 +52,12 @@ def rewrite(vec: dict, step) -> dict:
     """The normal form of the combination ``vec`` {word: coefficient}.
 
     ``step(word)`` is None for a normal word, else the pairs (word', factor)
-    of one rewrite: word = sum factor * word'.  Each round rewrites every
-    word once and merges equal results, so the cost follows the distinct
-    words, not the rewrite paths.  The rewriting must terminate; if it is
-    confluent, the result does not depend on the rewrite ``step`` picks.
+    of one rewrite: word = sum factor * word'.  A factor of None stands for
+    1: the coefficient moves to word' as it is, with no product.  Each
+    round rewrites every word once and merges equal results, so the cost
+    follows the distinct words, not the rewrite paths.  The rewriting must
+    terminate; if it is confluent, the result does not depend on the
+    rewrite ``step`` picks.
     """
     out = {}
     while vec:
@@ -66,7 +68,7 @@ def rewrite(vec: dict, step) -> dict:
                 add_into(out, word, c)
                 continue
             for w, f in rhs:
-                add_into(vec, w, c * f)
+                add_into(vec, w, c if f is None else c * f)
     return out
 
 
@@ -75,7 +77,7 @@ class Lin:
 
     Per-class hooks: ``coerce`` converts a coefficient to the scalar type
     and has no default, so every subclass names its own (``as_laurent``,
-    ``as_ratq`` or the Fraction coercion of ``ring``); ``check_key``,
+    ``as_ratq`` or the int-or-Fraction coercion of ``ring``); ``check_key``,
     when set, validates a monomial key; ``_mon`` renders a monomial, with
     the empty string for the unit monomial, and a class whose terms print
     differently overrides ``_term``.  Instances are immutable by

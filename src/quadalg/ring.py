@@ -4,6 +4,14 @@ Everything downstream (normal ordering, operator calculus, ideal
 membership) runs over this ring or over its fraction field, with
 rational coefficients throughout.  No floating point anywhere.
 
+Coefficients are integer-first: an ``int`` when the value is integral,
+a ``Fraction`` only when it is not.  The coercion and every division here
+(``_div``) keep to that, so integral data - the Serre rules, the Dirac and
+wave operators, the dual closed forms - stays on ``int`` arithmetic.  A
+sum or product of two non-integral ``Fraction`` values may stay a
+``Fraction`` with denominator 1; it compares and hashes equal to the
+``int``, so equality, hashing and every printed form are unaffected.
+
 ``LaurentPoly`` is a ``lin.Lin`` over integer exponents.  Each scalar
 type has one coercion, next to it: ``as_laurent`` (int and Fraction
 become constants) and ``as_ratq`` (int, Fraction and LaurentPoly become
@@ -29,12 +37,26 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_coefficient(x):
+    """An exact coefficient: an ``int`` when ``x`` is integral, else a ``Fraction``.
+
+    ``bool`` becomes ``int``; a ``float`` or any other type raises TypeError.
+    """
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError("coefficients must be int or Fraction, got %r" % (x,))
+
+
+def _div(a, b):
+    """The exact quotient of two coefficients: ``a // b`` when that is exact, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        return a // b if not a % b else Fraction(a, b)
+    c = a / b
+    return c.numerator if c.denominator == 1 else c
 
 
 def _coerced(coerce):
@@ -63,7 +85,7 @@ def as_laurent(c) -> LaurentPoly:
 
 
 class LaurentPoly(Lin):
-    """A Laurent polynomial in q with Fraction coefficients.
+    """A Laurent polynomial in q with int or Fraction coefficients.
 
     A ``Lin`` over int exponents: {exponent: coefficient} with no zero
     coefficients, so equality is structural.  ``int`` and ``Fraction``
@@ -71,18 +93,18 @@ class LaurentPoly(Lin):
     """
 
     __slots__ = ()
-    coerce = staticmethod(_as_fraction)
+    coerce = staticmethod(_as_coefficient)
     check_key = int
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._make({0: Fraction(1)})
+        return cls._make({0: 1})
 
     @classmethod
     def q(cls, exp: int = 1) -> "LaurentPoly":
-        return cls._make({int(exp): Fraction(1)})
+        return cls._make({int(exp): 1})
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
@@ -137,8 +159,8 @@ class LaurentPoly(Lin):
         """Bottom exponent; raises on the zero polynomial."""
         return min(self.terms)
 
-    def coeff(self, exp: int) -> Fraction:
-        return self.terms.get(exp, Fraction(0))
+    def coeff(self, exp: int) -> int | Fraction:
+        return self.terms.get(exp, 0)
 
     def is_unit(self) -> bool:
         """True for c*q^k with c != 0."""
@@ -210,7 +232,7 @@ def parse_laurent(text: str) -> LaurentPoly:
             else:
                 k = 0
         else:
-            c = Fraction(1)
+            c = 1
             k = int(m.group("expb")) if m.group("expb") else 1
         total[k] = total.get(k, 0) + sign * c
         pos = m.end()
@@ -258,7 +280,7 @@ def _to_dense(p: LaurentPoly):
     """(shift, [c_0..c_d]) with p = q^shift * sum c_i q^i and c_0 != 0."""
     v = p.valuation
     d = p.degree
-    return v, [p.terms.get(k, Fraction(0)) for k in range(v, d + 1)]
+    return v, [p.terms.get(k, 0) for k in range(v, d + 1)]
 
 
 def _dense_trim(cs):
@@ -269,10 +291,10 @@ def _dense_trim(cs):
 
 def _dense_divmod(num, den):
     num = list(num)
-    out = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    out = [0] * max(0, len(num) - len(den) + 1)
     lead = den[-1]
     for i in range(len(num) - len(den), -1, -1):
-        f = num[i + len(den) - 1] / lead
+        f = _div(num[i + len(den) - 1], lead)
         if f:
             out[i] = f
             for j, c in enumerate(den):
@@ -302,7 +324,7 @@ def _dense_gcd(a, b):
         a, b = b, r
     if a:
         lead = a[-1]
-        a = [c / lead for c in a]
+        a = [_div(c, lead) for c in a]
     return a
 
 
@@ -322,10 +344,10 @@ def cyclotomic(m: int):
     if m < 1:
         raise ValueError("cyclotomic order must be >= 1")
     # x^m - 1 divided by the cyclotomics of all proper divisors
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _dense_divmod(num, [Fraction(c) for c in cyclotomic(d)])
+            num, rem = _dense_divmod(num, cyclotomic(d))
             assert not rem
     return tuple(num)
 
@@ -342,7 +364,7 @@ def vanishes_at_root_of_unity(p: LaurentPoly, m: int) -> bool:
     if not p:
         return True
     _, dense = _to_dense(p)
-    _, rem = _dense_divmod(dense, [Fraction(c) for c in cyclotomic(m)])
+    _, rem = _dense_divmod(dense, cyclotomic(m))
     return not rem
 
 
@@ -377,19 +399,15 @@ class RatQ:
             self.num = num
             self.den = LaurentPoly.one()
             return
-        if den.is_unit():
-            (k, c), = den.terms.items()
-            self.num = num * LaurentPoly._make({-k: 1 / c})
-            self.den = LaurentPoly.one()
-            return
-        g = laurent_gcd(num, den)
-        if g.degree > 0:
-            num = divide_exact(num, g)
-            den = divide_exact(den, g)
+        if not den.is_unit():
+            g = laurent_gcd(num, den)
+            if g.degree > 0:
+                num = divide_exact(num, g)
+                den = divide_exact(den, g)
         vd, dd = _to_dense(den)
         lead = dd[-1]
-        self.den = LaurentPoly._make({i: c / lead for i, c in enumerate(dd) if c})
-        self.num = num * LaurentPoly._make({-vd: 1 / lead})
+        self.den = LaurentPoly._make({i: _div(c, lead) for i, c in enumerate(dd) if c})
+        self.num = LaurentPoly._make({e - vd: _div(v, lead) for e, v in num.terms.items()})
 
     @classmethod
     def zero(cls) -> "RatQ":
@@ -434,7 +452,7 @@ class RatQ:
 
     @_coerced(as_ratq)
     def __mul__(self, other):
-        if self.den.terms == {0: Fraction(1)} and other.den.terms == {0: Fraction(1)}:
+        if self.den.terms == {0: 1} and other.den.terms == {0: 1}:
             out = object.__new__(RatQ)
             out.num = self.num * other.num
             out.den = self.den

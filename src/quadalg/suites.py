@@ -20,6 +20,16 @@ from .uq import MU, NU, UqElement
 
 _Q = LaurentPoly.q
 
+# A failing witness such as str(lhs - rhs) grows with the degree; beyond
+# this many characters the report keeps its head and the full length.
+WITNESS_LIMIT = 400
+
+
+def _capped(witness):
+    if witness is None or len(witness) <= WITNESS_LIMIT:
+        return witness
+    return "%s ... [%d characters in all]" % (witness[:WITNESS_LIMIT], len(witness))
+
 
 @dataclass
 class Check:
@@ -41,7 +51,8 @@ class Report:
         return bool(self.checks) and all(c.ok for c in self.checks)
 
     def add(self, name, ok, witness=None):
-        self.checks.append(Check(name, bool(ok), witness if not ok else None))
+        """Record a check; a failing one keeps its witness, capped at ``WITNESS_LIMIT``."""
+        self.checks.append(Check(name, bool(ok), _capped(witness) if not ok else None))
 
     def to_dict(self) -> dict:
         return {

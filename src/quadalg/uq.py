@@ -253,13 +253,13 @@ def _straighten_step(word):
     swapped = head + (y, x) + tail
     if "K" in (x[0], y[0]):
         # E_i K_j^e = q^(-e (a_i, a_j)) K_j^e E_i  and  K_i^e F_j = q^(-e (a_i, a_j)) F_j K_i^e
-        e = x[2] if x[0] == "K" else y[2]
-        return [(swapped, RatQ(_Q(-e * CARTAN[x[1]][y[1]])))]
+        k = -(x[2] if x[0] == "K" else y[2]) * CARTAN[x[1]][y[1]]
+        return [(swapped, RatQ(_Q(k)) if k else None)]
     if x[1] != y[1]:
-        return [(swapped, RatQ.one())]
+        return [(swapped, None)]
     # E_i F_i - F_i E_i = (K_i - K_i^-1)/(q - q^-1)
     i = x[1]
-    return [(swapped, RatQ.one()), (head + (("K", i, 1),) + tail, _INV_MU),
+    return [(swapped, None), (head + (("K", i, 1),) + tail, _INV_MU),
             (head + (("K", i, -1),) + tail, -_INV_MU)]
 
 

@@ -108,6 +108,13 @@ def test_rules_agree_with_the_relations():
         assert rule == rhs, lead
 
 
+def test_plain_swaps_reach_rewrite_with_a_unit_factor():
+    # a factor None makes lin.rewrite move the coefficient without a product
+    assert aq._step((1, 3, 2)) == [((1, 2, 3), None)]
+    assert aq._step((4, 1)) == [((1, 4), None), ((2, 3), -MU)]
+    assert aq._step((2, 1)) == [((1, 2), Q(-1))]
+
+
 def test_reduce_word_merges_equal_words(monkeypatch):
     calls = []
 

@@ -69,7 +69,7 @@ def test_laurent_poly_linear_structure():
     assert x * y == y * x and hash(x * y) == hash(y * x)
     assert hash(x * (y + 1)) == hash(x * y + x)
     for z in (x + y, x - y, -x, x * y, x.scale(3)):
-        assert z.terms and all(type(c) is Fraction and c for c in z.terms.values())
+        assert z.terms and all(type(c) in (int, Fraction) and c for c in z.terms.values())
 
 
 def _subclasses(cls):
@@ -149,6 +149,15 @@ def test_rewrite_merges_words_reached_along_different_paths():
     assert rewrite({"xa": Fraction(1, 2)}, step) == {"wa": Fraction(7, 2)}
     # "wa" comes from "ya" and from "za" in the same round and is looked at once
     assert sorted(calls) == ["wa", "xa", "ya", "za"]
+
+
+def test_rewrite_moves_the_coefficient_on_a_unit_factor():
+    step, calls = _spied({"x": [("y", None), ("z", 2)], "y": [("w", None)]})
+    c = RatQ(Q(1), Q(1) + 1)
+    out = rewrite({"xa": c}, step)
+    assert out == {"wa": c, "za": c * 2}
+    # a factor None forms no product: the coefficient object itself arrives
+    assert out["wa"] is c
 
 
 def test_rewrite_drops_cancelling_terms():

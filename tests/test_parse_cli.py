@@ -371,6 +371,31 @@ def test_report_without_checks_is_not_ok():
     assert report.ok
 
 
+def test_long_failing_witness_is_capped_with_its_length(monkeypatch):
+    from quadalg import aq
+    from quadalg.suites import WITNESS_LIMIT, Report, run_suite
+
+    long = "q^2 - " * 1000
+    report = Report("long", {})
+    report.add("long", False, long)
+    report.add("at the limit", False, long[:WITNESS_LIMIT])
+    report.add("first failure", False, "first failure at ((0, 0, 1, 0), 1)")
+    report.add("pass", True, long)
+    assert [c.witness for c in report.checks] == [
+        long[:WITNESS_LIMIT] + " ... [6000 characters in all]",
+        long[:WITNESS_LIMIT],
+        "first failure at ((0, 0, 1, 0), 1)",
+        None,
+    ]
+    # a suite whose relation check fails with a difference that grows with degree
+    w = aq.AqElement.generator
+    big = (w(1) + w(2) + w(3) + w(4)) ** 6
+    monkeypatch.setattr(aq, "relation_pairs", lambda: [(big, aq.AqElement.zero())])
+    check = run_suite("aq-relations").checks[0]
+    assert not check.ok and len(str(big)) > WITNESS_LIMIT
+    assert check.witness == "%s ... [%d characters in all]" % (str(big)[:WITNESS_LIMIT], len(str(big)))
+
+
 @pytest.mark.parametrize("suite,degree", [
     ("dual-closed-forms", 9), ("dirac-intertwine", 7), ("box", 10), ("dirac-factorization", 7),
 ])

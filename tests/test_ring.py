@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -294,3 +296,123 @@ def test_ratq_without_denominator_keeps_the_numerator():
     assert RatQ(p).num is p and RatQ(p).den == ONE
     assert RatQ(Fraction(2, 3)).num == LaurentPoly.const(Fraction(2, 3))
     assert as_ratq(p) == RatQ(p, ONE) and as_ratq(RatQ(p)) == RatQ(p)
+
+
+# ------------------------------------------------ pinned scalar output
+
+
+def _corpus_poly(rng, integral):
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            c = rng.randint(-5, 5) if integral else Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            terms[rng.randint(-3, 3)] = c
+        p = LaurentPoly(terms)
+        if p:
+            return p
+
+
+def _corpus_den(rng):
+    """A non-unit denominator, non-monic half of the time, like 2q + 1 or 3q^2 - 1."""
+    lead = rng.choice((1, 2, 3, -2, Fraction(1, 2), Fraction(-3, 4)))
+    return LaurentPoly({rng.randint(1, 3): lead, 0: rng.choice((1, -1, 2, 3))}) * Q(rng.randint(-2, 2))
+
+
+def scalar_corpus():
+    """The results of 3,000 seeded LaurentPoly/RatQ operations, in order.
+
+    Operands are integral half of the time.  The operations cycle through
+    + - * neg pow, divide_exact (exact and not), laurent_gcd of polynomials
+    with a common factor, RatQ construction over non-unit, non-monic
+    denominators, and RatQ + * /.
+    """
+    rng = random.Random(20261018)
+    kinds = ("+", "-", "*", "neg", "pow", "divide_exact", "laurent_gcd",
+             "RatQ", "RatQ +", "RatQ *", "RatQ /")
+    for i in range(3000):
+        kind = kinds[i % len(kinds)]
+        a = _corpus_poly(rng, rng.random() < 0.5)
+        b = _corpus_poly(rng, rng.random() < 0.5)
+        if kind == "+":
+            yield a + b
+        elif kind == "-":
+            yield a - b
+        elif kind == "*":
+            yield a * b
+        elif kind == "neg":
+            yield -a
+        elif kind == "pow":
+            yield a ** rng.randint(0, 3)
+        elif kind == "divide_exact":
+            if rng.random() < 0.8:
+                yield divide_exact(a * b, b)
+            else:
+                try:
+                    yield divide_exact(a + Q(5), _corpus_den(rng))
+                except ExactDivisionError:
+                    yield "inexact"
+        elif kind == "laurent_gcd":
+            g = _corpus_poly(rng, rng.random() < 0.5)
+            yield laurent_gcd(a * g, b * g)
+        elif kind == "RatQ":
+            g = _corpus_den(rng) if rng.random() < 0.5 else ONE
+            yield RatQ(a * g, _corpus_den(rng) * g)
+        else:
+            x = RatQ(a, _corpus_den(rng))
+            y = RatQ(b, _corpus_den(rng) if rng.random() < 0.5 else ONE)
+            yield x + y if kind == "RatQ +" else x * y if kind == "RatQ *" else x / y
+
+
+def scalar_corpus_digest():
+    h = hashlib.sha256()
+    for x in scalar_corpus():
+        if isinstance(x, RatQ):
+            x = "%s %s %s" % (x, json.dumps(x.num.to_json()), json.dumps(x.den.to_json()))
+        elif isinstance(x, LaurentPoly):
+            x = "%s %s" % (x, json.dumps(x.to_json()))
+        h.update(x.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_scalar_corpus_output_is_pinned():
+    # taken with Fraction coefficients throughout, before the integer-first representation
+    assert scalar_corpus_digest() == (
+        "ebb4116531b0f3c8f46806861db6331cb061ea6b241fe0c8950e246d55bdf095"
+    )
+
+
+# --------------------------------------------- the coefficient invariant
+
+
+def _exact_coefficients(*polys):
+    """Every coefficient is an int or a Fraction, never a float or a bool,
+    and an integral value is an int."""
+    for p in polys:
+        for c in p.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (p, c)
+    return True
+
+
+def test_coefficients_are_int_or_non_integral_fraction():
+    assert LaurentPoly({0: True}).terms == {0: 1} and _exact_coefficients(LaurentPoly({0: True}))
+    two = LaurentPoly({0: Fraction(4, 2)})
+    assert type(two.terms[0]) is int and two.terms[0] == 2
+    mu = Q(1) - Q(-1)
+    assert _exact_coefficients(
+        ONE, Q(3), LaurentPoly.const(Fraction(1, 2)), q_int(4), (Q(1) * 2 - Q(-1)) ** 3,
+        divide_exact(Q(2) - Q(-2), mu),
+        divide_exact((Q(1) * 2 + 1) * (Q(2) * 3 - 1), Q(1) * 2 + 1),
+        divide_exact(LaurentPoly({1: Fraction(1, 2), 0: Fraction(3, 4)}), Q(1) * 2 + 3),
+        laurent_gcd((Q(1) * 2 + 1) * mu, (Q(1) * 2 + 1) * (Q(1) + 3)),
+        laurent_gcd(Q(2) * 3 - 3, Q(1) * 6 - 6),
+        parse_laurent("4/2*q^2 - 3/4 + q^-1"),
+        LaurentPoly.from_json([{"exp": 1, "num": "6", "den": "3"}, {"exp": 0, "num": "1", "den": "2"}]),
+    )
+    assert LaurentPoly.from_json([{"exp": 1, "num": "6", "den": "3"}]).terms == {1: 2}
+    for den in (Q(1) * 2 + 1, Q(2) * 3 - 1, Q(1) * Fraction(1, 2) - 2, Q(3) * -2):
+        for num in (ONE, Q(2) * 4 - Q(-1) * 6, LaurentPoly.const(Fraction(3, 2)) + Q(1), den * (Q(1) - 5)):
+            x = RatQ(num, den)
+            assert _exact_coefficients(x.num, x.den), (num, den)
+            y = RatQ(Q(1) + 2, Q(2) * 3 - 1)
+            for z in (x + y, x * y, x / y, y / x, x - y):
+                assert _exact_coefficients(z.num, z.den), (x, y, z)

@@ -174,6 +174,13 @@ def test_component_digest_through_degree_7_is_pinned():
     )
 
 
+def test_component_digest_through_degree_8_is_pinned():
+    # taken with Fraction coefficients, before the integer-first representation
+    assert component_digest(8) == (
+        "4dbfdd0c90747cd5b1198f47b8e502f68d1caf279e4a10d457e7595a7539102e"
+    )
+
+
 def test_components_hold_one_row_per_non_basis_word():
     for content in contents_up_to(6):
         comp = component(content)
@@ -336,6 +343,15 @@ def test_straighten_matches_the_per_path_reference():
 
 def test_straighten_distinct_indices_commute():
     assert straighten([("E", MU), ("F", BETA)]) == Fb * Em
+
+
+def test_plain_swaps_reach_rewrite_with_a_unit_factor():
+    # E_i F_j (i != j) and E_i K_j or K_j F_i with (a_i, a_j) = 0 commute with the factor None
+    em, fb, kn = ("E", MU), ("F", BETA), ("K", NU, 2)
+    assert uq._straighten_step((em, fb)) == [((fb, em), None)]
+    assert uq._straighten_step((em, kn)) == [((kn, em), None)]
+    assert uq._straighten_step((("K", MU, 1), fb)) == [((fb, ("K", MU, 1)), RatQ(Q(1)))]
+    assert uq._straighten_step((em, ("F", MU)))[0] == ((("F", MU), em), None)
 
 
 def test_k_past_f():
