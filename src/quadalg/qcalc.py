@@ -17,12 +17,22 @@ equality.  A canonical form fixes this: on each axis a term never carries
 both a z-power and a [d]-power (min(alpha_i, gamma_i) = 0).  Writing
 t_i = q^(-n_i) for the action on z^n, an operator decomposes by shift
 vector alpha - gamma with a Laurent-polynomial "symbol" in t; canonical
-terms are in bijection with (shift, symbol) pairs, so equality of
-canonical term maps is equality of operators.  Composition is computed
-on symbols and re-expanded.
+terms are in bijection with (shift, symbol) pairs.  So canonical terms are
+linearly independent: equality of canonical term maps is equality of
+operators, and any terminating rewrite by true identities reaches the
+same canonical term map.
 
-Coefficients live in the fraction field Q(q): re-expansion can introduce
-denominators of q - q^-1 even for integer inputs (see the identity
+Products are brought to canonical form by ``lin.rewrite``, one axis at a
+time, on words of triples (a, e, g), each standing for z^a K^e [d]^g and
+multiplied left to right.  The relations above become three rules:
+
+    z K^e [d] = q^e (K^(e-1) - K^(e+1)) / (q - q^-1)   inside a triple;
+    K^e z^a = q^(-e a) z^a K^e  and  [d]^g K^e = q^(-e g) K^e [d]^g
+        merge two leading triples unless a [d] meets a z between them;
+    [d] z = q z [d] + K  where it does.
+
+Coefficients live in the fraction field Q(q): the canonical form can
+introduce denominators of q - q^-1 even for integer inputs (see the identity
 above).  All displayed operators of interest have plain Laurent
 coefficients, and ``apply_divided`` acts with them on functionals in
 the divided basis z^beta / [beta]_q! without leaving Z[q, q^-1].
@@ -32,11 +42,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lin import Lin, add_into
+from .lin import Lin, add_into, rewrite
 from .ring import LaurentPoly, RatQ, as_ratq, mi_check, q_int
 
 _Q = LaurentPoly.q
-_MU = RatQ(_Q(1) - _Q(-1))  # q - q^-1
+_INV_MU = RatQ(1, _Q(1) - _Q(-1))  # 1/(q - q^-1)
 ZERO4 = (0, 0, 0, 0)
 
 
@@ -87,91 +97,6 @@ class Poly4Vec2:
         return "(%s, %s)" % (self.p1, self.p2)
 
 
-# --------------------------------------------- symbol-level machinery
-
-# A symbol is dict[shift 4-tuple] -> dict[t-exponent 4-tuple] -> RatQ.
-
-
-@lru_cache(maxsize=None)
-def _axis_factor(g: int):
-    """Symbol of [d]^g on one axis: prod_{j<g} (q^-j t^-1 - q^j t)/(q - q^-1), as {exp: RatQ}."""
-    if g == 0:
-        return ((0, RatQ.one()),)
-    prev = dict(_axis_factor(g - 1))
-    j = g - 1
-    lo = RatQ(_Q(-j)) / _MU
-    hi = -RatQ(_Q(j)) / _MU
-    out = {}
-    for e, c in prev.items():
-        add_into(out, e - 1, c * lo)
-        add_into(out, e + 1, c * hi)
-    return tuple(sorted(out.items()))
-
-
-def _tpoly_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-            add_into(out, e, c1 * c2)
-    return out
-
-
-def _tpoly_shift_arg(tp, s):
-    """Substitute t_i -> t_i * q^(-s_i), i.e. scale each t^e term by q^(-s.e)."""
-    out = {}
-    for e, c in tp.items():
-        k = s[0] * e[0] + s[1] * e[1] + s[2] * e[2] + s[3] * e[3]
-        out[e] = c * RatQ(_Q(-k)) if k else c
-    return out
-
-
-def _term_symbol(alpha, delta, gamma, coeff):
-    """Symbol of coeff * z^alpha K^delta [d]^gamma (shift is alpha - gamma)."""
-    k = sum(g * d for g, d in zip(gamma, delta))
-    tp = {tuple(delta): coeff * RatQ(_Q(k)) if k else coeff}
-    for i in range(4):
-        if gamma[i]:
-            fac = {}
-            for e, c in _axis_factor(gamma[i]):
-                exp = [0, 0, 0, 0]
-                exp[i] = e
-                fac[tuple(exp)] = c
-            tp = _tpoly_mul(tp, fac)
-    return tp
-
-
-def _divide_axis(tp, i, g):
-    """Exact division of a t-polynomial by the axis-i factor of [d]^g."""
-    if g == 0 or not tp:
-        return dict(tp)
-    div = dict(_axis_factor(g))
-    hi = g
-    lead = div[hi]
-    # split into fibers over the other axes
-    fibers = {}
-    for e, c in tp.items():
-        rest = e[:i] + e[i + 1 :]
-        fibers.setdefault(rest, {})[e[i]] = c
-    out = {}
-    for rest, fib in fibers.items():
-        vmin = min(fib) - (-g)  # valuation bound for an exact quotient
-        quot = {}
-        while fib:
-            emax = max(fib)
-            fexp = emax - hi
-            if fexp < vmin:
-                raise ArithmeticError("non-exact symbol division (invalid operator data)")
-            f = fib[emax] / lead
-            quot[fexp] = f
-            for de, dc in div.items():
-                add_into(fib, fexp + de, -(f * dc))
-        for e_i, c in quot.items():
-            e = rest[:i] + (e_i,) + rest[i:]
-            out[e] = c
-    return out
-
-
 # ------------------------------------------------- action factors
 
 
@@ -215,8 +140,10 @@ class QOperator(Lin):
 
     def __init__(self, terms=None):
         super().__init__(terms)
-        if self.terms:
-            self.terms = _from_symbol(_to_symbol(self.terms))
+        out = {}
+        for key, c in self.terms.items():
+            _canonical_into(out, c, (key,))
+        self.terms = out
 
     # -- constructors --------------------------------------------------
 
@@ -295,77 +222,90 @@ class QOperator(Lin):
         return "*".join(factors)
 
 
-def _to_symbol(terms):
-    sym = {}
-    for (alpha, delta, gamma), c in terms.items():
-        if not c:
-            continue
-        shift = tuple(a - g for a, g in zip(alpha, gamma))
-        acc = sym.setdefault(shift, {})
-        for e, tc in _term_symbol(alpha, delta, gamma, c).items():
-            add_into(acc, e, tc)
-    return {s: tp for s, tp in sym.items() if tp}
+# ------------------------------------------------ canonical form
 
 
-def _from_symbol(sym):
-    terms = {}
-    for shift, tp in sym.items():
-        alpha = tuple(max(s, 0) for s in shift)
-        gamma = tuple(max(-s, 0) for s in shift)
-        r = dict(tp)
-        for i in range(4):
-            r = _divide_axis(r, i, gamma[i])
-        for delta, c in r.items():
-            k = sum(g * d for g, d in zip(gamma, delta))
-            if k:
-                c = c * RatQ(_Q(-k))
-            if c:
-                terms[(alpha, delta, gamma)] = c
-    return terms
+def _axis_step(word):
+    """One rewrite of a word of (a, e, g) triples on one axis, or None if it is canonical.
+
+    Each rule lowers, in lexicographic order, the count of [d]-before-z
+    pairs, then the count of z and [d] letters, then the count of triples,
+    so the rewriting terminates.
+    """
+    for i, (a, e, g) in enumerate(word):
+        if a and g:
+            # z K^e [d] = q^e (K^(e-1) - K^(e+1)) / (q - q^-1)
+            head, tail = word[:i], word[i + 1:]
+            f = _INV_MU * _Q(e)
+            return [(head + ((a - 1, e - 1, g - 1),) + tail, f),
+                    (head + ((a - 1, e + 1, g - 1),) + tail, -f)]
+    if len(word) < 2:
+        return None
+    (a1, e1, g1), (a2, e2, g2), rest = word[0], word[1], word[2:]
+    if not g1 or not a2:
+        # K^e z^a = q^(-e a) z^a K^e  and  [d]^g K^e = q^(-e g) K^e [d]^g
+        k = e1 * a2 + e2 * g1
+        return [(((a1 + a2, e1 + e2, g1 + g2),) + rest, RatQ(_Q(-k)) if k else None)]
+    # [d] z = q z [d] + K, with q z [d] as the triple (1, 0, 1)
+    left, right = (a1, e1, g1 - 1), (a2 - 1, e2, g2)
+    return [((left, (1, 0, 1), right) + rest, RatQ(_Q(1))),
+            ((left, (0, 1, 0), right) + rest, None)]
+
+
+@lru_cache(maxsize=None)
+def _axis_normal(word):
+    """The canonical form of one axis's word: pairs ((a, e, g), factor), None for a factor 1."""
+    return tuple((w[0], None if c == 1 else c) for w, c in rewrite({word: 1}, _axis_step).items())
+
+
+def _canonical_into(out, c, keys):
+    """Add c times the product of the terms ``keys`` (left to right) to ``out``, canonically."""
+    parts = [((), (), (), c)]
+    for i in range(4):
+        nf = _axis_normal(tuple((k[0][i], k[1][i], k[2][i]) for k in keys))
+        parts = [
+            (al + (a,), de + (e,), ga + (g,), pc if f is None else pc * f)
+            for al, de, ga, pc in parts
+            for (a, e, g), f in nf
+        ]
+    for alpha, delta, gamma, pc in parts:
+        add_into(out, (alpha, delta, gamma), pc)
 
 
 def compose(a: QOperator, b: QOperator) -> QOperator:
     """The composition a o b (b acts first), in canonical normal form."""
-    sa = _to_symbol(a.terms)
-    sb = _to_symbol(b.terms)
-    sym = {}
-    for s2, c2 in sb.items():
-        for s1, c1 in sa.items():
-            shift = tuple(x + y for x, y in zip(s1, s2))
-            acc = sym.setdefault(shift, {})
-            for e, c in _tpoly_mul(c2, _tpoly_shift_arg(c1, s2)).items():
-                add_into(acc, e, c)
-    sym = {s: tp for s, tp in sym.items() if tp}
-    return QOperator._make(_from_symbol(sym))
+    out = {}
+    for kb, cb in b.terms.items():
+        for ka, ca in a.terms.items():
+            _canonical_into(out, ca * cb, (ka, kb))
+    return QOperator._make(out)
 
 
 # ------------------------------------------------- generator operators
 
 
-def qdiff(i: int) -> QOperator:
-    """The symmetric q-derivative along axis i: z_i^n -> [n]_q z_i^(n-1)."""
+def _axis(i: int, power: int):
+    """The 4-tuple with ``power`` at axis i (1..4) and 0 elsewhere."""
     if i not in (1, 2, 3, 4):
         raise ValueError("axis must be 1..4, got %r" % (i,))
     e = [0, 0, 0, 0]
-    e[i - 1] = 1
-    return QOperator._make({(ZERO4, ZERO4, tuple(e)): RatQ.one()})
+    e[i - 1] = power
+    return tuple(e)
+
+
+def qdiff(i: int) -> QOperator:
+    """The symmetric q-derivative along axis i: z_i^n -> [n]_q z_i^(n-1)."""
+    return QOperator._make({(ZERO4, ZERO4, _axis(i, 1)): RatQ.one()})
 
 
 def scaling(i: int, power: int = 1) -> QOperator:
     """The scaling operator K_i^power: z^alpha -> q^(-power*alpha_i) z^alpha."""
-    if i not in (1, 2, 3, 4):
-        raise ValueError("axis must be 1..4, got %r" % (i,))
-    e = [0, 0, 0, 0]
-    e[i - 1] = power
-    return QOperator._make({(ZERO4, tuple(e), ZERO4): RatQ.one()})
+    return QOperator._make({(ZERO4, _axis(i, power), ZERO4): RatQ.one()})
 
 
 def mul_z(i: int, power: int = 1) -> QOperator:
     """Multiplication by z_i^power."""
-    if i not in (1, 2, 3, 4):
-        raise ValueError("axis must be 1..4, got %r" % (i,))
+    e = _axis(i, power)
     if power < 0:
         raise ValueError("z powers must be non-negative")
-    e = [0, 0, 0, 0]
-    e[i - 1] = power
-    return QOperator._make({(tuple(e), ZERO4, ZERO4): RatQ.one()})
+    return QOperator._make({(e, ZERO4, ZERO4): RatQ.one()})

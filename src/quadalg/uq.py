@@ -173,20 +173,20 @@ class _Component(_Echelon):
         for w in words_of_content(content):
             tail_row = tails[w[0]].pivots.get(w[1:]) if w else None
             if tail_row is not None:
-                # w = w[0] NF(w[1:]), and NF(w[1:]) = w[1:] - tail_row
-                rhs = [(w[:1] + u, -c) for u, c in tail_row.items() if u != w[1:]]
+                # NF(w) = NF(w[0] (w[1:] - tail_row)) = -sum c NF(x) over rhs
+                rhs, negated = [(w[:1] + u, c) for u, c in tail_row.items() if u != w[1:]], True
             else:
                 lead = next((w[:n] for n in _LEAD_LENGTHS if w[:n] in RULES), None)
                 if lead is None:
                     basis.append(w)
                     continue
-                rhs = [(u + w[len(lead):], c) for u, c in RULES[lead].items()]
-            row = {w: _ONE}  # w - sum c NF(x), with NF(x) = x - rows[x]
+                rhs, negated = [(u + w[len(lead):], c) for u, c in RULES[lead].items()], False
+            row = {w: _ONE}  # w - NF(w), with NF(x) = x - rows[x]
             for x, c in rhs:
                 if x in rows:
-                    add_scaled(row, rows[x], c, skip=x)
+                    add_scaled(row, rows[x], -c if negated else c, skip=x)
                 else:
-                    add_into(row, x, -c)
+                    add_into(row, x, c if negated else -c)
             rows[w] = row
         self.basis = tuple(basis)
 

@@ -408,11 +408,14 @@ def test_cli_verify_oracles_above_their_default_bounds(suite, degree):
 
 
 # sha256 of the --json output of the per-path stack rewriters, which
-# took 21.9 s and 1.7 s for these two requests
+# took 21.9 s and 1.7 s for the first two requests, and of the operator
+# symbol calculus, which took 2.8 s for the third
 @pytest.mark.parametrize("argv,digest", [
     (("mul", "w4^7", "w1^7"), "7220547346bcecb29c9720f4a87d3397eacccde8961394ae97d76070541cb5c3"),
     (("normalize", "Em^4*Fm^4"), "ec811e195061bcf2ce670b6f7b01b2d42c93aa2181b9813e73b70b359070f248"),
-], ids=["mul", "normalize"])
+    (("normalize", "d_1^4*z_1^4*d_1^3*z_2^3*d_2^4*K_3*d_3^3*z_3^4"),
+     "ffcf091b00a06c5305d37657d95f3b2cc421bd3a409d179fba0bb9d24555667b"),
+], ids=["mul", "normalize", "normalize-operator"])
 def test_cli_deep_products_are_pinned(argv, digest):
     code, out = run_cli(*argv, "--json")
     assert code == 0

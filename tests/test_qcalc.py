@@ -1,9 +1,10 @@
+import hashlib
 import random
 from itertools import product
 
 import pytest
 
-from quadalg.qcalc import Poly4, QOperator, compose, mul_z, qdiff, scaling
+from quadalg.qcalc import Poly4, QOperator, _axis_step, compose, mul_z, qdiff, scaling
 from quadalg.ring import LaurentPoly, RatQ, divide_exact, indices_up_to, q_int
 
 Q = LaurentPoly.q
@@ -68,13 +69,87 @@ def test_compose_identity_and_cross_axes():
 
 def test_apply_compose_consistency():
     rng = random.Random(6)
-    ops = [qdiff(1), scaling(2), mul_z(4), qdiff(4), scaling(3, -1), mul_z(1)]
+    ops = [qdiff(1), scaling(2), mul_z(4), qdiff(4), scaling(3, -1), mul_z(1),
+           scaling(2, -2), mul_z(3, 2), compose(mul_z(1), qdiff(1)),
+           compose(qdiff(4), compose(scaling(4, -1), mul_z(4, 2)))]
     for _ in range(40):
         a, b = rng.choice(ops), rng.choice(ops)
         ab = compose(a, b)
         for beta in indices_up_to(3):
             p = mono(beta)
             assert ab.apply(p) == a.apply(b.apply(p))
+
+
+def _at(axis, n):
+    return tuple(n if j == axis else 0 for j in range(4))
+
+
+def _word_action(axis, word, p):
+    """Act with the raw terms z^a K^e [d]^g of ``word`` on ``p``, the rightmost first."""
+    for a, e, g in reversed(word):
+        p = QOperator._make({(_at(axis, a), _at(axis, e), _at(axis, g)): RatQ.one()}).apply(p)
+    return p
+
+
+def test_axis_rules_are_operator_identities():
+    # every rewrite of the one-axis step, checked pointwise by raw terms
+    # applied one after another, with no composition and no canonical form
+    cases = {  # rule -> (its number of results, words it rewrites first)
+        "collapse": (2, lambda e: [((1, e, 1),), ((2, e, 1),), ((1, e, 2), (0, 1, 1))]),
+        "K z": (1, lambda e: [((1, e, 0), (1, -1, 0)), ((0, e, 0), (2, 1, 0), (0, 0, 1))]),
+        "[d] K": (1, lambda e: [((0, 1, 2), (0, e, 1)), ((0, -1, 1), (0, e, 0), (1, 0, 0))]),
+        "[d] z": (2, lambda e: [((0, e, 1), (1, 0, 0)), ((0, 1, 2), (2, e, 0), (0, 1, 1))]),
+    }
+    for axis in range(4):
+        other = (axis + 1) % 4
+        monos = [mono(tuple(x + y for x, y in zip(_at(axis, n), _at(other, m))))
+                 for n in range(7) for m in range(2) if n + m <= 6]
+        for e in range(-2, 3):
+            for rule, (size, words) in cases.items():
+                for word in words(e):
+                    rhs = _axis_step(word)
+                    assert len(rhs) == size, (rule, word)
+                    for p in monos:
+                        want = Poly4.zero()
+                        for w, f in rhs:
+                            got = _word_action(axis, w, p)
+                            want = want + (got if f is None else got.scale(f))
+                        assert _word_action(axis, word, p) == want, (rule, axis, word, p)
+
+
+def _compose_corpus():
+    """str of compositions of random composites over all four axes, the
+    closed forms pairwise and D+ then D-."""
+    from quadalg.dirac import dirac_minus, dirac_plus
+    from quadalg.transform import right_dual_closed
+
+    rng = random.Random(10)
+    gens = (
+        [qdiff(i) for i in (1, 2, 3, 4)]
+        + [scaling(i, k) for i, k in product((1, 2, 3, 4), (-2, -1, 1, 2))]
+        + [mul_z(i, p) for i, p in product((1, 2, 3, 4), (1, 2))]
+    )
+
+    def composite():
+        op = rng.choice(gens)
+        for g in rng.choices(gens, k=rng.randint(0, 2)):
+            op = compose(op, g)
+        return op.scale(rng.choice((1, -1, Q(1), Q(-1) - Q(1))))
+
+    closed = [right_dual_closed(w) for w in (1, 2, 3, 4, "box")]
+    pairs = [(composite() + composite(), composite()) for _ in range(470)]
+    pairs += list(product(closed, repeat=2))
+    out = [str(compose(a, b)) for a, b in pairs]
+    out.append(str(dirac_plus().then(dirac_minus())))
+    return out
+
+
+def test_compose_corpus_is_pinned():
+    # digest taken with the symbol calculus that the rewriting replaced
+    out = _compose_corpus()
+    assert len(out) == 496
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert digest == "f7760f5c8064155cc238f97446cf3d2d4e7efbc3e6ee3b22c2d0e23e2ad396ee"
 
 
 def test_compose_associative():
