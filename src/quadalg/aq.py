@@ -6,71 +6,66 @@ Defining relations, oriented toward the normal order w1 < w2 < w3 < w4:
     w2 w4 = q w4 w2        w2 w3 = w3 w2
     w1 w4 - w4 w1 = (q - q^-1) w2 w3
 
-Elements are stored on the ordered monomial basis w1^a w2^b w3^c w4^d.
-Normal ordering is ``lin.rewrite`` with the rules ``RULES``.  Each rule
-lowers the lexicographic order of words of a fixed length, so rewriting
-terminates; its four overlaps resolve (the test suite checks them), so
-the normal form does not depend on the order of rewriting.
+Elements are stored on the ordered monomial basis w1^a w2^b w3^c w4^d,
+and products are closed formulas, not rewriting runs.  The algebra is the
+quantum matrix algebra O_q(M_2) with a, b, c, d = w1..w4 (Klimyk &
+Schmuedgen, *Quantum Groups and Their Representations*, 1997), so
+
+    w4^m w1^n = sum_k (-1)^k (q - q^-1)^k [m k]_q [n k]_q [k]_q!
+                      q^(k(k+1)/2 + k^2 - k(m+n)) w1^(n-k) w2^k w3^k w4^(m-k)
+
+and every other reordering is a q-power: w2 and w3 pass w1 at q^-1 each,
+and w4 passes w2 and w3 at q^-1 each.  The tests check the formula
+against a rewriting engine built from the relations.
 """
 
 from __future__ import annotations
 
-from .lin import Lin, add_into, rewrite
-from .ring import LaurentPoly, as_laurent, mi_check
+from functools import lru_cache
+
+from .lin import Lin, add_into
+from .ring import LaurentPoly, as_laurent, divide_exact, mi_check, q_factorial_int as _fact
 
 _Q = LaurentPoly.q
 _MU = _Q(1) - _Q(-1)  # q - q^-1
 
 GENERATORS = (1, 2, 3, 4)
+_ZERO = (0, 0, 0, 0)
+_UNITS = {i: {tuple(int(j == i) for j in GENERATORS): LaurentPoly.one()} for i in GENERATORS}
 
 
-def _word_of(gamma):
-    word = []
-    for i, n in enumerate(gamma):
-        word.extend([i + 1] * n)
-    return tuple(word)
+@lru_cache(maxsize=None)
+def _d_past_a(m, n):
+    """The coefficients of w1^(n-k) w2^k w3^k w4^(m-k) in w4^m w1^n, for k = 0..min(m, n)."""
+    return tuple(
+        # [m k]_q [n k]_q [k]_q! = [m]_q! [n]_q! / ([m-k]_q! [n-k]_q! [k]_q!)
+        divide_exact(_fact(m) * _fact(n), _fact(m - k) * _fact(n - k) * _fact(k))
+        * (-_MU) ** k * _Q(k * (k + 1) // 2 + k * k - k * (m + n))
+        for k in range(min(m, n) + 1)
+    )
 
 
-def _exponents_of(word):
-    g = [0, 0, 0, 0]
-    for letter in word:
-        g[letter - 1] += 1
-    return tuple(g)
+def _product(left, right):
+    """The product of two combinations {multi-index: coeff} of PBW monomials."""
+    out = {}
+    for (a1, b1, c1, d1), x in left.items():
+        for (a2, b2, c2, d2), y in right.items():
+            xy = x * y
+            for k, t in enumerate(_d_past_a(d1, a2)):
+                # w1^(a2-k) passes w2^b1 w3^c1, and w2^b2 w3^c2 pass w4^(d1-k)
+                e = (k - a2) * (b1 + c1) + (k - d1) * (b2 + c2)
+                c = LaurentPoly._make({p + e: v for p, v in xy.terms.items()}) if e else xy
+                add_into(out, (a1 + a2 - k, b1 + b2 + k, c1 + c2 + k, d1 + d2 - k),
+                         c * t if k else c)
+    return out
 
 
-# The relations as rewriting rules, leading pair -> {word: factor}: the
-# leading pair equals the sum of factor * word.  They are not derived from
-# relation_pairs(), the specification the tests check them by.
-RULES = {
-    (2, 1): {(1, 2): _Q(-1)},
-    (3, 1): {(1, 3): _Q(-1)},
-    (4, 2): {(2, 4): _Q(-1)},
-    (4, 3): {(3, 4): _Q(-1)},
-    (3, 2): {(2, 3): LaurentPoly.one()},
-    (4, 1): {(1, 4): LaurentPoly.one(), (2, 3): -_MU},
-}
-
-# RULES as the step hands them to lin.rewrite: a factor 1 becomes None, so
-# a plain swap moves the coefficient without a product.
-_STEPS = {
-    lead: tuple((w, None if f == 1 else f) for w, f in rhs.items()) for lead, rhs in RULES.items()
-}
-
-
-def _step(word):
-    """The leftmost inversion of ``word`` rewritten by its rule, or None if there is none."""
-    for i in range(len(word) - 1):
-        if word[i] > word[i + 1]:
-            head, tail = word[:i], word[i + 2:]
-            return [(head + w + tail, f) for w, f in _STEPS[word[i:i + 2]]]
-    return None
-
-
-def reduce_word(word, coeff=None):
+def reduce_word(word):
     """Normal-order a word of generator indices; returns {multi-index: coeff}."""
-    if coeff is None:
-        coeff = LaurentPoly.one()
-    return {_exponents_of(w): c for w, c in rewrite({tuple(word): coeff}, _step).items()}
+    out = {_ZERO: LaurentPoly.one()}
+    for letter in word:
+        out = _product(out, _UNITS[letter])
+    return out
 
 
 class AqElement(Lin):
@@ -84,7 +79,7 @@ class AqElement(Lin):
 
     @classmethod
     def one(cls):
-        return cls({(0, 0, 0, 0): LaurentPoly.one()})
+        return cls({_ZERO: LaurentPoly.one()})
 
     @classmethod
     def monomial(cls, gamma, coeff=None):
@@ -94,22 +89,14 @@ class AqElement(Lin):
     def generator(cls, i):
         if i not in GENERATORS:
             raise ValueError("generator index must be 1..4, got %r" % (i,))
-        e = [0, 0, 0, 0]
-        e[i - 1] = 1
-        return cls.monomial(tuple(e))
+        return cls._make(dict(_UNITS[i]))
 
     # -- algebra ----------------------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, AqElement):
             return self._scalar_mul(other)
-        out = {}
-        for g1, c1 in self.terms.items():
-            w1 = _word_of(g1)
-            for g2, c2 in other.terms.items():
-                for g, c in reduce_word(w1 + _word_of(g2), c1 * c2).items():
-                    add_into(out, g, c)
-        return AqElement._make(out)
+        return AqElement._make(_product(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self._scalar_mul(other)
@@ -151,12 +138,7 @@ def commutator(a: AqElement, b: AqElement) -> AqElement:
 
 def center_element() -> AqElement:
     """The central element w1 w4 - q w2 w3."""
-    return AqElement(
-        {
-            (1, 0, 0, 1): LaurentPoly.one(),
-            (0, 1, 1, 0): -_Q(1),
-        }
-    )
+    return AqElement({(1, 0, 0, 1): LaurentPoly.one(), (0, 1, 1, 0): -_Q(1)})
 
 
 def relation_pairs():

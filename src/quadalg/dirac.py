@@ -23,6 +23,8 @@ ties this to ``OpMatrix2.apply`` on pairs of polynomials.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .aq import AqElement
 from .qcalc import Poly4Vec2, QOperator, compose
 from .ring import LaurentPoly, indices_up_to
@@ -205,6 +207,13 @@ class VectorDualFunctional:
         return "(%s ; %s)" % (self.f1, self.f2)
 
 
+@lru_cache(maxsize=None)
+def _pushforward_duals(variant):
+    """The brute-force duals of w_top, w1, w4 and w_bottom, built once per variant."""
+    top, bottom = _roles(variant)
+    return tuple(right_dual_bruteforce(AqElement.generator(i)) for i in (top, 1, 4, bottom))
+
+
 def intertwine_bruteforce(f: VectorDualFunctional, variant: str = "plus") -> VectorDualFunctional:
     """The pushforward f -> f(. u0) on the target bases, via algebra products.
 
@@ -216,12 +225,8 @@ def intertwine_bruteforce(f: VectorDualFunctional, variant: str = "plus") -> Vec
     which only require normal-ordered products in the quadratic algebra.
     The minus variant interchanges the roles of w2 and w3.
     """
-    top, bottom = _roles(variant)
     qinv = _Q(-1)
-    d_top = right_dual_bruteforce(AqElement.generator(top))
-    d_w1 = right_dual_bruteforce(AqElement.generator(1))
-    d_w4 = right_dual_bruteforce(AqElement.generator(4))
-    d_bottom = right_dual_bruteforce(AqElement.generator(bottom))
+    d_top, d_w1, d_w4, d_bottom = _pushforward_duals(variant)
     g1 = d_top(f.f1) + d_w1(f.f2).scale(-qinv)
     g2 = d_w4(f.f1) + d_bottom(f.f2).scale(-qinv)
     return VectorDualFunctional(g1, g2)

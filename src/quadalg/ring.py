@@ -62,15 +62,17 @@ def _div(a, b):
 def _coerced(coerce):
     """Decorate a binary operator to pass its operand through ``coerce``.
 
-    An operand that ``coerce`` rejects with TypeError gets NotImplemented.
+    An operand of the operator's own type skips ``coerce``; one that
+    ``coerce`` rejects with TypeError gets NotImplemented.
     """
     def wrap(op):
         @wraps(op)
         def method(self, other):
-            try:
-                other = coerce(other)
-            except TypeError:
-                return NotImplemented
+            if type(other) is not type(self):
+                try:
+                    other = coerce(other)
+                except TypeError:
+                    return NotImplemented
             return op(self, other)
         return method
     return wrap

@@ -9,13 +9,19 @@ twisting with the inverse character and the antipode; the "plain"
 convention drops the inversion.  The active convention is recorded in
 every report.
 
+Elements act by closed formulas over Z[q, q^-1], with no straightening:
+E_i F_w v = sum over the letters w_k = i of F_(w<k) [s_k]_q F_(w>k) v,
+where q^(s_k) is the weight of K_i on F_(w>k) v (Jantzen, *Lectures on
+Quantum Groups*, 1996, ch. 4-6); K scales by its weight, F concatenates,
+and one Serre reduction brings the words to the quotient basis.
+
 The candidate u0+ = w2 - q^-1 w1 F_mu applied to the highest weight
 vector of the (1, 0, x) weight is primitive exactly when the raising
 generator along beta kills it; the obstruction is the q-integer
 [x - 2]_q (twisted convention), which vanishes at generic q iff x = 2
 and otherwise vanishes at the primitive m-th roots of unity with
 m | 2x - 4 and m >= 3 (the two classical points q = 1, -1 never kill a
-nonzero q-integer).
+nonzero q-integer).  Under the plain convention it is -[x + 2]_q.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 from .lin import Lin, add_into
 from .ring import LaurentPoly, RatQ, as_ratq, q_int, vanishes_at_root_of_unity
-from .uq import BETA, LETTER_NAMES, MU, NU, UqElement, w_gen
+from .uq import BETA, CARTAN, E_NAMES, K_NAMES, LETTER_NAMES, MU, NU, UqElement, serre_reduce, w_gen
 
 _Q = LaurentPoly.q
 
@@ -69,45 +75,57 @@ class VermaVector(Lin):
         return head + "*v"
 
 
-def _evaluate(element: UqElement, weight: Weight, convention: str) -> VermaVector:
-    """Evaluate a straightened element on v: raising kills, Cartan scales."""
-    out = {}
-    for (fw, kexp, ew), c in element.terms.items():
-        if ew:
-            continue
-        k = weight.exponent_of(kexp, convention)
-        add_into(out, fw, c * RatQ(_Q(k)) if k else c)
-    return VermaVector._make(out)
+def _signed_q_int(n: int) -> LaurentPoly:
+    """The q-integer (q^n - q^-n)/(q - q^-1) for any integer n: [-n]_q = -[n]_q."""
+    return q_int(n) if n >= 0 else -q_int(-n)
+
+
+def _raise(eword, fword, k_exps) -> dict:
+    """E_eword F_fword v as {unreduced F word: LaurentPoly}; K_i v = q^k_exps[i] v."""
+    vec = {fword: LaurentPoly.one()}
+    for i in reversed(eword):
+        out = {}
+        for w, c in vec.items():
+            for j, letter in enumerate(w):
+                if letter == i:
+                    s = k_exps[i] - sum(CARTAN[i][x] for x in w[j + 1:])
+                    add_into(out, w[:j] + w[j + 1:], c * _signed_q_int(s))
+        vec = out
+    return vec
 
 
 def apply_element(element: UqElement, v: VermaVector, weight: Weight,
                   convention: str = "twisted") -> VermaVector:
-    """The action of an arbitrary straightened element on a Verma vector."""
-    out = VermaVector.zero()
-    for word, c in v.terms.items():
-        lowered = element * UqElement({(word, (0, 0, 0), ()): RatQ.one()})
-        out = out + _evaluate(lowered, weight, convention).scale(c)
-    return out
+    """The action of a straightened element on a Verma vector.
+
+    A term F_f K^k E_e acts on F_w v by the raising rule of ``_raise``,
+    then K^k by its weight, then F_f by concatenation on the left; one
+    Serre reduction at the end brings the result to quotient-basis words.
+    """
+    k_exps = [weight.exponent_of(unit, convention) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    out = {}
+    for word, cv in v.terms.items():
+        raised = {}
+        for (fw, kexp, ew), c in element.terms.items():
+            if ew not in raised:
+                raised[ew] = _raise(ew, word, k_exps)
+            for w, r in raised[ew].items():
+                # K_i F_j = q^-(a_i, a_j) F_j K_i
+                e = sum(k * (k_exps[i] - sum(CARTAN[i][x] for x in w)) for i, k in enumerate(kexp))
+                add_into(out, fw + w, c * cv * (r * _Q(e) if e else r))
+    return VermaVector._make(serre_reduce(out))
 
 
-_GENS = {
-    "Fm": UqElement.f_gen(MU), "Fn": UqElement.f_gen(NU), "Fb": UqElement.f_gen(BETA),
-    "Em": UqElement.e_gen(MU), "En": UqElement.e_gen(NU), "Eb": UqElement.e_gen(BETA),
-    "Km": UqElement.k_gen(MU), "Kn": UqElement.k_gen(NU), "Kb": UqElement.k_gen(BETA),
-    "Km^-1": UqElement.k_gen(MU, -1), "Kn^-1": UqElement.k_gen(NU, -1),
-    "Kb^-1": UqElement.k_gen(BETA, -1),
-}
+_GENS = {name: g for i in (MU, NU, BETA) for name, g in (
+    (LETTER_NAMES[i], UqElement.f_gen(i)), (E_NAMES[i], UqElement.e_gen(i)),
+    (K_NAMES[i], UqElement.k_gen(i)), (K_NAMES[i] + "^-1", UqElement.k_gen(i, -1)))}
 
 
 def act(generator, v: VermaVector, weight: Weight, convention: str = "twisted") -> VermaVector:
     """Action of a single named generator (e.g. "Eb", "Fm", "Kb^-1") on v."""
-    if isinstance(generator, UqElement):
-        g = generator
-    else:
-        try:
-            g = _GENS[generator]
-        except KeyError:
-            raise ValueError("unknown generator %r" % (generator,)) from None
+    g = generator if isinstance(generator, UqElement) else _GENS.get(generator)
+    if g is None:
+        raise ValueError("unknown generator %r" % (generator,))
     return apply_element(g, v, weight, convention)
 
 
@@ -135,11 +153,6 @@ class SingularReport:
     e_beta: VermaVector
     vanishes_generically: bool
     root_of_unity_orders: tuple
-
-
-def _divisors(n: int):
-    n = abs(n)
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def singular_test(u0: UqElement, x: int, convention: str = "twisted",
@@ -171,7 +184,8 @@ def singular_test(u0: UqElement, x: int, convention: str = "twisted",
     report.vanishes_generically = not report.e_beta
     if not report.vanishes_generically:
         modulus = 2 * x - 4 if convention == "twisted" else 2 * x + 4
-        orders = set(_divisors(modulus)) | set(range(1, max_order + 1))
+        orders = {d for d in range(1, abs(modulus) + 1) if modulus % d == 0}
+        orders |= set(range(1, max_order + 1))
         coeffs = list(report.e_beta.laurent_terms().values())
         found = [
             m for m in sorted(orders)
@@ -190,7 +204,4 @@ def scan_singular(u0: UqElement, xs, convention: str = "twisted"):
 
 def expected_beta_obstruction(x: int, convention: str = "twisted") -> LaurentPoly:
     """The predicted beta obstruction coefficient: [x-2]_q resp. -[x+2]_q."""
-    if convention == "twisted":
-        n = x - 2
-        return q_int(n) if n >= 0 else -q_int(-n)
-    return -q_int(x + 2)
+    return _signed_q_int(x - 2) if convention == "twisted" else -_signed_q_int(x + 2)

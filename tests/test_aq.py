@@ -2,9 +2,8 @@ import math
 import random
 from itertools import product
 
-from quadalg import aq, lin
+from quadalg import aq
 from quadalg.aq import (
-    RULES,
     AqElement,
     center_element,
     commutator,
@@ -13,8 +12,8 @@ from quadalg.aq import (
     reduce_word,
     relation_pairs,
 )
-from quadalg.lin import add_into
-from quadalg.ring import LaurentPoly
+from quadalg.lin import add_into, rewrite
+from quadalg.ring import LaurentPoly, q_factorial_int
 
 Q = LaurentPoly.q
 ONE = LaurentPoly.one()
@@ -53,6 +52,47 @@ def _exponents(word):
     return tuple(word.count(i) for i in (1, 2, 3, 4))
 
 
+def _word_of(gamma):
+    return sum(((i + 1,) * n for i, n in enumerate(gamma)), ())
+
+
+# ------------------------------------------- the rewriting oracle
+#
+# The relations as rewriting rules, leading pair -> {word: factor}: the
+# leading pair equals the sum of factor * word.  Each rule lowers the
+# lexicographic order of words of a fixed length, so ``lin.rewrite``
+# terminates on them; they are checked against relation_pairs() below.
+
+RULES = {
+    (2, 1): {(1, 2): Q(-1)},
+    (3, 1): {(1, 3): Q(-1)},
+    (4, 2): {(2, 4): Q(-1)},
+    (4, 3): {(3, 4): Q(-1)},
+    (3, 2): {(2, 3): ONE},
+    (4, 1): {(1, 4): ONE, (2, 3): -MU},
+}
+
+# RULES as the step hands them to lin.rewrite: a factor 1 becomes None, so
+# a plain swap moves the coefficient without a product.
+_STEPS = {
+    lead: tuple((w, None if f == 1 else f) for w, f in rhs.items()) for lead, rhs in RULES.items()
+}
+
+
+def _step(word):
+    """The leftmost inversion of ``word`` rewritten by its rule, or None if there is none."""
+    for i in range(len(word) - 1):
+        if word[i] > word[i + 1]:
+            head, tail = word[:i], word[i + 2:]
+            return [(head + w + tail, f) for w, f in _STEPS[word[i:i + 2]]]
+    return None
+
+
+def rewrite_reduce_word(word, coeff=ONE, step=_step):
+    """Normal ordering by rewriting with RULES: {multi-index: coeff}."""
+    return {_exponents(w): c for w, c in rewrite({tuple(word): coeff}, step).items()}
+
+
 def reference_reduce_word(word, rightmost=False):
     """The reference oracle: a stack rewriter that follows every rewrite path
     on its own, at the first or at the last inversion, with the relations
@@ -76,10 +116,12 @@ def reference_reduce_word(word, rightmost=False):
 
 
 def test_confluence_on_short_words():
-    # every word up to length 6 against both strategies of the reference
+    # every word up to length 6: the closed-form fold, the rewriting oracle
+    # and both strategies of the reference
     for n in range(1, 7):
         for word in product((1, 2, 3, 4), repeat=n):
             got = reduce_word(word)
+            assert got == rewrite_reduce_word(word), word
             assert got == reference_reduce_word(word), word
             assert got == reference_reduce_word(word, rightmost=True), word
 
@@ -90,42 +132,84 @@ def test_rule_overlaps_resolve():
     for a, b, c in overlaps:
         left, right = {}, {}
         for w, f in RULES[a, b].items():
-            for g, x in reduce_word(w + (c,), f).items():
+            for g, x in rewrite_reduce_word(w + (c,), f).items():
                 add_into(left, g, x)
         for w, f in RULES[b, c].items():
-            for g, x in reduce_word((a,) + w, f).items():
+            for g, x in rewrite_reduce_word((a,) + w, f).items():
                 add_into(right, g, x)
-        assert left == right == reduce_word((a, b, c)), (a, b, c)
+        assert left == right == rewrite_reduce_word((a, b, c)), (a, b, c)
 
 
 def test_rules_agree_with_the_relations():
     # relation_pairs() lists the relations of w2w1, w3w1, w4w3, w4w2, w3w2, w4w1
     leads = [(2, 1), (3, 1), (4, 3), (4, 2), (3, 2), (4, 1)]
     assert sorted(leads) == sorted(RULES)
-    for lead, (_, rhs) in zip(leads, relation_pairs()):
+    for lead, (lhs, rhs) in zip(leads, relation_pairs()):
         rule = AqElement({_exponents(w): f for w, f in RULES[lead].items()})
         assert all(list(w) == sorted(w) for w in RULES[lead]), lead
         assert rule == rhs, lead
+        assert AqElement(rewrite_reduce_word(lead)) == lhs == rhs, lead
 
 
 def test_plain_swaps_reach_rewrite_with_a_unit_factor():
     # a factor None makes lin.rewrite move the coefficient without a product
-    assert aq._step((1, 3, 2)) == [((1, 2, 3), None)]
-    assert aq._step((4, 1)) == [((1, 4), None), ((2, 3), -MU)]
-    assert aq._step((2, 1)) == [((1, 2), Q(-1))]
+    assert _step((1, 3, 2)) == [((1, 2, 3), None)]
+    assert _step((4, 1)) == [((1, 4), None), ((2, 3), -MU)]
+    assert _step((2, 1)) == [((1, 2), Q(-1))]
 
 
-def test_reduce_word_merges_equal_words(monkeypatch):
+def test_reduce_word_merges_equal_words():
     calls = []
-
-    def spy(vec, step):
-        return lin.rewrite(vec, lambda w: calls.append(w) or step(w))
-
-    monkeypatch.setattr(aq, "rewrite", spy)
-    got = reduce_word((4,) * 6 + (1,) * 6)
+    word = (4,) * 6 + (1,) * 6
+    got = rewrite_reduce_word(word, step=lambda w: calls.append(w) or _step(w))
     assert len(got) == 7 and got[(6, 0, 0, 6)] == ONE
+    assert reduce_word(word) == got
     # the per-path rewriter follows this word down 13,327 complete paths
     assert 0 < len(calls) < 5000
+
+
+# ------------------------------------------- the closed-form product
+
+def q_binomial(m, k):
+    """The symmetric q-binomial [m k]_q by the q-Pascal rule."""
+    if k < 0 or k > m:
+        return LaurentPoly.zero()
+    if k == 0 or k == m:
+        return ONE
+    return Q(k) * q_binomial(m - 1, k) + Q(k - m) * q_binomial(m - 1, k - 1)
+
+
+def test_d_past_a_is_the_q_binomial_formula():
+    for m in range(6):
+        for n in range(6):
+            for k, t in enumerate(aq._d_past_a(m, n)):
+                expected = ((-MU) ** k * q_binomial(m, k) * q_binomial(n, k)
+                            * q_factorial_int(k) * Q(k * (k + 1) // 2 + k * k - k * (m + n)))
+                assert t == expected, (m, n, k)
+
+
+def test_w4_powers_past_w1_powers_match_the_rewriting_oracle():
+    for m in range(8):
+        for n in range(8):
+            word = (4,) * m + (1,) * n
+            got = AqElement.monomial((0, 0, 0, m)) * AqElement.monomial((n, 0, 0, 0))
+            assert got == AqElement(rewrite_reduce_word(word)), (m, n)
+
+
+def test_monomial_products_match_the_rewriting_oracle():
+    rng = random.Random(31)
+    for _ in range(300):
+        g1, g2 = (tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(2))
+        c1, c2 = Q(rng.randint(-2, 2)), LaurentPoly.const(rng.choice((-2, 1, 3)))
+        got = AqElement.monomial(g1, c1) * AqElement.monomial(g2, c2)
+        assert got == AqElement(rewrite_reduce_word(_word_of(g1) + _word_of(g2), c1 * c2)), (g1, g2)
+
+
+def test_fold_matches_the_rewriting_oracle_on_random_words():
+    rng = random.Random(17)
+    for _ in range(300):
+        word = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 9)))
+        assert reduce_word(word) == rewrite_reduce_word(word), word
 
 
 def test_pbw_monomial_count():

@@ -422,6 +422,58 @@ def test_cli_deep_products_are_pinned(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the singular-vector --json outputs of the straightening path,
+# which acted on Verma vectors through UqElement products before the
+# closed-form raising rule replaced it
+SINGULAR_VECTOR_DIGESTS = {
+    "twisted": (
+        "99cc651893194dc6dfd7a32736976e1362c7b15c8c0e81ce1e016542b7e1cabb",
+        "9e3dcf0b0246c4bdce6649ca0c6848a90a9ce665b624bb3fb770bf571a5d834d",
+        "f6c08dc21a881f0aeb08ca6e7678d6c4fbdac23d41651d578a3333fe9645dc95",
+        "a87ff9a0ee2944a9c9c96c38e383ba6c6781976a8f87acc0d538f98a761bc82f",
+        "c8a8da7fdb95d64879a628d231f9c0882d5f5ab99ef634cb7dde4170947ad9f7",
+        "0f36597dede278a59c52fd70759a28e8980afec987ea1e9b54a0b7f88e5304f5",
+        "04c9d3ee489c5dc6c774cbe1ef1e0e3af54ec9d109fc7cd8cf16b146ecaf7b2f",
+        "0d80ad0e1a4938a3e8d17f12478be83b6795949d9e76c008dad9c926bb583ed4",
+        "96c6aa42e5e176e7904c3f6f3448d3ec31309c4292cc2a5d0e8684ef29fc28a3",
+        "51e30f08db3e2cec6a292c2bc424eb88b725983232d3c56a18771779cb8f5755",
+        "5ab0be877cd133dbb8aadbeb2507ff024c66f4b833929bd61f96142b583b5ab8",
+        "8b21980f258d273dc57b11e7b6c5336db91d75ab78ea2e94230ce0b5d7af5c2f",
+        "6b795865a6a94cd93af7d722ddbd5838363b38cfebceec9aae019cf9cac3f411",
+    ),
+    "plain": (
+        "9aa4678f909b5fe6b35f5b1840620e2dd705b3d175132f5551c5116ddb452f6c",
+        "138e6e5a171996dac878b720ef2c187ce433eab12749c58335fd8c1993b61152",
+        "0b7dc055df6f1bebc8c4d2f368a40bd08da5fd8de18d530479d6cede188288b0",
+        "a91a8cf1571192943681af3e349eee1de1abc93afd78fe8069b89b8dac93a97b",
+        "b01bdc6247fd691389a38bd4afc55867e9ee6dc05308baadbc0b73e13b62c6d4",
+        "42129d2d05c10598434b0ff5572b4c3e98d642d840e9b672c5f731d1f84cb72b",
+        "edbe3eefa255acdfc2d592248743e09c82dc7930e6d41d0f732dbc0b032400e5",
+        "bc15972e0d1aa1cc55e347d6107ab0915ecfe182fce555588cc0cf97708d98db",
+        "fa583dc8e404939a2e61c13c9d2ac592dfca09b5ab4a4630f0477305b5adfdf4",
+        "1088b1e94297e5d3c65506726a377ce5012d3bdc6711f39f025ddb2b2609cf5f",
+        "aa5bf069453b4fd249aa90e427de8c47eee7e28af4076dc3ef5869e19f4e68de",
+        "19761762c5ca11a853722818e63463f92e08cf06c784613021846c1ede90dbbb",
+        "499e166c5d3652df8be41df62b571af6bab787b43f515ad6992b489d2c105616",
+    ),
+}
+SINGULAR_SCAN_DIGESTS = {
+    "twisted": "65be0e72eed9c466a5d388aee8446c80a92b5550ec9fc84cceea54b4198d2dd8",
+    "plain": "db3e679eddb40fafb4e1261b96f4885e4424e3c3f6b37045e405167461cb2a3d",
+}
+
+
+@pytest.mark.parametrize("convention", ["twisted", "plain"])
+def test_cli_singular_vector_outputs_are_pinned(convention):
+    for x, digest in zip(range(-3, 10), SINGULAR_VECTOR_DIGESTS[convention]):
+        code, out = run_cli("singular-vector", "--x", str(x), "--convention", convention, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, x
+    code, out = run_cli("verify", "singular-vector", "--scan=-4..10", "--convention", convention, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SINGULAR_SCAN_DIGESTS[convention]
+
+
 def _readme_examples():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     return re.findall(r"^quadalg (.+?)\s+# -> (.+)$", readme.read_text(), re.MULTILINE)

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from quadalg import verma
+from quadalg.lin import add_into
 from quadalg.ring import LaurentPoly, RatQ, q_int, vanishes_at_root_of_unity
-from quadalg.uq import BETA, MU, NU, UqElement, w_gen
+from quadalg.uq import BETA, MU, NU, UqElement, serre_reduce, straighten, w_gen
 from quadalg.verma import (
+    CONVENTIONS,
     SingularReport,
     VermaVector,
     Weight,
@@ -74,6 +78,61 @@ def test_weight_bookkeeping_two_ways():
                 base = -(w.m, w.n, w.x)[kidx]
                 expected = vec.scale(Q(shift + base))
                 assert got == expected, (word, kname)
+
+
+def straightened_apply(element, v, weight, convention="twisted"):
+    """The oracle: straighten element * F_w for each word w of v, then let
+    the raising letters kill v and the Cartan monomial scale it."""
+    out = VermaVector.zero()
+    for word, c in v.terms.items():
+        lowered = element * UqElement({(word, (0, 0, 0), ()): RatQ.one()})
+        terms = {}
+        for (fw, kexp, ew), d in lowered.terms.items():
+            if not ew:
+                add_into(terms, fw, d * RatQ(Q(weight.exponent_of(kexp, convention))))
+        out = out + VermaVector(terms).scale(c)
+    return out
+
+
+def _random_symbols(rng, n):
+    out = []
+    for _ in range(n):
+        kind, i = rng.choice("FEK"), rng.randrange(3)
+        out.append((kind, i, rng.choice((-1, 1, 2))) if kind == "K" else (kind, i))
+    return out
+
+
+def test_apply_element_matches_the_straightening_oracle():
+    rng = random.Random(41)
+    nonzero = 0
+    for _ in range(150):
+        element = UqElement.zero()
+        for _ in range(rng.randint(1, 2)):
+            element = element + straighten(_random_symbols(rng, rng.randint(0, 5)),
+                                           RatQ(Q(rng.randint(-2, 2)) * rng.choice((-2, 1, 3))))
+        words = {tuple(rng.randrange(3) for _ in range(rng.randint(0, 4))): RatQ(Q(rng.randint(-2, 2)))
+                 for _ in range(rng.randint(1, 3))}
+        v = VermaVector(serre_reduce(words))
+        weight = Weight(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
+        convention = rng.choice(CONVENTIONS)
+        got = apply_element(element, v, weight, convention)
+        assert got == straightened_apply(element, v, weight, convention), (element, v, weight)
+        nonzero += bool(got)
+    assert nonzero > 100
+
+
+def signed_q_int(n):
+    return q_int(n) if n >= 0 else -q_int(-n)
+
+
+def test_raising_moves_past_other_letters_with_the_cartan_shift():
+    # E_mu F_mu F_beta F_mu v = [s1]_q F_beta F_mu v + [s3]_q F_mu F_beta v:
+    # s3 is the K_mu exponent k on v, and s1 = k - (a_mu, a_beta) - (a_mu, a_mu) = k - 1
+    w = Weight(2, -1, 3)
+    v = VermaVector(serre_reduce({(MU, BETA, MU): RatQ.one()}))
+    for convention, k in (("twisted", -2), ("plain", 2)):
+        expected = serre_reduce({(BETA, MU): signed_q_int(k - 1), (MU, BETA): signed_q_int(k)})
+        assert act("Em", v, w, convention) == VermaVector(expected), convention
 
 
 def test_plain_convention_sign():
@@ -170,3 +229,15 @@ def test_max_order_zero_scans_only_divisors_of_the_modulus(monkeypatch):
     assert scanned == set(range(1, 13))
     with pytest.raises(ValueError):
         singular_test(u0, 5, max_order=-1)
+
+
+def test_deep_scan_matches_the_predicted_obstruction():
+    u0 = singular_candidate_plus()
+    for convention, expected_x in (("twisted", 2), ("plain", -2)):
+        reports, vanishing = scan_singular(u0, range(-20, 41), convention)
+        assert vanishing == [expected_x], convention
+        for r in reports:
+            expected = expected_beta_obstruction(r.x, convention)
+            assert bool(expected) == (r.x != expected_x), (convention, r.x)
+            assert r.e_beta == VermaVector({(MU,): RatQ(expected)}), (convention, r.x)
+            assert not r.e_nu and not r.e_mu_sq, (convention, r.x)
