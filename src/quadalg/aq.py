@@ -83,7 +83,7 @@ class AqElement(Lin):
 
     @classmethod
     def monomial(cls, gamma, coeff=None):
-        return cls({mi_check(gamma): coeff if coeff is not None else LaurentPoly.one()})
+        return cls({gamma: coeff if coeff is not None else LaurentPoly.one()})
 
     @classmethod
     def generator(cls, i):

@@ -93,9 +93,10 @@ class Lin:
         if terms:
             coerce, check = self.coerce, self.check_key
             for key, c in terms.items():
+                key = check(key) if check else key  # also under a zero coefficient
                 c = coerce(c)
                 if c:
-                    clean[check(key) if check else key] = c
+                    clean[key] = c
         self.terms = clean
 
     @classmethod

@@ -66,7 +66,7 @@ class Poly4(Lin):
 
     @classmethod
     def monomial(cls, alpha, coeff=1):
-        return cls({mi_check(alpha): coeff})
+        return cls({alpha: coeff})
 
     @staticmethod
     def _mon(a):

@@ -83,9 +83,7 @@ class DualFunctional(Lin):
 
 def psi(f: DualFunctional) -> Poly4:
     """The divided-powers polynomial of a functional."""
-    return Poly4(
-        {g: RatQ(v, q_factorial(g)) for g, v in f.terms.items()}
-    )
+    return Poly4._make({g: RatQ(v, q_factorial(g)) for g, v in f.terms.items()})
 
 
 def psi_inv(p: Poly4) -> DualFunctional:
@@ -93,7 +91,7 @@ def psi_inv(p: Poly4) -> DualFunctional:
     out = {}
     for g, c in p.terms.items():
         out[g] = (c * RatQ(q_factorial(g))).to_laurent()
-    return DualFunctional(out)
+    return DualFunctional._make(out)
 
 
 @lru_cache(maxsize=1024)
@@ -105,7 +103,7 @@ def _right_mul_transpose(w0: AqElement, degree: int):
     """
     table = {}
     for gamma in all_indices(degree):
-        for delta, c in (AqElement.monomial(gamma) * w0).terms.items():
+        for delta, c in (AqElement._make({gamma: LaurentPoly.one()}) * w0).terms.items():
             table.setdefault(delta, []).append((gamma, c))
     return {delta: tuple(pairs) for delta, pairs in table.items()}
 
@@ -189,7 +187,7 @@ def first_dual_failure(which, degree_bound: int):
     closed = right_dual_closed(which)
     brute = right_dual_bruteforce(_brute_element(which))
     for gamma in indices_up_to(degree_bound):
-        f = DualFunctional.indicator(gamma)
+        f = DualFunctional._make({gamma: LaurentPoly.one()})
         if brute(f) != closed.apply_divided(f):
             return gamma
     return None

@@ -7,14 +7,13 @@ sides through the A3 pairing ((a,a) = 2, mu/beta and nu/beta adjacent = -1,
 (mu,nu) = 0).  mu and nu play symmetric roles on opposite ends of the
 Dynkin path mu -- beta -- nu.
 
-Ideal membership is decided degree by degree by the finite
-Groebner-Shirshov basis of the Serre ideal (Bokut & Malcolmson 1996):
-eight rules rewrite leading words to lex-smaller words, the basis words
-are those with no leading word, and each component keeps the unique
-(diamond lemma) normal forms as reduced echelon rows with pivots on
-lexicographically largest words, so every coset has a canonical
-representative on lex-earliest words.  The same sparse echelon, with
-tags, inverts the PBW change of basis used by the star action below.
+Ideal membership is decided by the finite Groebner-Shirshov basis of the
+Serre ideal (Bokut & Malcolmson 1996): eight rules rewrite leading words
+to lex-smaller words, so each word has one normal form (diamond lemma) on
+the basis words, those with no leading word.  Normal forms are memoised
+per word over Q[q, q^-1], each built on demand from those of lex-smaller
+words; the sparse echelon ``_Echelon`` serves only the PBW change of
+basis used by the star action below.
 
 Elements of the full fragment are straightened by ``lin.rewrite`` to (F word)
 (K monomial) (E word), with both words reduced to quotient-basis coordinates.
@@ -28,7 +27,7 @@ quadratic algebra, matching its generator-by-generator table.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .aq import AqElement
 from .lin import Lin, add_into, add_scaled, rewrite
@@ -152,47 +151,21 @@ class _Echelon:
         return pivot
 
 
-class _Component(_Echelon):
-    """The ideal inside one multidegree, as untagged echelon rows.
-
-    Each reducible word w, in ascending lex order, gets the row w - NF(w)
-    over Q[q, q^-1]: w[0] times the normal form of a reducible tail w[1:],
-    or else the rule for the leading word that prefixes w.  Both give
-    lex-smaller words of the same content, whose rows already exist.
-    """
-
-    __slots__ = ("content", "basis")
+class _Component:
+    """One multidegree: its irreducible words, and the rows w - NF(w) of the others."""
 
     def __init__(self, content):
-        super().__init__()
         self.content = content
-        tails = [component(content[:x] + (n - 1,) + content[x + 1:]) if n else None
-                 for x, n in enumerate(content)]
-        rows = self.pivots  # reducible w -> w - NF(w)
-        basis = []
-        for w in words_of_content(content):
-            tail_row = tails[w[0]].pivots.get(w[1:]) if w else None
-            if tail_row is not None:
-                # NF(w) = NF(w[0] (w[1:] - tail_row)) = -sum c NF(x) over rhs
-                rhs, negated = [(w[:1] + u, c) for u, c in tail_row.items() if u != w[1:]], True
-            else:
-                lead = next((w[:n] for n in _LEAD_LENGTHS if w[:n] in RULES), None)
-                if lead is None:
-                    basis.append(w)
-                    continue
-                rhs, negated = [(u + w[len(lead):], c) for u, c in RULES[lead].items()], False
-            row = {w: _ONE}  # w - NF(w), with NF(x) = x - rows[x]
-            for x, c in rhs:
-                if x in rows:
-                    add_scaled(row, rows[x], -c if negated else c, skip=x)
-                else:
-                    add_into(row, x, c if negated else -c)
-            rows[w] = row
-        self.basis = tuple(basis)
+        self.basis = tuple(w for w in words_of_content(content) if _normal_form(w) is None)
 
     @property
     def dimension(self):
         return len(self.basis)
+
+    @cached_property
+    def pivots(self):  # built on first use, then kept
+        return {w: {w: _ONE, **{x: -c for x, c in nf.items()}}
+                for w in words_of_content(self.content) if (nf := _normal_form(w)) is not None}
 
 
 @lru_cache(maxsize=None)
@@ -200,22 +173,52 @@ def component(content) -> _Component:
     return _Component(tuple(content))
 
 
+@lru_cache(maxsize=None)
+def _normal_form(w):
+    """NF(w) as {irreducible word: LaurentPoly}, or None when w is irreducible.
+
+    NF(w) = NF(w[0] NF(w[1:])) for a reducible tail; an irreducible tail
+    leaves only the rule whose leading word prefixes w.  Both steps reach
+    lex-smaller words, and the rules, a Groebner-Shirshov basis, make the
+    normal form unique (diamond lemma).
+    """
+    tail = _normal_form(w[1:]) if len(w) > 1 else None
+    if tail is not None:
+        terms = [(w[:1] + u, c) for u, c in tail.items()]
+    else:
+        lead = next((w[:n] for n in _LEAD_LENGTHS if w[:n] in RULES), None)
+        if lead is None:
+            return None
+        terms = [(u + w[len(lead):], c) for u, c in RULES[lead].items()]
+    return _sum_normal_forms(terms)
+
+
+def _sum_normal_forms(terms):
+    """The sum of c NF(x) over the pairs (x, c), where NF(x) = x for an irreducible x."""
+    out = {}
+    for x, c in terms:
+        nf = _normal_form(x)
+        if nf is None:
+            add_into(out, x, c)
+        else:
+            add_scaled(out, nf, c)
+    return out
+
+
 def serre_reduce(element) -> dict:
     """Quotient-basis coordinates of a linear combination of free words.
 
     ``element`` maps words (tuples over 0, 1, 2) to coefficients; the
-    result is supported on basis words only and is empty iff the input
-    lies in the Serre ideal.
+    result, over RatQ, is supported on basis words only and is empty iff
+    the input lies in the Serre ideal.  It is summed over Q[q, q^-1]
+    unless an input coefficient is not a Laurent polynomial.
     """
-    by_content = {}
+    terms = []
     for w, c in element.items():
-        c = as_ratq(c)
-        if c:
-            by_content.setdefault(word_content(w), {})[w] = c
-    out = {}
-    for content, vec in by_content.items():
-        out.update(component(content).reduce(vec))
-    return out
+        if isinstance(c, RatQ) and c.is_laurent():
+            c = c.num
+        terms.append((w, c if isinstance(c, RatQ) else as_laurent(c)))
+    return {w: as_ratq(c) for w, c in _sum_normal_forms(terms).items()}
 
 
 def graded_dimension(d: int) -> int:
@@ -263,6 +266,12 @@ def _straighten_step(word):
             (head + (("K", i, -1),) + tail, -_INV_MU)]
 
 
+def _symbols(fw, k, ew):
+    """The symbol word (F word) (K monomial) (E word) of a straightened term."""
+    ks = [("K", i, e) for i, e in enumerate(k) if e]
+    return [("F", i) for i in fw] + ks + [("E", i) for i in ew]
+
+
 def straighten_word(symbols, coeff=None) -> "UqElement":
     """Normal-order an arbitrary product of generators to F * K * E form."""
     if coeff is None:
@@ -275,9 +284,10 @@ def straighten_word(symbols, coeff=None) -> "UqElement":
                 k[s[1]] += s[2]
         fword = tuple(s[1] for s in word if s[0] == "F")
         eword = tuple(s[1] for s in word if s[0] == "E")
-        for fw, fc in serre_reduce({fword: RatQ.one()}).items():
-            for ew, ec in serre_reduce({eword: RatQ.one()}).items():
-                add_into(terms, (fw, tuple(k), ew), c * fc * ec)
+        enf = _sum_normal_forms([(eword, _ONE)])
+        for fw, fc in _sum_normal_forms([(fword, c)]).items():
+            for ew, ec in enf.items():
+                add_into(terms, (fw, tuple(k), ew), fc * ec)
     return UqElement._make(terms)
 
 
@@ -321,15 +331,10 @@ class UqElement(Lin):
             for (f2, k2, e2), c2 in other.terms.items():
                 if not e1 and not any(k1):
                     # fast path: pure F times anything needs no engine
-                    for fw, fc in serre_reduce({f1 + f2: RatQ.one()}).items():
-                        add_into(out, (fw, k2, e2), c1 * c2 * fc)
+                    for fw, c in _sum_normal_forms([(f1 + f2, c1 * c2)]).items():
+                        add_into(out, (fw, k2, e2), c)
                     continue
-                word = [("F", i) for i in f1]
-                word += [("K", i, e) for i, e in enumerate(k1) if e]
-                word += [("E", i) for i in e1]
-                word += [("F", i) for i in f2]
-                word += [("K", i, e) for i, e in enumerate(k2) if e]
-                word += [("E", i) for i in e2]
+                word = _symbols(f1, k1, e1) + _symbols(f2, k2, e2)
                 for key, c in straighten_word(word, c1 * c2).terms.items():
                     add_into(out, key, c)
         return UqElement._make(out)
@@ -485,10 +490,7 @@ def coproduct(x: UqElement) -> TensorSum:
     total = {}
     for (fw, k, ew), c in x.terms.items():
         cur = TensorSum({((((), (0, 0, 0), ())), (((), (0, 0, 0), ()))): RatQ.one()})
-        symbols = [("F", i) for i in fw]
-        symbols += [("K", i, e) for i, e in enumerate(k) if e]
-        symbols += [("E", i) for i in ew]
-        for s in symbols:
+        for s in _symbols(fw, k, ew):
             cur = cur * TensorSum.from_pairs(coproduct_pairs(s))
         add_scaled(total, cur.terms, c)
     return TensorSum._make(total)
@@ -530,12 +532,9 @@ def _w_pbw_matrix(content):
         )
     echelon = _Echelon()
     for idx, (gamma, r, s) in enumerate(items):
+        tail = (MU,) * r + (NU,) * s  # w^gamma F_mu^r F_nu^s
         el = w_embed(AqElement.monomial(gamma))
-        for _ in range(r):
-            el = el * UqElement.f_gen(MU)
-        for _ in range(s):
-            el = el * UqElement.f_gen(NU)
-        column = {fw: c for (fw, k, ew), c in el.terms.items()}
+        column = serre_reduce({fw + tail: c for (fw, _, _), c in el.terms.items()})
         if echelon.insert(column, {idx: RatQ.one()}) is None:
             raise ArithmeticError("PBW items are dependent at %r" % (content,))
     return items, echelon

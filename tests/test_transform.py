@@ -99,6 +99,16 @@ def test_verify_dual_degree_zero():
     assert verify_dual(1, 0)
 
 
+@pytest.mark.parametrize("gamma", [(1, 2, 3), (0, 0, 0, 0, 1), (0, -1, 0, 0), (1, 0, -2, 3)])
+def test_bad_multi_indices_are_rejected_at_the_public_constructors(gamma):
+    # checked once, by each class's check_key, also under a zero coefficient
+    for make in (AqElement.monomial, DualFunctional.indicator, Poly4.monomial,
+                 lambda g: AqElement({g: 1}), lambda g: DualFunctional({g: 1}),
+                 lambda g: AqElement.monomial(g, 0), lambda g: Poly4.monomial(g, 0)):
+        with pytest.raises(ValueError):
+            make(gamma)
+
+
 def test_box_is_dual_of_center():
     brute = right_dual_bruteforce(center_element())
     box = box_operator()

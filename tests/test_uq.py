@@ -1,14 +1,18 @@
 import hashlib
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
 import pytest
 
+import quadalg
 from quadalg import uq
 from quadalg.aq import AqElement, relation_pairs
 from quadalg.lin import add_into
-from quadalg.ring import LaurentPoly, RatQ
+from quadalg.ring import LaurentPoly, RatQ, all_indices, indices_up_to, mi_degree
 from quadalg.uq import (
     BETA,
     MU,
@@ -236,6 +240,55 @@ def test_every_overlap_ambiguity_resolves():
         assert left == serre_reduce({word: ONE}), (a, b, k)
 
 
+# ------------------------------------------------ memoised normal forms
+
+
+def test_normal_forms_match_the_row_reduction_oracle():
+    for content in contents_up_to(6):
+        _, ech = oracle_component(content)
+        for w in words_of_content(content):
+            assert serre_reduce({w: 1}) == ech.reduce({w: RatQ.one()}), w
+
+
+def test_non_laurent_coefficients_keep_their_values_and_printed_forms():
+    # values and printed forms taken from the echelon query path
+    cases = [
+        ({(BETA, MU, MU): INV_MU},
+         {(MU, MU, BETA): "(-q)/(q^2 - 1)", (MU, BETA, MU): "(q^2 + 1)/(q^2 - 1)"}),
+        ({(BETA, MU, BETA, MU, NU): INV_MU, (BETA, NU, BETA, MU): RatQ(Q(3)), (MU, NU): 2},
+         {(MU, NU): "2", (MU, NU, BETA, MU, BETA): "(q)/(q^2 - 1)",
+          (MU, BETA, MU, NU, BETA): "(-q^2 - 1)/(q^2 - 1)", (MU, BETA, MU, BETA, NU): "(q)/(q^2 - 1)",
+          (MU, BETA, NU, BETA): "-q^3", (NU, BETA, MU, BETA): "q^3",
+          (NU, BETA, MU, BETA, MU): "(-q)/(q^2 - 1)", (BETA, MU, NU, BETA, MU): "(q^2 + 1)/(q^2 - 1)",
+          (BETA, MU, BETA, NU): "q^3"}),
+        ({(BETA, BETA, MU, NU, NU): RatQ(Q(2) + 1, Q(1) - 1), (BETA, MU, NU, NU, BETA): INV_MU * INV_MU},
+         {(MU, NU, NU, BETA, BETA): "(-q^2 - 1)/(q - 1)",
+          (MU, NU, BETA, NU, BETA): "(q^3 + 2*q + q^-1)/(q - 1)",
+          (MU, BETA, NU, BETA, NU): "(-q^3 - 2*q - q^-1)/(q - 1)",
+          (NU, NU, BETA, MU, BETA): "(q^6 + q^5 + q^4 + q^3 - 2*q^2 - q - 1 - q^-1)/(q^4 - 2*q^2 + 1)",
+          (NU, BETA, MU, NU, BETA):
+              "(-q^7 - q^6 - 2*q^5 - 2*q^4 + q^3 + 3*q + 2 + q^-1 + q^-2)/(q^4 - 2*q^2 + 1)",
+          (BETA, MU, NU, BETA, NU): "(q^4 + 3*q^2 + 3 + q^-2)/(q - 1)"}),
+    ]
+    for element, want in cases:
+        got = serre_reduce(element)
+        assert {w: str(c) for w, c in got.items()} == want
+        assert all(type(c) is RatQ for c in got.values())
+        expected = {}
+        for w, c in element.items():
+            for x, f in serre_reduce({w: 1}).items():
+                add_into(expected, x, f * c)
+        assert got == expected
+
+
+def test_a_component_builds_without_other_components():
+    before = component.cache_info()
+    comp = component.__wrapped__((2, 3, 4))
+    assert comp.dimension == len(comp.basis) > 0
+    assert comp.pivots is comp.pivots  # built once, then kept
+    assert component.cache_info() == before
+
+
 def test_words_of_content_lists_distinct_words_in_lex_order():
     for content in contents_up_to(6):
         assert words_of_content(content) == _all_words(content), content
@@ -281,6 +334,39 @@ def test_power_identity_upstairs():
     lhs = w_gen(4) * w_gen(4) * w_gen(1)
     rhs = w_embed((AqElement.generator(4) ** 2) * AqElement.generator(1))
     assert lhs == rhs
+
+
+def test_w_embed_is_multiplicative_through_degree_3():
+    monomials = [AqElement.monomial(g) for g in indices_up_to(3)]
+    for a in monomials:
+        for b in monomials:
+            if mi_degree(next(iter(a.terms))) + mi_degree(next(iter(b.terms))) <= 3:
+                assert w_embed(a * b) == w_embed(a) * w_embed(b), (a, b)
+
+
+def test_w_embed_of_every_degree_4_monomial_is_pinned():
+    # taken with the echelon engine, which spent about 45 s on it
+    h = hashlib.sha256()
+    for gamma in all_indices(4):
+        h.update((str(w_embed(AqElement.monomial(gamma))) + "\n").encode())
+    assert h.hexdigest() == "21ceaed7b4618dca372e00fa4e3b8a7b429b444092ed94c2f4e7d847599fbeed"
+
+
+def test_w_embed_of_w4_to_the_5_runs_cold_under_the_default_recursion_limit():
+    # a fresh interpreter starts with empty memo tables
+    src = os.path.dirname(os.path.dirname(quadalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "from quadalg.aq import AqElement\n"
+        "from quadalg.uq import w_embed\n"
+        "x = w_embed(AqElement.monomial((0, 0, 0, 5)))\n"
+        "y = w_embed(AqElement.monomial((0, 0, 0, 2))) * w_embed(AqElement.monomial((0, 0, 0, 3)))\n"
+        "print(len(x.terms), x == y)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["56", "True"]
 
 
 # -------------------------------------------------------- straightening
@@ -518,7 +604,8 @@ def test_echelon_rows_are_reduced():
         comp = component(content)
         assert_reduced_echelon(comp)
         assert not set(comp.basis) & set(comp.pivots)
-        assert all(not tags for tags in comp.tags.values())
+        for w, row in comp.pivots.items():  # w - NF(w)
+            assert row == {w: ONE, **{x: -c for x, c in uq._normal_form(w).items()}}, w
     for content in contents_up_to(4):
         items, echelon = uq._w_pbw_matrix(content)
         assert_reduced_echelon(echelon)
