@@ -245,8 +245,8 @@ def first_intertwine_failure(degree_bound: int, variant: str = "plus"):
     _roles(variant)  # an unknown name is rejected before any matrix is built
     matrix = dirac_plus() if variant == "plus" else dirac_minus()
     for gamma in indices_up_to(degree_bound):
-        for slot in (1, 2):
-            f = VectorDualFunctional.indicator(gamma, slot)
+        e = DualFunctional._make({gamma: LaurentPoly.one()})
+        for slot, f in ((1, VectorDualFunctional(e)), (2, VectorDualFunctional(None, e))):
             if intertwine_bruteforce(f, variant) != matrix.apply_divided(f):
                 return gamma, slot
     return None

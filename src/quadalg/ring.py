@@ -21,6 +21,16 @@ operand type.
 
 Also provides the q-combinatorics ([n]_q, q-factorials of multi-indices)
 and an exact root-of-unity vanishing test via cyclotomic reduction.
+
+``RatQ`` stores a fraction in lowest terms.  Its denominators are
+products of q-integers, and [n]_q = q^(1-n) prod_{d | 2n, d > 2} Phi_d(q),
+so it cancels over cyclotomic factors rather than by Euclid over Q: a
+monomial numerator shares no factor with a denominator whose constant
+term is nonzero; otherwise the denominator is split once (memoised) into
+Phi_m^e factors and a rest, each Phi_m is divided out of the numerator
+while that is exact and at most e times, and ``laurent_gcd`` runs only on
+a rest of positive degree.  The lowest-terms form is unique, so the
+result does not depend on how many factors the split finds.
 """
 
 from __future__ import annotations
@@ -370,6 +380,57 @@ def vanishes_at_root_of_unity(p: LaurentPoly, m: int) -> bool:
     return not rem
 
 
+@lru_cache(maxsize=4096)
+def _cyclotomic_split(den):
+    """Split a monic dense polynomial as prod Phi_m^e times a rest.
+
+    Returns (((m, e), ...), rest).  Tries Phi_m for m <= deg + 2, which
+    finds every factor of a product of q-integers; ``rest`` keeps the
+    others, so it may still hold a cyclotomic factor of higher order.
+    """
+    rest = den
+    factors = []
+    for m in range(1, len(den) + 2):
+        if len(rest) == 1:
+            break
+        phi = cyclotomic(m)
+        e = 0
+        while len(phi) <= len(rest):
+            quo, rem = _dense_divmod(rest, phi)
+            if rem:
+                break
+            rest, e = quo, e + 1
+        if e:
+            factors.append((m, e))
+    return tuple(factors), tuple(rest)
+
+
+def _cancel(num: LaurentPoly, den: LaurentPoly):
+    """num/den in lowest terms, for a monic den with valuation 0.
+
+    The cyclotomic factors of den are divided out of num as often as both
+    hold them; Euclid runs only on what the split leaves.
+    """
+    dd = _to_dense(den)[1]
+    factors, rest = _cyclotomic_split(tuple(dd))
+    vn, dn = _to_dense(num)
+    for m, e in factors:
+        phi = cyclotomic(m)
+        for _ in range(e):
+            quo, rem = _dense_divmod(dn, phi)
+            if rem:
+                break
+            dn = quo
+            dd = _dense_divmod(dd, phi)[0]
+    num = LaurentPoly({vn + i: c for i, c in enumerate(dn)})
+    den = LaurentPoly(dict(enumerate(dd)))
+    if len(rest) > 1:
+        g = laurent_gcd(num, LaurentPoly(dict(enumerate(rest))))
+        if g.degree > 0:
+            num, den = divide_exact(num, g), divide_exact(den, g)
+    return num, den
+
+
 # -- fraction field -----------------------------------------------------
 
 
@@ -401,14 +462,13 @@ class RatQ:
             self.num = num
             self.den = LaurentPoly.one()
             return
-        if not den.is_unit():
-            g = laurent_gcd(num, den)
-            if g.degree > 0:
-                num = divide_exact(num, g)
-                den = divide_exact(den, g)
         vd, dd = _to_dense(den)
         lead = dd[-1]
-        self.den = LaurentPoly._make({i: _div(c, lead) for i, c in enumerate(dd) if c})
+        den = LaurentPoly._make({i: _div(c, lead) for i, c in enumerate(dd) if c})
+        # a monomial numerator shares no factor with den, whose constant term is nonzero
+        if not (den.is_unit() or num.is_unit()):
+            num, den = _cancel(num, den)
+        self.den = den
         self.num = LaurentPoly._make({e - vd: _div(v, lead) for e, v in num.terms.items()})
 
     @classmethod
@@ -477,7 +537,7 @@ class RatQ:
         return RatQ(self.den, self.num)
 
     def is_laurent(self) -> bool:
-        return self.den == LaurentPoly.one()
+        return self.den.terms == {0: 1}
 
     def to_laurent(self) -> LaurentPoly:
         if not self.is_laurent():

@@ -416,3 +416,69 @@ def test_coefficients_are_int_or_non_integral_fraction():
             y = RatQ(Q(1) + 2, Q(2) * 3 - 1)
             for z in (x + y, x * y, x / y, y / x, x - y):
                 assert _exact_coefficients(z.num, z.den), (x, y, z)
+
+
+# ------------------------------------- cancellation against Euclid over Q
+
+
+def reference_ratq(num, den):
+    """num/den in lowest terms by Euclid: (num, den), den monic with valuation 0."""
+    if not num:
+        return LaurentPoly.zero(), ONE
+    g = laurent_gcd(num, den)
+    num, den = divide_exact(num, g), divide_exact(den, g)
+    unit = LaurentPoly({-den.valuation: Fraction(1) / den.coeff(den.degree)})
+    return num * unit, den * unit
+
+
+def _product(factors):
+    out = ONE
+    for f in factors:
+        out = out * f
+    return out
+
+
+# Products of q-integers, whose factors are cyclotomic, and factors that are not
+# (q^2 - q + 1 is Phi_6 alone, beyond the orders the cyclotomic split tries).
+CYCLOTOMIC_FACTORS = [q_int(n) for n in range(2, 7)] + [
+    q_factorial((3, 0, 2, 1)), Q(1) - Q(-1), Q(1) + Q(-1), Q(1) - ONE,
+]
+OTHER_FACTORS = [
+    Q(1) * 2 + 1, Q(2) + Q(1) - 1, Q(2) - Q(1) + 1,
+    LaurentPoly({1: Fraction(1, 2), 0: Fraction(-3, 4)}), LaurentPoly({2: Fraction(2, 3), 0: 5}),
+]
+
+
+def ratq_corpus():
+    """Seeded (num, den) pairs: q-integer denominators with repeated factors,
+    times other factors and a unit; numerators zero, monomials, Fraction
+    polynomials and multiples of the factors, some held more often than
+    the denominator holds them."""
+    rng = random.Random(20261019)
+    for i in range(400):
+        cyclo = [rng.choice(CYCLOTOMIC_FACTORS) for _ in range(rng.randint(0, 3))]
+        other = [rng.choice(OTHER_FACTORS) for _ in range(rng.randint(0, 2))]
+        unit = LaurentPoly({rng.randint(-3, 3): rng.choice((1, -2, Fraction(3, 2)))})
+        den = _product(cyclo + other) * unit
+        kind = i % 4
+        if kind == 0:
+            num = LaurentPoly.zero()
+        elif kind == 1:
+            num = LaurentPoly({rng.randint(-4, 4): rng.choice((1, -3, Fraction(-2, 5)))})
+        elif kind == 2:
+            num = _corpus_poly(rng, False)
+        else:
+            pool = cyclo + cyclo + other + CYCLOTOMIC_FACTORS[:3] + OTHER_FACTORS[:2]
+            shared = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+            num = _product(shared) * _corpus_poly(rng, rng.random() < 0.5)
+        yield num, den
+
+
+def test_ratq_cancellation_matches_euclid():
+    for num, den in ratq_corpus():
+        x = RatQ(num, den)
+        n, d = reference_ratq(num, den)
+        assert (x.num, x.den) == (n, d), (num, den)
+        assert x.num.to_json() == n.to_json() and x.den.to_json() == d.to_json()
+        assert str(x) == (str(n) if d == ONE else "(%s)/(%s)" % (n, d))
+        assert _exact_coefficients(x.num, x.den), (num, den)

@@ -230,6 +230,25 @@ def test_apply_divided_is_apply_through_psi():
             assert psi(op.apply_divided(f)) == op.apply(psi(f)), (op, gamma)
 
 
+def test_psi_and_apply_cancel_without_euclid(monkeypatch):
+    # every denominator on this path is a product of q-integers, which RatQ
+    # cancels over their cyclotomic factors with no polynomial gcd
+    from quadalg import ring
+
+    cases = [(which, right_dual_closed(which), right_dual_bruteforce(w0))
+             for which, w0 in ((1, _w(1)), (2, _w(2)), (3, _w(3)), (4, _w(4)), ("box", center_element()))]
+
+    def no_gcd(a, b):
+        raise AssertionError("laurent_gcd(%s, %s)" % (a, b))
+
+    monkeypatch.setattr(ring, "laurent_gcd", no_gcd)
+    with pytest.raises(AssertionError):
+        RatQ(Q(1) + 1, Q(1) * 2 + 1)
+    for f in equivalence_functionals():
+        for which, closed, brute in cases:
+            assert psi(brute(f)) == closed.apply(psi(f)), (which, f)
+
+
 def reference_first_dual_failure(which, degree_bound):
     """The psi-based oracle: both sides compared as polynomials in Q(q)."""
     from quadalg import transform
