@@ -16,9 +16,12 @@ divided-powers correspondence componentwise.  With it both products
 compose to -q^-1 times the diagonal wave operator, exactly.
 
 ``intertwine_check`` compares the brute-force pushforward with the matrix
-action as pairs of functionals, in divided coordinates
-(``OpMatrix2.apply_divided``, over Z[q, q^-1]); psi, taken componentwise,
-ties this to ``OpMatrix2.apply`` on pairs of polynomials.
+action on every vector indicator as sparse columns in divided coordinates
+(``transform.first_column_failure``, over Z[q, q^-1]): each entry M_ij
+converts its coefficients once and gives the image of e_gamma through
+``qcalc.divided_column``, the kernel of ``OpMatrix2.apply_divided``,
+which psi, taken componentwise, ties to ``OpMatrix2.apply`` on pairs of
+polynomials.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ from functools import lru_cache
 
 from .aq import AqElement
 from .qcalc import Poly4Vec2, QOperator, compose
-from .ring import LaurentPoly, indices_up_to
+from .ring import LaurentPoly
 from .transform import (
     DualFunctional,
     box_operator,
     dual_w1_parts,
+    first_column_failure,
     psi,
     right_dual_bruteforce,
     right_dual_closed,
@@ -207,11 +211,23 @@ class VectorDualFunctional:
         return "(%s ; %s)" % (self.f1, self.f2)
 
 
+def _pushforward_generators(variant):
+    """The indices k, in rows i and columns j, of the duals in f -> f(. u0).
+
+    Slot j of f(. u0) takes the dual of right multiplication by w_k on
+    slot i of f, times -q^-1 from slot 2.
+    """
+    top, bottom = _roles(variant)
+    return (top, 4), (1, bottom)
+
+
 @lru_cache(maxsize=None)
 def _pushforward_duals(variant):
-    """The brute-force duals of w_top, w1, w4 and w_bottom, built once per variant."""
-    top, bottom = _roles(variant)
-    return tuple(right_dual_bruteforce(AqElement.generator(i)) for i in (top, 1, 4, bottom))
+    """The brute-force duals of ``_pushforward_generators``, built once per variant."""
+    return tuple(
+        tuple(right_dual_bruteforce(AqElement.generator(k)) for k in row)
+        for row in _pushforward_generators(variant)
+    )
 
 
 def intertwine_bruteforce(f: VectorDualFunctional, variant: str = "plus") -> VectorDualFunctional:
@@ -226,7 +242,7 @@ def intertwine_bruteforce(f: VectorDualFunctional, variant: str = "plus") -> Vec
     The minus variant interchanges the roles of w2 and w3.
     """
     qinv = _Q(-1)
-    d_top, d_w1, d_w4, d_bottom = _pushforward_duals(variant)
+    (d_top, d_w4), (d_w1, d_bottom) = _pushforward_duals(variant)
     g1 = d_top(f.f1) + d_w1(f.f2).scale(-qinv)
     g2 = d_w4(f.f1) + d_bottom(f.f2).scale(-qinv)
     return VectorDualFunctional(g1, g2)
@@ -236,20 +252,24 @@ def first_intertwine_failure(degree_bound: int, variant: str = "plus"):
     """The first (gamma, slot) of total degree <= degree_bound on which the
     brute-force pushforward and the matrix action disagree, or None.
 
-    Both sides are compared as vector functionals: the matrix acts in
-    divided coordinates (``OpMatrix2.apply_divided``), which psi carries
-    componentwise to its action on polynomials.
+    Each vector indicator's two images are compared as sparse columns in
+    divided coordinates: entry M_ij's through ``divided_column`` (the
+    kernel of ``OpMatrix2.apply_divided``, which psi carries componentwise
+    to its action on polynomials), against the pushforward's dual of
+    ``_pushforward_generators`` entry (i, j).
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
-    _roles(variant)  # an unknown name is rejected before any matrix is built
+    gens = _pushforward_generators(variant)  # rejects an unknown name before any matrix is built
     matrix = dirac_plus() if variant == "plus" else dirac_minus()
-    for gamma in indices_up_to(degree_bound):
-        e = DualFunctional._make({gamma: LaurentPoly.one()})
-        for slot, f in ((1, VectorDualFunctional(e)), (2, VectorDualFunctional(None, e))):
-            if intertwine_bruteforce(f, variant) != matrix.apply_divided(f):
-                return gamma, slot
-    return None
+    minus_qinv = -_Q(-1)
+    sides = [
+        (AqElement.generator(gens[i][j]), minus_qinv if i else None, matrix[i, j].laurent_terms())
+        for i in (0, 1)
+        for j in (0, 1)
+    ]
+    bad = first_column_failure(sides, degree_bound)
+    return (bad[0], bad[1] // 2 + 1) if bad else None
 
 
 def intertwine_check(degree_bound: int, variant: str = "plus") -> bool:

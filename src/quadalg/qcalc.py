@@ -34,8 +34,12 @@ multiplied left to right.  The relations above become three rules:
 Coefficients live in the fraction field Q(q): the canonical form can
 introduce denominators of q - q^-1 even for integer inputs (see the identity
 above).  All displayed operators of interest have plain Laurent
-coefficients, and ``apply_divided`` acts with them on functionals in
-the divided basis z^beta / [beta]_q! without leaving Z[q, q^-1].
+coefficients, and they act on functionals in the divided basis
+e_beta = z^beta / [beta]_q! without leaving Z[q, q^-1]: one kernel,
+``divided_column``, gives the image of e_beta as a sparse column, and
+``apply_divided`` sums those columns.  An operator converts its
+coefficients to Laurent form once (``laurent_terms``), so the oracle
+sweeps read one column per index with no conversion.
 """
 
 from __future__ import annotations
@@ -116,6 +120,24 @@ def _divided_factor(n, alpha, delta) -> LaurentPoly:
     return out
 
 
+def divided_column(terms, beta) -> dict:
+    """The image of e_beta = z^beta / [beta]_q! under an operator, as {target: LaurentPoly}.
+
+    ``terms`` are the operator's pairs ((alpha, delta, gamma), c) with
+    Laurent c (``QOperator.laurent_terms``).  z^alpha K^delta [d]^gamma
+    sends e_beta to q^(-delta.n) [n+alpha]!/[n]! e_(n+alpha) with
+    n = beta - gamma, or to 0 unless beta >= gamma.
+    """
+    out = {}
+    for (alpha, delta, gamma), c in terms:
+        n = (beta[0] - gamma[0], beta[1] - gamma[1], beta[2] - gamma[2], beta[3] - gamma[3])
+        if min(n) < 0:
+            continue
+        target = (n[0] + alpha[0], n[1] + alpha[1], n[2] + alpha[2], n[3] + alpha[3])
+        add_into(out, target, c * _divided_factor(n, alpha, delta))
+    return out
+
+
 # ------------------------------------------------------------ QOperator
 
 
@@ -124,10 +146,11 @@ class QOperator(Lin):
 
     Terms map (alpha, delta, gamma) -> coefficient with, on every axis,
     min(alpha_i, gamma_i) = 0; two operators are equal iff their term
-    maps are equal.
+    maps are equal.  The slot ``_laurent`` is filled on first use by
+    ``laurent_terms``.
     """
 
-    __slots__ = ()
+    __slots__ = ("_laurent",)
     coerce = staticmethod(as_ratq)
 
     @staticmethod
@@ -187,23 +210,29 @@ class QOperator(Lin):
         """The action on a functional f (a ``DualFunctional``) in divided coordinates.
 
         f stands for sum_beta f(w^beta) e_beta with e_beta = z^beta / [beta]_q!,
-        and z^alpha K^delta [d]^gamma sends e_beta to
-        q^(-delta.(beta-gamma)) [beta-gamma+alpha]!/[beta-gamma]! e_(beta-gamma+alpha),
-        or to 0 unless beta >= gamma.  Every factor is a Laurent polynomial,
-        so the values are computed in Z[q, q^-1] with no division.  Returns a
+        and the result is sum_beta f(w^beta) ``divided_column(self.laurent_terms(),
+        beta)``, computed in Z[q, q^-1] with no division.  Returns a
         functional of f's type; raises ``ExactDivisionError`` if a
         coefficient of the operator is not a Laurent polynomial.
         """
-        terms = [(key, c.to_laurent()) for key, c in self.terms.items()]
+        terms = self.laurent_terms()
         out = {}
         for beta, v in f.terms.items():
-            for (alpha, delta, gamma), c in terms:
-                n = (beta[0] - gamma[0], beta[1] - gamma[1], beta[2] - gamma[2], beta[3] - gamma[3])
-                if min(n) < 0:
-                    continue
-                target = (n[0] + alpha[0], n[1] + alpha[1], n[2] + alpha[2], n[3] + alpha[3])
-                add_into(out, target, c * v * _divided_factor(n, alpha, delta))
+            for target, c in divided_column(terms, beta).items():
+                add_into(out, target, c * v)
         return type(f)._make(out)
+
+    def laurent_terms(self):
+        """The terms as pairs ((alpha, delta, gamma), LaurentPoly), converted once per operator.
+
+        Raises ``ExactDivisionError`` if a coefficient is not a Laurent
+        polynomial.
+        """
+        try:
+            return self._laurent
+        except AttributeError:
+            self._laurent = tuple((key, c.to_laurent()) for key, c in self.terms.items())
+            return self._laurent
 
     def __call__(self, p: Poly4) -> Poly4:
         return self.apply(p)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 
 from . import aq, dirac, transform, uq, verma
 from .aq import AqElement
@@ -31,19 +30,42 @@ def _capped(witness):
     return "%s ... [%d characters in all]" % (witness[:WITNESS_LIMIT], len(witness))
 
 
-@dataclass
 class Check:
-    name: str
-    ok: bool
-    witness: str | None = None
+    """One named check of a suite: its verdict and, if it failed, a witness."""
+
+    __slots__ = ("name", "ok", "witness")
+    __hash__ = None
+
+    def __init__(self, name: str, ok: bool, witness: str | None = None):
+        self.name = name
+        self.ok = ok
+        self.witness = witness
+
+    def __eq__(self, other):
+        if type(other) is not Check:
+            return NotImplemented
+        return (self.name, self.ok, self.witness) == (other.name, other.ok, other.witness)
+
+    def __repr__(self):
+        return "Check(name=%r, ok=%r, witness=%r)" % (self.name, self.ok, self.witness)
 
 
-@dataclass
 class Report:
-    suite: str
-    parameters: dict
-    checks: list = field(default_factory=list)
-    duration: float = 0.0
+    """The checks of one suite run, with its parameters and wall time."""
+
+    __hash__ = None
+
+    def __init__(self, suite: str, parameters: dict, checks: list | None = None,
+                 duration: float = 0.0):
+        self.suite = suite
+        self.parameters = parameters
+        self.checks = [] if checks is None else checks
+        self.duration = duration
+
+    def __eq__(self, other):
+        if type(other) is not Report:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:

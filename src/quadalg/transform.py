@@ -18,14 +18,17 @@ q-difference operators with closed forms:
 ``verify_dual`` checks each closed form against brute-force right
 multiplication on every monomial indicator up to a degree bound, and
 ``first_dual_failure`` names the first indicator where they disagree.
-The check compares functionals in divided coordinates: the closed form
-acts on the values f(w^gamma) through ``QOperator.apply_divided``, over
-Z[q, q^-1], and psi (a bijection) ties that action to ``apply`` on the
-polynomials Psi_f, so no Q(q) arithmetic is needed.  The
-brute-force side forms each product w^gamma w0 once per process with the
-normal-ordering engine and keeps it transposed, per degree of gamma, so a
-dual reads its values off the columns of the functional's support.  The
-closed forms are built once per process as well; verdicts never are.
+The sweep compares sparse columns in divided coordinates: the image of
+the indicator of w^gamma under either side is a fixed {delta: value}
+over Z[q, q^-1].  The closed form's column comes from
+``qcalc.divided_column`` (the kernel of ``QOperator.apply_divided``,
+which psi, a bijection, ties to ``apply`` on the polynomials Psi_f), so
+no Q(q) arithmetic is needed.  The brute-force side forms each product
+w^gamma w0 once per process with the normal-ordering engine and keeps it
+transposed, per degree of gamma; a sweep looks those tables up once per
+degree and reads each column off them, and a dual on a functional reads
+its values off the columns of the functional's support.  The closed
+forms are built once per process as well; verdicts never are.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ from functools import lru_cache
 
 from .aq import AqElement, center_element
 from .lin import Lin, add_into
-from .qcalc import Poly4, QOperator, compose, mul_z, qdiff, scaling
+from .qcalc import Poly4, QOperator, compose, divided_column, mul_z, qdiff, scaling
 from .ring import (
     LaurentPoly,
     RatQ,
     all_indices,
     as_laurent,
-    indices_up_to,
     mi_check,
     mi_degree,
     q_factorial,
@@ -174,23 +176,50 @@ def _brute_element(which) -> AqElement:
     return AqElement.generator(which)
 
 
+def _transpose_tables(w0: AqElement, degree: int):
+    """The tables ``_right_mul_transpose(w0, degree - k)`` for the degrees k <= degree of w0."""
+    return [_right_mul_transpose(w0, degree - k) for k in w0.degrees() if k <= degree]
+
+
+def first_column_failure(sides, degree_bound: int):
+    """The first (gamma, i) on which a brute-force dual and an operator disagree, or None.
+
+    ``sides`` are triples (w0, s, terms): the image of the indicator of
+    w^gamma under the dual of right multiplication by w0, times s (None
+    for 1), against the column of the operator with Laurent terms
+    ``terms`` (``divided_column``).  Indices go in ``indices_up_to``
+    order, the sides in their given order at each index.  The brute
+    column is read off the transposed products of each degree: the
+    tables of one w0 hold distinct keys, one degree each, so a column is
+    their pairs at gamma with no sum.
+    """
+    for d in range(degree_bound + 1):
+        tables = [_transpose_tables(w0, d) for w0, _, _ in sides]
+        for gamma in all_indices(d):
+            for i, (w0, s, terms) in enumerate(sides):
+                brute = {}
+                for table in tables[i]:
+                    brute.update(table.get(gamma, ()))
+                if s is not None:
+                    brute = {g: c * s for g, c in brute.items()}
+                if brute != divided_column(terms, gamma):
+                    return gamma, i
+    return None
+
+
 def first_dual_failure(which, degree_bound: int):
     """The first monomial indicator of total degree <= degree_bound on which
     brute-force right multiplication and the closed form disagree, or None.
 
-    Both sides are compared as functionals: the closed form acts in divided
-    coordinates (``QOperator.apply_divided``), which psi carries to its
+    Both sides are compared as sparse columns in divided coordinates: the
+    closed form's through ``divided_column``, which psi carries to its
     action on polynomials.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
-    closed = right_dual_closed(which)
-    brute = right_dual_bruteforce(_brute_element(which))
-    for gamma in indices_up_to(degree_bound):
-        f = DualFunctional._make({gamma: LaurentPoly.one()})
-        if brute(f) != closed.apply_divided(f):
-            return gamma
-    return None
+    closed = right_dual_closed(which).laurent_terms()
+    bad = first_column_failure([(_brute_element(which), None, closed)], degree_bound)
+    return bad[0] if bad else None
 
 
 def verify_dual(which, degree_bound: int) -> bool:

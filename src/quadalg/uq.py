@@ -237,6 +237,25 @@ def graded_dimension(d: int) -> int:
     return sum(counts.values())
 
 
+def _irreducible_count(content) -> int:
+    """The dimension of one content: its words with no leading word of RULES as a factor.
+
+    Counted as in ``graded_dimension``, by the last letters a leading word
+    can still overlap and the letters left, with no normal form computed.
+    """
+    counts = {((), tuple(content)): 1}
+    for _ in range(sum(content)):
+        grown = {}
+        for (suffix, left), n in counts.items():
+            for x, m in enumerate(left):
+                w = suffix + (x,)
+                if m and not any(w[-k:] in RULES for k in _LEAD_LENGTHS):
+                    key = (w[1 - _LEAD_LENGTHS[-1]:], left[:x] + (m - 1,) + left[x + 1:])
+                    add_into(grown, key, n)
+        counts = grown
+    return sum(counts.values())
+
+
 # ----------------------------------------------------- straightened form
 #
 # Symbols for the straightening engine: ("F", i), ("E", i), ("K", i, e).
@@ -524,11 +543,10 @@ def _w_pbw_matrix(content):
     weights over the items.
     """
     items = _w_pbw_basis(content)
-    comp = component(content)
-    if len(items) != comp.dimension:
+    dimension = _irreducible_count(content)
+    if len(items) != dimension:
         raise ArithmeticError(
-            "PBW mismatch at %r: %d items vs dimension %d"
-            % (content, len(items), comp.dimension)
+            "PBW mismatch at %r: %d items vs dimension %d" % (content, len(items), dimension)
         )
     echelon = _Echelon()
     for idx, (gamma, r, s) in enumerate(items):

@@ -26,8 +26,6 @@ nonzero q-integer).  Under the plain convention it is -[x + 2]_q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lin import Lin, add_into
 from .ring import LaurentPoly, RatQ, as_ratq, q_int, vanishes_at_root_of_unity
 from .uq import BETA, CARTAN, E_NAMES, K_NAMES, LETTER_NAMES, MU, NU, UqElement, serre_reduce, w_gen
@@ -37,13 +35,29 @@ _Q = LaurentPoly.q
 CONVENTIONS = ("twisted", "plain")
 
 
-@dataclass(frozen=True)
 class Weight:
-    """Character exponents (m, n, x) for the Cartan generators."""
+    """Character exponents (m, n, x) for the Cartan generators; read-only and hashable."""
 
-    m: int
-    n: int
-    x: int
+    def __init__(self, m: int, n: int, x: int):
+        for name, value in (("m", m), ("n", n), ("x", x)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if type(other) is not Weight:
+            return NotImplemented
+        return (self.m, self.n, self.x) == (other.m, other.n, other.x)
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.x))
+
+    def __repr__(self):
+        return "Weight(m=%r, n=%r, x=%r)" % (self.m, self.n, self.x)
 
     def exponent_of(self, kexp, convention="twisted") -> int:
         """The q-exponent by which K_mu^a K_nu^b K_beta^c acts on v."""
@@ -141,18 +155,27 @@ def target_weight(weight: Weight) -> Weight:
     return Weight(0, 1, weight.x + 1)
 
 
-@dataclass
 class SingularReport:
     """Exact raising values of u0 v and the root-of-unity bookkeeping."""
 
-    x: int
-    convention: str
-    e_mu: VermaVector
-    e_mu_sq: VermaVector
-    e_nu: VermaVector
-    e_beta: VermaVector
-    vanishes_generically: bool
-    root_of_unity_orders: tuple
+    def __init__(self, x: int, convention: str, e_mu: VermaVector, e_mu_sq: VermaVector,
+                 e_nu: VermaVector, e_beta: VermaVector, vanishes_generically: bool,
+                 root_of_unity_orders: tuple):
+        self.x = x
+        self.convention = convention
+        self.e_mu = e_mu
+        self.e_mu_sq = e_mu_sq
+        self.e_nu = e_nu
+        self.e_beta = e_beta
+        self.vanishes_generically = vanishes_generically
+        self.root_of_unity_orders = root_of_unity_orders
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not SingularReport:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def singular_test(u0: UqElement, x: int, convention: str = "twisted",

@@ -371,6 +371,29 @@ def test_report_without_checks_is_not_ok():
     assert report.ok
 
 
+def test_reports_and_checks_compare_by_value():
+    from quadalg.suites import Check, Report
+
+    a, b = Report("s", {"degree": 1}), Report(suite="s", parameters={"degree": 1})
+    assert a == b and a.checks == [] and a.duration == 0.0 and a.checks is not b.checks
+    a.add("one", False, "why")
+    assert a != b and a.checks == [Check("one", False, "why")]
+    b.checks.append(Check(name="one", ok=False, witness="why"))
+    b.duration = 1.5
+    assert a != b
+    assert Check("one", True) == Check("one", True, None) != Check("two", True)
+
+
+def test_cli_imports_without_dataclasses():
+    src = os.path.dirname(os.path.dirname(quadalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, quadalg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_long_failing_witness_is_capped_with_its_length(monkeypatch):
     from quadalg import aq
     from quadalg.suites import WITNESS_LIMIT, Report, run_suite

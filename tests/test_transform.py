@@ -306,6 +306,113 @@ def test_oracles_agree_with_the_psi_reference(swap, monkeypatch):
     assert all(verdicts) != swap
 
 
+def _mutated(op, rng, how):
+    """op with one seeded term's coefficient multiplied by q, or dropped."""
+    from quadalg.qcalc import QOperator
+
+    terms = dict(op.terms)
+    key = rng.choice(sorted(terms))
+    if how == "times q":
+        terms[key] = terms[key] * Q(1)
+    else:
+        del terms[key]
+    return QOperator._make(terms)
+
+
+def _patch_closed(monkeypatch, which, op):
+    from quadalg import dirac, transform
+
+    closed = transform.right_dual_closed
+
+    def patched(w):
+        return op if w == which else closed(w)
+
+    monkeypatch.setattr(transform, "right_dual_closed", patched)
+    monkeypatch.setattr(dirac, "right_dual_closed", patched)
+
+
+@pytest.mark.parametrize("how", ["times q", "dropped"])
+@pytest.mark.parametrize("which", [1, 2, 3, 4, "box"], ids=str)
+def test_sweeps_name_the_oracles_first_failure_on_a_mutated_closed_form(which, how, monkeypatch):
+    from quadalg.dirac import first_intertwine_failure
+    from quadalg.transform import first_dual_failure
+
+    rng = random.Random("%s %s" % (which, how))
+    _patch_closed(monkeypatch, which, _mutated(right_dual_closed(which), rng, how))
+    got = first_dual_failure(which, 5)
+    assert got is not None
+    assert got == reference_first_dual_failure(which, 5)
+    for variant in ("plus", "minus"):
+        assert first_intertwine_failure(5, variant) == reference_first_intertwine_failure(5, variant)
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_intertwine_sweep_names_the_oracles_first_failure_on_a_perturbed_entry(variant, monkeypatch):
+    from quadalg import dirac
+
+    rng = random.Random(variant)
+    build = dirac.dirac_plus if variant == "plus" else dirac.dirac_minus
+    for i, j in product((0, 1), repeat=2):
+        entries = [list(row) for row in build().entries]
+        entries[i][j] = _mutated(entries[i][j], rng, "times q")
+        matrix = dirac.OpMatrix2(entries)
+        monkeypatch.setattr(dirac, "dirac_%s" % variant, lambda matrix=matrix: matrix)
+        got = dirac.first_intertwine_failure(5, variant)
+        assert got is not None and got[1] == i + 1, (i, j)
+        assert got == reference_first_intertwine_failure(5, variant), (i, j)
+
+
+def test_apply_divided_on_multi_term_functionals_is_apply_through_psi():
+    for op in _operators_with_laurent_coefficients():
+        for f in equivalence_functionals()[-50:]:  # the multi-term ones
+            assert op.apply_divided(f) == psi_inv(op.apply(psi(f))), (op, f)
+
+
+def test_non_laurent_coefficients_still_raise(monkeypatch):
+    from quadalg import dirac
+    from quadalg.dirac import first_intertwine_failure
+    from quadalg.ring import ExactDivisionError
+    from quadalg.transform import first_dual_failure
+
+    def broken():
+        return right_dual_closed(4).scale(RatQ(ONE, q_int(2)))
+
+    f = DualFunctional.indicator((0, 0, 0, 1))
+    op = broken()
+    for _ in range(2):  # a failed conversion leaves nothing behind
+        with pytest.raises(ExactDivisionError):
+            op.apply_divided(f)
+    _patch_closed(monkeypatch, 4, broken())
+    with pytest.raises(ExactDivisionError):
+        first_dual_failure(4, 3)
+    entries = [list(row) for row in dirac.dirac_plus().entries]
+    entries[0][1] = broken()
+    monkeypatch.setattr(dirac, "dirac_plus", lambda: dirac.OpMatrix2(entries))
+    with pytest.raises(ExactDivisionError):
+        first_intertwine_failure(3, "plus")
+
+
+def test_sweeps_convert_each_operator_term_at_most_once(monkeypatch):
+    from quadalg import transform
+    from quadalg.dirac import dirac_plus, intertwine_check
+
+    calls = [0]
+    to_laurent = RatQ.to_laurent
+
+    def counting(c):
+        calls[0] += 1
+        return to_laurent(c)
+
+    transform.right_dual_closed.cache_clear()  # a fresh operator, not yet converted
+    monkeypatch.setattr(RatQ, "to_laurent", counting)
+    assert verify_dual(1, 6)
+    assert 0 < calls[0] <= len(right_dual_closed(1).terms)
+    calls[0] = 0
+    assert intertwine_check(4, "plus")
+    matrix = dirac_plus()
+    assert 0 < calls[0] <= sum(len(matrix[i, j].terms) for i in (0, 1) for j in (0, 1))
+
+
 def test_suites_name_the_first_failing_index(monkeypatch):
     from quadalg.suites import run_suite
 

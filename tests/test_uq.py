@@ -591,6 +591,21 @@ def test_w_decompose_recovers_each_pbw_item():
             assert w_decompose(el) == {item: RatQ.one()}, item
 
 
+def test_irreducible_count_is_the_component_dimension():
+    for content in contents_up_to(7):
+        assert uq._irreducible_count(content) == component(content).dimension, content
+
+
+def test_w_pbw_matrix_builds_no_component(monkeypatch):
+    def no_component(content):
+        raise AssertionError("component(%r)" % (content,))
+
+    monkeypatch.setattr(uq, "component", no_component)
+    for content in ((1, 1, 1), (2, 0, 2), (1, 2, 1), (0, 2, 2), (2, 2, 0)):
+        items, echelon = uq._w_pbw_matrix.__wrapped__(content)
+        assert len(echelon.pivots) == len(items) == len(uq._w_pbw_basis(content))
+
+
 def assert_reduced_echelon(echelon):
     for pivot, row in echelon.pivots.items():
         assert row[pivot] == RatQ.one()

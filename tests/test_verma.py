@@ -241,3 +241,17 @@ def test_deep_scan_matches_the_predicted_obstruction():
             assert bool(expected) == (r.x != expected_x), (convention, r.x)
             assert r.e_beta == VermaVector({(MU,): RatQ(expected)}), (convention, r.x)
             assert not r.e_nu and not r.e_mu_sq, (convention, r.x)
+
+
+def test_weight_and_report_are_plain_values():
+    w = Weight(1, 0, 3)
+    assert w == Weight(m=1, n=0, x=3) and w != Weight(1, 0, 4)
+    assert w != (1, 0, 3) and hash(w) == hash(Weight(1, 0, 3))
+    assert len({w, Weight(1, 0, 3), Weight(0, 1, 3)}) == 2
+    assert repr(w) == "Weight(m=1, n=0, x=3)"
+    with pytest.raises(AttributeError):
+        w.x = 4
+    a, b = singular_test(singular_candidate_plus(), 2), singular_test(singular_candidate_plus(), 2)
+    assert a == b and a != singular_test(singular_candidate_plus(), 3)
+    b.root_of_unity_orders = (5,)
+    assert a != b
