@@ -3,7 +3,8 @@
 Subcommands: normalize, mul, serre-reduce, dims, star, dual, dirac,
 singular-vector, verify.  Exit codes: 0 on success, 1 when a
 verification check fails, 2 on usage, parse or arithmetic errors (such
-as a scalar that is not a Laurent polynomial where one is required).
+as a scalar that is not a Laurent polynomial where one is required) and
+on input nested too deeply for the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, ArithmeticError) as exc:
+    except (ValueError, KeyError, ArithmeticError, RecursionError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

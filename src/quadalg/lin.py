@@ -25,17 +25,12 @@ def add_into(acc: dict, key, c) -> None:
         del acc[key]
 
 
-def add_scaled(acc: dict, row: dict, c, skip=None) -> None:
-    """``acc += c * row`` (leaving out the key ``skip``), dropping zero sums.
-
-    ``row`` is read only.
-    """
+def add_scaled(acc: dict, row: dict, c) -> None:
+    """``acc += c * row``, dropping zero sums; ``row`` is read only."""
     if not c:
         return
     get = acc.get
     for key, v in row.items():
-        if key == skip:
-            continue
         t = c * v
         old = get(key)
         if old is None:

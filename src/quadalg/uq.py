@@ -12,8 +12,7 @@ Serre ideal (Bokut & Malcolmson 1996): eight rules rewrite leading words
 to lex-smaller words, so each word has one normal form (diamond lemma) on
 the basis words, those with no leading word.  Normal forms are memoised
 per word over Q[q, q^-1], each built on demand from those of lex-smaller
-words; the sparse echelon ``_Echelon`` serves only the PBW change of
-basis used by the star action below.
+words.
 
 Elements of the full fragment are straightened by ``lin.rewrite`` to (F word)
 (K monomial) (E word), with both words reduced to quotient-basis coordinates.
@@ -22,7 +21,10 @@ The star action of the mu/nu subalgebra on the quadratic algebra is
 computed from the coproduct and antipode and then projected back to the
 w-span along the PBW decomposition w^gamma F_mu^r F_nu^s (counit on the
 K and E parts); the projection is what makes the action land in the
-quadratic algebra, matching its generator-by-generator table.
+quadratic algebra, matching its generator-by-generator table.  PBW
+coordinates come from a second rewriting system, ``PBW_RULES``: one
+commutation rule for each pair of the root vectors w1 < w2 < w3 < w4 <
+F_mu < F_nu, run by ``lin.rewrite`` one F word at a time.
 """
 
 from __future__ import annotations
@@ -96,59 +98,6 @@ RULES = {
     )
 }
 _LEAD_LENGTHS = sorted({len(lead) for lead in RULES})
-
-
-class _Echelon:
-    """Reduced row echelon rows over Q(q), each carrying a dict of tags.
-
-    Every row has coefficient 1 at its pivot, its lexicographically
-    largest word, and holds no other row's pivot word.  A row's tags
-    ({key: RatQ}) undergo the same row operations as its words, so they
-    record which combination of the inserted vectors the row is.
-    """
-
-    __slots__ = ("pivots", "tags")
-
-    def __init__(self):
-        self.pivots = {}  # pivot word -> {word: scalar} with pivot coeff 1
-        self.tags = {}  # pivot word -> {key: RatQ}
-
-    def reduce(self, vec, tags=None):
-        """Canonical coset representative of a coefficient vector.
-
-        Subtracts multiples of the rows until no pivot word is left; when
-        ``tags`` is given, the same multiples of the rows' tags are
-        subtracted from it in place.
-        """
-        vec = {w: c for w, c in vec.items() if c}
-        for p in sorted((w for w in vec if w in self.pivots), reverse=True):
-            c = vec.get(p)
-            if c:
-                del vec[p]
-                add_scaled(vec, self.pivots[p], -c, skip=p)
-                if tags is not None:
-                    add_scaled(tags, self.tags[p], -c)
-        return vec
-
-    def insert(self, vec, tags=None):
-        """Add ``vec`` (tagged ``tags``) as a row; its pivot, or None if it reduced to 0."""
-        tags = dict(tags) if tags else {}
-        row = self.reduce(vec, tags)
-        if not row:
-            return None
-        pivot = max(row)
-        inv = row[pivot].inverse()
-        row = {w: c * inv for w, c in row.items()}
-        tags = {k: c * inv for k, c in tags.items()}
-        # back-substitute into the existing rows
-        for p, r in self.pivots.items():
-            c = r.get(pivot)
-            if c:
-                add_scaled(r, row, -c)
-                add_scaled(self.tags[p], tags, -c)
-        self.pivots[pivot] = row
-        self.tags[pivot] = tags
-        return pivot
 
 
 class _Component:
@@ -233,25 +182,6 @@ def graded_dimension(d: int) -> int:
                 w = suffix + (x,)
                 if not any(w[-k:] in RULES for k in _LEAD_LENGTHS):
                     add_into(grown, w[1 - _LEAD_LENGTHS[-1]:], n)
-        counts = grown
-    return sum(counts.values())
-
-
-def _irreducible_count(content) -> int:
-    """The dimension of one content: its words with no leading word of RULES as a factor.
-
-    Counted as in ``graded_dimension``, by the last letters a leading word
-    can still overlap and the letters left, with no normal form computed.
-    """
-    counts = {((), tuple(content)): 1}
-    for _ in range(sum(content)):
-        grown = {}
-        for (suffix, left), n in counts.items():
-            for x, m in enumerate(left):
-                w = suffix + (x,)
-                if m and not any(w[-k:] in RULES for k in _LEAD_LENGTHS):
-                    key = (w[1 - _LEAD_LENGTHS[-1]:], left[:x] + (m - 1,) + left[x + 1:])
-                    add_into(grown, key, n)
         counts = grown
     return sum(counts.values())
 
@@ -534,52 +464,81 @@ def _w_pbw_basis(content):
     return tuple(sorted(items))
 
 
-@lru_cache(maxsize=None)
-def _w_pbw_matrix(content):
-    """Row-reduced expansion of the PBW items in quotient coordinates.
+# The PBW root vectors in the order w1 < w2 < w3 < w4 < Fm < Fn, as the
+# letters 1..6 (Levendorskii-Soibelman; Lusztig, *Introduction to Quantum
+# Groups*, 1993).  Each pair out of order commutes by one rule: the six
+# relations of aq, Fm and Fn past the w's, and Fn Fm = Fm Fn.  The rules
+# are not derived from w_gen; the tests check each one by its products.
+_QINV = _Q(-1)
+PBW_RULES = {
+    tuple(map(int, lead)): {tuple(map(int, w)): as_laurent(c) for w, c in rhs.items()}
+    for lead, rhs in (
+        ("21", {"12": _QINV}),
+        ("31", {"13": _QINV}),
+        ("32", {"23": 1}),
+        ("41", {"14": 1, "23": _QINV - _Q(1)}),
+        ("42", {"24": _QINV}),
+        ("43", {"34": _QINV}),
+        ("51", {"15": _Q(1), "2": 1}),
+        ("52", {"25": _QINV}),
+        ("53", {"35": _Q(1), "4": 1}),
+        ("54", {"45": _QINV}),
+        ("61", {"16": _Q(1), "3": 1}),
+        ("62", {"26": _Q(1), "4": 1}),
+        ("63", {"36": _QINV}),
+        ("64", {"46": _QINV}),
+        ("65", {"56": 1}),
+    )
+}
+_PBW_LETTER = {MU: 5, NU: 6, BETA: 1}  # F_mu = Fm, F_nu = Fn, F_beta = w1
 
-    Returns (items, echelon): the echelon rows hold the items' expansions,
-    each inserted with the tag {item index: 1}, so a row's tags are its
-    weights over the items.
+
+def _pbw_step(word):
+    """The leftmost pair of PBW letters out of order commuted, or None if there is none."""
+    for idx in range(len(word) - 1):
+        if word[idx] > word[idx + 1]:
+            head, tail = word[:idx], word[idx + 2:]
+            return [(head + u + tail, c) for u, c in PBW_RULES[word[idx:idx + 2]].items()]
+    return None
+
+
+@lru_cache(maxsize=None)
+def _w_pbw_matrix(fword):
+    """PBW coordinates of one F word: {(gamma, r, s): LaurentPoly} for w^gamma F_mu^r F_nu^s.
+
+    The row of w is w[0] times the row of w[1:], rewritten by ``PBW_RULES``.
     """
-    items = _w_pbw_basis(content)
-    dimension = _irreducible_count(content)
-    if len(items) != dimension:
-        raise ArithmeticError(
-            "PBW mismatch at %r: %d items vs dimension %d" % (content, len(items), dimension)
-        )
-    echelon = _Echelon()
-    for idx, (gamma, r, s) in enumerate(items):
-        tail = (MU,) * r + (NU,) * s  # w^gamma F_mu^r F_nu^s
-        el = w_embed(AqElement.monomial(gamma))
-        column = serre_reduce({fw + tail: c for (fw, _, _), c in el.terms.items()})
-        if echelon.insert(column, {idx: RatQ.one()}) is None:
-            raise ArithmeticError("PBW items are dependent at %r" % (content,))
-    return items, echelon
+    if not fword:
+        return {((0, 0, 0, 0), 0, 0): _ONE}
+    first = (_PBW_LETTER[fword[0]],)
+    vec = {}
+    for (gamma, r, s), c in _w_pbw_matrix(fword[1:]).items():
+        word = first  # then the ordered PBW word of the item
+        for x, n in enumerate(gamma + (r, s), 1):
+            word += (x,) * n
+        vec[word] = c
+    row = {}
+    for word, c in rewrite(vec, _pbw_step).items():
+        row[tuple(map(word.count, (1, 2, 3, 4))), word.count(5), word.count(6)] = c
+    return row
 
 
 class NotInWSpanError(ValueError):
-    """The projected star-action value fails to decompose over the w-basis."""
+    """An element with K or E factors, which has no PBW coordinates in the lowering part."""
 
 
 def w_decompose(x: UqElement) -> dict:
-    """Coefficients of x over the PBW items (gamma, r, s); x must be pure F."""
+    """Coefficients of x over the PBW items (gamma, r, s); x must be pure F.
+
+    Each F word is brought to PBW coordinates by ``PBW_RULES``, memoised
+    per word, and the rows are summed with the coefficients of x.
+    """
     for (fw, k, ew) in x.terms:
         if ew or any(k):
             raise NotInWSpanError("element has K or E factors: %s" % x)
     coords = {}
-    by_content = {}
     for (fw, _, _), c in x.terms.items():
-        by_content.setdefault(word_content(fw), {})[fw] = c
-    for content, vec in by_content.items():
-        items, echelon = _w_pbw_matrix(content)
-        # vec - sum of tagged rows leaves -weights in the tags
-        tags = {}
-        residual = echelon.reduce(vec, tags)
-        if residual:
-            raise NotInWSpanError("no PBW pivot for word %r" % (max(residual),))
-        for idx, c in tags.items():
-            coords[items[idx]] = -c
+        add_scaled(coords, _w_pbw_matrix(fw), c)
     return coords
 
 
@@ -589,8 +548,7 @@ def star_act(symbol, a: AqElement) -> AqElement:
     Computes sum_i b_i * a * S(a_i) over the coproduct pairs, straightens,
     applies the counit to the Cartan and raising parts, and projects the
     remaining lowering part onto the pure-w component of the PBW basis
-    w^gamma F_mu^r F_nu^s.  Raises NotInWSpanError if the decomposition
-    fails.
+    w^gamma F_mu^r F_nu^s, read off by ``w_decompose``.
     """
     if symbol[1] == BETA:
         raise ValueError("star action is defined for the mu/nu subalgebra only")

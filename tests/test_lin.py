@@ -120,8 +120,8 @@ def test_add_scaled_drops_zero_sums_and_leaves_row_alone():
     q = RatQ(Q(1))
     row = {"a": q, "b": RatQ(1), "c": RatQ(1, Q(1) + 1)}
     before = dict(row)
-    acc = {"a": q * 2, "b": RatQ(2), "d": RatQ(5)}
-    add_scaled(acc, row, RatQ(-2), skip="c")
+    acc = {"a": q * 2, "b": RatQ(2), "c": RatQ(2, Q(1) + 1), "d": RatQ(5)}
+    add_scaled(acc, row, RatQ(-2))
     assert acc == {"d": RatQ(5)}
     add_scaled(acc, row, q)
     assert acc == {"d": RatQ(5), "a": q * q, "b": q, "c": RatQ(Q(1), Q(1) + 1)}

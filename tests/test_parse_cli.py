@@ -312,6 +312,28 @@ def test_cli_rejects_with_exit_2_and_no_traceback(argv, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normalize", "(" * 1200 + "w1" + ")" * 1200),
+        ("normalize", "--", "-" * 2000 + "1"),
+        ("serre-reduce", "Fb*Fm^300"),
+    ],
+    ids=["nested-parentheses", "signs", "serre-normal-form"],
+)
+def test_cli_input_past_the_recursion_limit_exits_2_without_traceback(argv):
+    # a fresh interpreter, at the default recursion limit
+    src = os.path.dirname(os.path.dirname(quadalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-m", "quadalg", *argv],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
+
+
 def test_cli_builds_its_parser_once(monkeypatch):
     from quadalg import cli
 

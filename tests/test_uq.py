@@ -11,7 +11,7 @@ import pytest
 import quadalg
 from quadalg import uq
 from quadalg.aq import AqElement, relation_pairs
-from quadalg.lin import add_into
+from quadalg.lin import add_into, add_scaled, rewrite
 from quadalg.ring import LaurentPoly, RatQ, all_indices, indices_up_to, mi_degree
 from quadalg.uq import (
     BETA,
@@ -109,7 +109,42 @@ def test_graded_dimensions_count_irreducible_words_without_components():
 # The ideal at a multidegree spanned by all products u * r * v of a
 # Serre relation r and row-reduced into an echelon: the construction the
 # rewriting engine replaced, kept here as its oracle.  It shares only
-# ``_Echelon`` and ``serre_relations`` with the engine.
+# ``serre_relations`` with the engine.
+
+
+class Echelon:
+    """Reduced row echelon rows over Q(q).
+
+    Every row has coefficient 1 at its pivot, its lexicographically
+    largest word, and holds no other row's pivot word.
+    """
+
+    def __init__(self):
+        self.pivots = {}  # pivot word -> {word: scalar} with pivot coeff 1
+
+    def reduce(self, vec):
+        """Canonical coset representative of a coefficient vector."""
+        vec = {w: c for w, c in vec.items() if c}
+        for p in sorted((w for w in vec if w in self.pivots), reverse=True):
+            c = vec.get(p)
+            if c:
+                add_scaled(vec, self.pivots[p], -c)  # clears p, whose row has 1 there
+        return vec
+
+    def insert(self, vec):
+        """Add ``vec`` as a row; its pivot, or None if it reduced to 0."""
+        row = self.reduce(vec)
+        if not row:
+            return None
+        pivot = max(row)
+        inv = row[pivot].inverse()
+        row = {w: c * inv for w, c in row.items()}
+        for r in self.pivots.values():  # back-substitute into the existing rows
+            c = r.get(pivot)
+            if c:
+                add_scaled(r, row, -c)
+        self.pivots[pivot] = row
+        return pivot
 
 
 def _subcontents(content, size):
@@ -131,7 +166,7 @@ def _all_words(content):
 @lru_cache(maxsize=None)
 def oracle_component(content):
     """(basis, echelon) of the ideal at ``content``, by u * r * v row reduction."""
-    ech = uq._Echelon()
+    ech = Echelon()
     for rel in uq.serre_relations():
         rc = uq.word_content(next(iter(rel)))
         rest = tuple(c - r for c, r in zip(content, rc))
@@ -561,18 +596,85 @@ def test_star_kinverse():
     assert got == AqElement.generator(2).scale(Q(1))
 
 
+def test_star_act_on_every_degree_3_monomial_is_pinned():
+    # taken with the Q(q) echelon that decomposed over the PBW items before PBW_RULES
+    h = hashlib.sha256()
+    for symbol in (("F", MU), ("E", MU), ("K", MU, 1)):
+        for gamma in all_indices(3):
+            h.update((str(star_act(symbol, AqElement.monomial(gamma))) + "\n").encode())
+    assert h.hexdigest() == "2d9ab9aba1d50f8b55949f812d75cb8c6fc6a1ae57d3631315622b66d0c93dcb"
+
+
 # ------------------------------------------------- PBW cross-validation
+#
+# The rule table uq.PBW_RULES is checked through the U_q^- word engine:
+# the letters 1..4 are w_gen(1..4), 5 and 6 are F_mu and F_nu.
+
+PBW_GENERATORS = {i: w_gen(i) for i in (1, 2, 3, 4)}
+PBW_GENERATORS.update({5: Fm, 6: Fn})
+
+
+def pbw_product(word):
+    """The product of PBW letters in U_q^-, taken by the word engine."""
+    out = UqElement.one()
+    for x in word:
+        out = out * PBW_GENERATORS[x]
+    return out
+
+
+@lru_cache(maxsize=None)
+def pbw_element(item):
+    """w^gamma F_mu^r F_nu^s through w_embed and F products."""
+    gamma, r, s = item
+    el = w_embed(AqElement.monomial(gamma))
+    for _ in range(r):
+        el = el * Fm
+    for _ in range(s):
+        el = el * Fn
+    return el
+
+
+def test_pbw_rules_hold_in_the_lowering_part():
+    # one rule per pair of letters out of order, onto ordered words
+    assert set(uq.PBW_RULES) == {(x, y) for x in range(1, 7) for y in range(1, x)}
+    for lead, rhs in uq.PBW_RULES.items():
+        want = UqElement.zero()
+        for word, c in rhs.items():
+            assert list(word) == sorted(word), (lead, word)
+            want = want + pbw_product(word).scale(c)
+        assert pbw_product(lead) == want, lead
+
+
+def _rightmost_pbw_step(word):
+    for idx in reversed(range(len(word) - 1)):
+        if word[idx] > word[idx + 1]:
+            head, tail = word[:idx], word[idx + 2:]
+            return [(head + u + tail, c) for u, c in uq.PBW_RULES[word[idx:idx + 2]].items()]
+    return None
+
+
+def test_pbw_overlaps_resolve():
+    # every word x y z with x > y > z: leftmost and rightmost rewriting agree
+    overlaps = [(x, y, z) for x in range(1, 7) for y in range(1, x) for z in range(1, y)]
+    assert len(overlaps) == 20
+    for word in overlaps:
+        left = rewrite({word: ONE}, uq._pbw_step)
+        assert left == rewrite({word: ONE}, _rightmost_pbw_step), word
+        assert all(list(w) == sorted(w) for w in left), word
+
 
 def test_w_pbw_spans_low_degrees():
     # the PBW count w^gamma F_mu^r F_nu^s reproduces every component
-    # dimension: decomposition of any basis word must succeed
-    for d in range(5):
-        for a in range(d + 1):
-            for b in range(d + 1 - a):
-                comp = component((a, b, d - a - b))
-                for word in comp.basis:
-                    coords = w_decompose(UqElement({(word, (0, 0, 0), ()): RatQ.one()}))
-                    assert coords, word
+    # dimension: each basis word is the sum of the items it decomposes into
+    for content in contents_up_to(4):
+        for word in component(content).basis:
+            x = UqElement({(word, (0, 0, 0), ()): RatQ.one()})
+            coords = w_decompose(x)
+            assert coords, word
+            total = UqElement.zero()
+            for item, c in coords.items():
+                total = total + pbw_element(item).scale(c)
+            assert total == x, word
 
 
 def contents_up_to(d):
@@ -580,30 +682,31 @@ def contents_up_to(d):
 
 
 def test_w_decompose_recovers_each_pbw_item():
-    for content in contents_up_to(4):
+    for content in contents_up_to(6):
         for item in uq._w_pbw_basis(content):
-            gamma, r, s = item
-            el = w_embed(AqElement.monomial(gamma))
-            for _ in range(r):
-                el = el * Fm
-            for _ in range(s):
-                el = el * Fn
-            assert w_decompose(el) == {item: RatQ.one()}, item
+            assert w_decompose(pbw_element(item)) == {item: RatQ.one()}, item
 
 
-def test_irreducible_count_is_the_component_dimension():
+def test_pbw_count_is_the_component_dimension():
+    # the PBW theorem: the items of a content are as many as its basis words
     for content in contents_up_to(7):
-        assert uq._irreducible_count(content) == component(content).dimension, content
+        assert len(uq._w_pbw_basis(content)) == component(content).dimension, content
 
 
 def test_w_pbw_matrix_builds_no_component(monkeypatch):
+    items = [item for content in ((1, 1, 1), (2, 0, 2), (1, 2, 1), (0, 2, 2), (2, 2, 0))
+             for item in uq._w_pbw_basis(content)]
+    elements = [pbw_element(item) for item in items]
+
     def no_component(content):
         raise AssertionError("component(%r)" % (content,))
 
     monkeypatch.setattr(uq, "component", no_component)
-    for content in ((1, 1, 1), (2, 0, 2), (1, 2, 1), (0, 2, 2), (2, 2, 0)):
-        items, echelon = uq._w_pbw_matrix.__wrapped__(content)
-        assert len(echelon.pivots) == len(items) == len(uq._w_pbw_basis(content))
+    # an empty memo, so that w_decompose builds every row it reads
+    monkeypatch.setattr(uq, "_w_pbw_matrix", lru_cache(maxsize=None)(uq._w_pbw_matrix.__wrapped__))
+    for item, el in zip(items, elements):
+        assert w_decompose(el) == {item: RatQ.one()}, item
+    assert uq._w_pbw_matrix.cache_info().misses > 0
 
 
 def assert_reduced_echelon(echelon):
@@ -622,32 +725,9 @@ def test_echelon_rows_are_reduced():
         for w, row in comp.pivots.items():  # w - NF(w)
             assert row == {w: ONE, **{x: -c for x, c in uq._normal_form(w).items()}}, w
     for content in contents_up_to(4):
-        items, echelon = uq._w_pbw_matrix(content)
+        basis, echelon = oracle_component(content)
         assert_reduced_echelon(echelon)
-        assert len(echelon.pivots) == len(items)
-
-
-def test_echelon_tags_follow_the_row_operations():
-    # a row's tags say which combination of the inserted vectors it is
-    ech = uq._Echelon()
-    a, b, c = (0,), (1,), (2,)
-    vecs = [{c: RatQ(2), a: RatQ.one()}, {c: RatQ.one(), b: RatQ(Q(1))}, {b: RatQ(3)}]
-
-    def combine(tags):
-        out = {}
-        for i, t in tags.items():
-            for w, x in vecs[i].items():
-                out[w] = out.get(w, RatQ.zero()) + t * x
-        return {w: x for w, x in out.items() if x}
-
-    for i, vec in enumerate(vecs):
-        assert ech.insert(vec, {i: RatQ.one()}) is not None
-    assert ech.insert({a: RatQ.one()}, {"x": RatQ.one()}) is None
-    for pivot, row in ech.pivots.items():
-        assert combine(ech.tags[pivot]) == row
-    tags = {}
-    assert ech.reduce({c: RatQ(5)}, tags) == {}
-    assert combine({i: -t for i, t in tags.items()}) == {c: RatQ(5)}
+        assert len(echelon.pivots) + len(basis) == len(words_of_content(content))
 
 
 def test_uq_memo_tables_expose_cache_info():
