@@ -10,7 +10,7 @@ The package provides, over exact Laurent-polynomial scalars:
   * ``qcalc``      q-difference operators z^a K^d [d]^g in canonical form
   * ``transform``  the divided-powers correspondence and right-dual operators
   * ``uq``         the enveloping-algebra fragment: quantum Serre ideal
-                   oracles, straightening, Hopf data, and the star action
+                   oracles, straightening, and the star action in closed form
   * ``verma``      highest-weight vectors, raising actions, singular scans
   * ``dirac``      the 2x2 operator matrices factoring the wave operator
   * ``suites``     named verification suites with deterministic reports

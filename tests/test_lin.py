@@ -10,8 +10,10 @@ from quadalg.lin import Lin, add_into, add_scaled, rewrite
 from quadalg.qcalc import Poly4, QOperator
 from quadalg.ring import LaurentPoly, RatQ
 from quadalg.transform import DualFunctional, box_operator, right_dual_closed
-from quadalg.uq import MU, TensorSum, UqElement, coproduct, w_gen
+from quadalg.uq import MU, UqElement, w_gen
 from quadalg.verma import VermaVector
+
+from hopf_oracle import TensorSum, coproduct
 
 Q = LaurentPoly.q
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from functools import lru_cache
@@ -17,23 +18,26 @@ from quadalg.uq import (
     BETA,
     MU,
     NU,
-    NotInWSpanError,
-    TensorSum,
     UqElement,
-    antipode,
     component,
-    coproduct,
-    coproduct_pairs,
-    counit,
     graded_dimension,
     serre_reduce,
     star_act,
     straighten,
     straighten_word,
-    w_decompose,
     w_embed,
     w_gen,
     words_of_content,
+)
+
+from hopf_oracle import (
+    NotInWSpanError,
+    antipode,
+    coproduct,
+    coproduct_pairs,
+    counit,
+    hopf_star_act,
+    w_decompose,
 )
 
 Q = LaurentPoly.q
@@ -587,8 +591,10 @@ def test_star_table_nu():
 
 
 def test_star_rejects_beta():
-    with pytest.raises(ValueError):
-        star_act(("F", BETA), AqElement.generator(1))
+    # beta, and a kind that is no generator
+    for symbol in (("F", BETA), ("X", MU)):
+        with pytest.raises(ValueError):
+            star_act(symbol, AqElement.generator(1))
 
 
 def test_star_kinverse():
@@ -597,12 +603,105 @@ def test_star_kinverse():
 
 
 def test_star_act_on_every_degree_3_monomial_is_pinned():
-    # taken with the Q(q) echelon that decomposed over the PBW items before PBW_RULES
-    h = hashlib.sha256()
-    for symbol in (("F", MU), ("E", MU), ("K", MU, 1)):
-        for gamma in all_indices(3):
-            h.update((str(star_act(symbol, AqElement.monomial(gamma))) + "\n").encode())
-    assert h.hexdigest() == "2d9ab9aba1d50f8b55949f812d75cb8c6fc6a1ae57d3631315622b66d0c93dcb"
+    # degrees 3 and 4, both taken through the Hopf projection (hopf_star_act)
+    pins = {
+        3: "2d9ab9aba1d50f8b55949f812d75cb8c6fc6a1ae57d3631315622b66d0c93dcb",
+        4: "524e8f0db31d08a2714fbededee0a0744b2dcd78d591cf05d8c614d311cc3ae0",
+    }
+    for degree, digest in pins.items():
+        h = hashlib.sha256()
+        for symbol in (("F", MU), ("E", MU), ("K", MU, 1)):
+            for gamma in all_indices(degree):
+                h.update((str(star_act(symbol, AqElement.monomial(gamma))) + "\n").encode())
+        assert h.hexdigest() == digest, degree
+
+
+STAR_SYMBOLS = [("F", MU), ("E", MU), ("K", MU, 1), ("K", MU, -1),
+                ("F", NU), ("E", NU), ("K", NU, 1), ("K", NU, -1)]
+
+
+def test_star_act_matches_the_hopf_projection():
+    # all eight generators on every monomial of degree <= 3
+    checks = [(symbol, AqElement.monomial(gamma))
+              for symbol in STAR_SYMBOLS for gamma in indices_up_to(3)]
+    # then 30 seeded mixed elements of degree <= 3, the generators in turn
+    rng = random.Random(16)
+    for n in range(30):
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            gamma = rng.choice(indices_up_to(3))
+            add_into(terms, gamma, Q(rng.randint(-2, 2)) * LaurentPoly.const(rng.choice((-2, 1, 3))))
+        checks.append((STAR_SYMBOLS[n % len(STAR_SYMBOLS)], AqElement(terms)))
+    for symbol, a in checks:
+        got, want = star_act(symbol, a), hopf_star_act(symbol, a)
+        assert got == want and str(got) == str(want), (symbol, a)
+
+
+# The module-algebra identity X |> (ab) = sum (X_(1) |> a)(X_(2) |> b) with
+# Delta'(F) = F x 1 + K x F, Delta'(E) = E x K^-1 + 1 x E, Delta'(K) = K x K.
+# Both sides take only star_act and aq products; star_act is defined on the
+# PBW basis, so the identity checks that it respects the six aq relations.
+
+def _coproduct_prime(symbol):
+    """Delta'(X) as (left, right) pairs of star symbols, None for the unit."""
+    kind, i = symbol[0], symbol[1]
+    if kind == "F":
+        return [(symbol, None), (("K", i, 1), symbol)]
+    if kind == "E":
+        return [(symbol, ("K", i, -1)), (None, symbol)]
+    return [(symbol, symbol)]
+
+
+def _act(symbol, a):
+    return a if symbol is None else star_act(symbol, a)
+
+
+def covariance_failures(max_degree, symbols):
+    """The checks run, and the triples (X, a, b) of monomials where the identity fails.
+
+    a and b run over the monomials of degree >= 1 with total degree <= max_degree.
+    """
+    monomials = [(sum(gamma), AqElement.monomial(gamma))
+                 for gamma in indices_up_to(max_degree - 1)[1:]]
+    checks, failures = 0, []
+    for symbol in symbols:
+        pairs = _coproduct_prime(symbol)
+        for da, a in monomials:
+            for db, b in monomials:
+                if da + db > max_degree:
+                    continue
+                rhs = AqElement.zero()
+                for left, right in pairs:
+                    rhs = rhs + _act(left, a) * _act(right, b)
+                checks += 1
+                if star_act(symbol, a * b) != rhs:
+                    failures.append((symbol, a, b))
+    return checks, failures
+
+
+COVARIANCE_SYMBOLS = [("F", MU), ("E", MU), ("K", MU, 1), ("F", NU), ("E", NU), ("K", NU, 1)]
+
+
+def test_star_act_is_a_module_algebra_action():
+    assert covariance_failures(6, COVARIANCE_SYMBOLS) == (15504, [])
+
+
+def test_covariance_catches_a_mutated_star_formula(monkeypatch):
+    # Fm's second term times q: q^(a-b+1) [c]_q w^(gamma-e3+e4)
+    mu_star = uq._mu_star
+
+    def mutant(kind, k, gamma):
+        terms = mu_star(kind, k, gamma)
+        if kind == "F":
+            (g1, c1), (g2, c2) = terms
+            terms = (g1, c1), (g2, c2 * Q(1))
+        return terms
+
+    monkeypatch.setattr(uq, "_mu_star", mutant)
+    # the nu generators read the mu formula through the mirror, so Fn fails too
+    checks, failures = covariance_failures(4, COVARIANCE_SYMBOLS)
+    assert checks == 2136
+    assert {symbol for symbol, _, _ in failures} == {("F", MU), ("F", NU)}
 
 
 # ------------------------------------------------- PBW cross-validation
