@@ -10,9 +10,10 @@ Dynkin path mu -- beta -- nu.
 Ideal membership is decided by the finite Groebner-Shirshov basis of the
 Serre ideal (Bokut & Malcolmson 1996): eight rules rewrite leading words
 to lex-smaller words, so each word has one normal form (diamond lemma) on
-the basis words, those with no leading word.  Normal forms are memoised
-per word over Q[q, q^-1], each built on demand from those of lex-smaller
-words.
+the basis words, those with no leading word as a factor.  Component bases
+come from that factor test alone.  Normal forms are memoised per word over
+Z[q, q^-1] (the rules are integral), each built on demand, on an explicit
+work stack, from those of lex-smaller words.
 
 Elements of the full fragment are straightened by ``lin.rewrite`` to (F word)
 (K monomial) (E word), with both words reduced to quotient-basis coordinates.
@@ -30,7 +31,7 @@ word at a time.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import _CacheInfo, cached_property, lru_cache
 
 from .aq import AqElement
 from .lin import Lin, add_into, add_scaled, rewrite
@@ -70,15 +71,20 @@ def word_content(word):
     return tuple(c)
 
 
-@lru_cache(maxsize=None)
-def words_of_content(content):
-    """All distinct words with the given letter counts, ascending lex."""
+def _grown_words(content, pruned):
+    """The words with the given letter counts, ascending lex, no prefix of which is pruned."""
     # each word extended by its remaining letters in ascending order stays in lex order
     words = [((), tuple(content))]
     for _ in range(sum(content)):
         words = [(w + (x,), left[:x] + (n - 1,) + left[x + 1:])
-                 for w, left in words for x, n in enumerate(left) if n]
+                 for w, left in words for x, n in enumerate(left) if n and not pruned(w + (x,))]
     return tuple(w for w, _ in words)
+
+
+@lru_cache(maxsize=None)
+def words_of_content(content):
+    """All distinct words with the given letter counts, ascending lex."""
+    return _grown_words(content, lambda w: False)
 
 
 # The Groebner-Shirshov rules as data: each leading word equals its right
@@ -101,12 +107,26 @@ RULES = {
 _LEAD_LENGTHS = sorted({len(lead) for lead in RULES})
 
 
+def _ends_in_lead(w):
+    """Whether w ends in a leading word: the factor test, asked at each letter a word grows by."""
+    for k in _LEAD_LENGTHS:  # a plain loop: this runs once per letter grown
+        if w[-k:] in RULES:
+            return True
+    return False
+
+
 class _Component:
-    """One multidegree: its irreducible words, and the rows w - NF(w) of the others."""
+    """One multidegree: its irreducible words, and the rows w - NF(w) of the others.
+
+    The basis is the words with no leading word as a factor, grown letter by
+    letter and pruned at the first prefix that ends in one (a prefix of an
+    irreducible word is irreducible); no normal form is built for it.  The
+    rows are built on first use, and with them the normal forms they read.
+    """
 
     def __init__(self, content):
         self.content = content
-        self.basis = tuple(w for w in words_of_content(content) if _normal_form(w) is None)
+        self.basis = _grown_words(content, _ends_in_lead)
 
     @property
     def dimension(self):
@@ -123,31 +143,71 @@ def component(content) -> _Component:
     return _Component(tuple(content))
 
 
-@lru_cache(maxsize=None)
+_NF = {}  # word -> NF(word), or None for an irreducible word
+_UNBUILT = object()
+
+
 def _normal_form(w):
-    """NF(w) as {irreducible word: LaurentPoly}, or None when w is irreducible.
+    """NF(w) as {irreducible word: LaurentPoly}, or None when w is irreducible."""
+    if w not in _NF:
+        _memoise_normal_form(w)
+    return _NF[w]
+
+
+# read like an lru_cache's: every word built is a miss, and hits are not counted
+_normal_form.cache_info = lambda: _CacheInfo(None, len(_NF), None, len(_NF))
+_normal_form.cache_clear = _NF.clear
+
+
+def _memoise_normal_form(word):
+    """Put NF(word) into the memo, each normal form after those it reads.
 
     NF(w) = NF(w[0] NF(w[1:])) for a reducible tail; an irreducible tail
     leaves only the rule whose leading word prefixes w.  Both steps reach
     lex-smaller words, and the rules, a Groebner-Shirshov basis, make the
-    normal form unique (diamond lemma).
+    normal form unique (diamond lemma).  The words still to build wait on
+    an explicit stack, so no word length meets the recursion limit.
     """
-    tail = _normal_form(w[1:]) if len(w) > 1 else None
-    if tail is not None:
-        terms = [(w[:1] + u, c) for u, c in tail.items()]
-    else:
-        lead = next((w[:n] for n in _LEAD_LENGTHS if w[:n] in RULES), None)
-        if lead is None:
-            return None
-        terms = [(u + w[len(lead):], c) for u, c in RULES[lead].items()]
-    return _sum_normal_forms(terms)
+    stack = [(word, None)]  # (w, its terms once NF(w[1:]) is known)
+    while stack:
+        w, terms = stack[-1]
+        if terms is None:
+            if w in _NF:
+                stack.pop()
+                continue
+            tail = _NF.get(w[1:], _UNBUILT) if len(w) > 1 else None
+            if tail is _UNBUILT:
+                stack.append((w[1:], None))
+                continue
+            if tail is not None:
+                terms = [(w[:1] + u, c) for u, c in tail.items()]
+            else:
+                for n in _LEAD_LENGTHS:
+                    if w[:n] in RULES:
+                        terms = [(u + w[n:], c) for u, c in RULES[w[:n]].items()]
+                        break
+                else:
+                    _NF[w] = None
+                    stack.pop()
+                    continue
+            stack[-1] = (w, terms)
+        for x, _ in terms:
+            if x not in _NF:
+                stack.append((x, None))
+                break
+        else:
+            _NF[w] = _sum_normal_forms(terms)
+            stack.pop()
 
 
 def _sum_normal_forms(terms):
     """The sum of c NF(x) over the pairs (x, c), where NF(x) = x for an irreducible x."""
     out = {}
     for x, c in terms:
-        nf = _normal_form(x)
+        try:
+            nf = _NF[x]
+        except KeyError:
+            nf = _normal_form(x)
         if nf is None:
             add_into(out, x, c)
         else:
@@ -181,7 +241,7 @@ def graded_dimension(d: int) -> int:
         for suffix, n in counts.items():
             for x in range(3):
                 w = suffix + (x,)
-                if not any(w[-k:] in RULES for k in _LEAD_LENGTHS):
+                if not _ends_in_lead(w):
                     add_into(grown, w[1 - _LEAD_LENGTHS[-1]:], n)
         counts = grown
     return sum(counts.values())

@@ -272,11 +272,16 @@ def test_cli_reports_byte_identical():
         assert first == second
 
 
-def test_cli_subprocess_end_to_end():
-    # The child must import the quadalg under test, wherever it came from.
+def child_env():
+    """The environment of a child interpreter that imports the quadalg under test."""
     src = os.path.dirname(os.path.dirname(quadalg.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def test_cli_subprocess_end_to_end():
+    env = child_env()
     cmd = [sys.executable, "-m", "quadalg", "verify", "aq-power-identity", "--json"]
     a = subprocess.run(cmd, capture_output=True, text=True, env=env)
     b = subprocess.run(cmd, capture_output=True, text=True, env=env)
@@ -317,21 +322,36 @@ def test_cli_rejects_with_exit_2_and_no_traceback(argv, capsys):
     [
         ("normalize", "(" * 1200 + "w1" + ")" * 1200),
         ("normalize", "--", "-" * 2000 + "1"),
-        ("serre-reduce", "Fb*Fm^300"),
     ],
-    ids=["nested-parentheses", "signs", "serre-normal-form"],
+    ids=["nested-parentheses", "signs"],
 )
 def test_cli_input_past_the_recursion_limit_exits_2_without_traceback(argv):
     # a fresh interpreter, at the default recursion limit
-    src = os.path.dirname(os.path.dirname(quadalg.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     run = subprocess.run([sys.executable, "-m", "quadalg", *argv],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=child_env())
     assert run.returncode == 2
     assert run.stdout == ""
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize(
+    ("power", "digest"),
+    [
+        (300, "cfbf0c7ace97f5806835d8a318865c51de4130c31cbfd222f9170347630289d5"),
+        (1000, "3c8de907ab225e05725114edcb1210003298e7a0e777f129cf59817855406174"),
+    ],
+    ids=["Fm^300", "Fm^1000"],
+)
+def test_cli_reduces_long_serre_words_at_the_default_recursion_limit(power, digest):
+    # a fresh interpreter, at the default recursion limit; the digests were
+    # taken from the recursive normal forms under a raised recursion limit
+    argv = ["serre-reduce", "Fb*Fm^%d" % power, "--json"]
+    run = subprocess.run([sys.executable, "-m", "quadalg", *argv],
+                         capture_output=True, text=True, env=child_env())
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
 
 
 def test_cli_builds_its_parser_once(monkeypatch):
@@ -407,11 +427,8 @@ def test_reports_and_checks_compare_by_value():
 
 
 def test_cli_imports_without_dataclasses():
-    src = os.path.dirname(os.path.dirname(quadalg.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = "import sys, quadalg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
 

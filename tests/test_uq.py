@@ -328,6 +328,43 @@ def test_a_component_builds_without_other_components():
     assert component.cache_info() == before
 
 
+def normal_form_basis(content):
+    """The basis by the normal forms: the words that no rule reduces."""
+    return tuple(w for w in words_of_content(content) if uq._normal_form(w) is None)
+
+
+def test_component_bases_are_the_words_no_rule_reduces():
+    for content in contents_up_to(8):
+        assert component(content).basis == normal_form_basis(content), content
+
+
+def test_component_dimensions_sum_to_the_graded_dimensions():
+    for d in range(11):
+        dims = [component(c).dimension for c in contents_up_to(d) if sum(c) == d]
+        assert sum(dims) == graded_dimension(d), d
+
+
+def test_components_build_no_normal_form_until_their_rows_are_read():
+    component.cache_clear()
+    uq._normal_form.cache_clear()
+    comps = [component(content) for content in contents_up_to(10)]
+    assert sum(comp.dimension for comp in comps) == sum(series_dims(10))
+    assert uq._normal_form.cache_info().currsize == 0
+    assert component((2, 1, 2)).pivots and uq._normal_form.cache_info().currsize > 0
+
+
+def test_basis_pruning_without_any_one_leading_word_is_caught(monkeypatch):
+    for dropped in uq.RULES:
+        leads = set(uq.RULES) - {dropped}
+
+        def ends_in_kept_lead(w, leads=leads):
+            return any(w[-k:] in leads for k in uq._LEAD_LENGTHS)
+
+        monkeypatch.setattr(uq, "_ends_in_lead", ends_in_kept_lead)
+        assert any(component.__wrapped__(c).basis != normal_form_basis(c)
+                   for c in contents_up_to(8)), dropped
+
+
 def test_words_of_content_lists_distinct_words_in_lex_order():
     for content in contents_up_to(6):
         assert words_of_content(content) == _all_words(content), content
