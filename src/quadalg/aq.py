@@ -24,13 +24,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .lin import Lin, add_into
-from .ring import LaurentPoly, as_laurent, divide_exact, mi_check, q_factorial_int as _fact
+from .ring import ZERO4, LaurentPoly, as_laurent, divide_exact, mi_check, q_factorial_int as _fact
 
 _Q = LaurentPoly.q
 _MU = _Q(1) - _Q(-1)  # q - q^-1
 
 GENERATORS = (1, 2, 3, 4)
-_ZERO = (0, 0, 0, 0)
 _UNITS = {i: {tuple(int(j == i) for j in GENERATORS): LaurentPoly.one()} for i in GENERATORS}
 
 
@@ -62,7 +61,7 @@ def _product(left, right):
 
 def reduce_word(word):
     """Normal-order a word of generator indices; returns {multi-index: coeff}."""
-    out = {_ZERO: LaurentPoly.one()}
+    out = {ZERO4: LaurentPoly.one()}
     for letter in word:
         out = _product(out, _UNITS[letter])
     return out
@@ -79,7 +78,7 @@ class AqElement(Lin):
 
     @classmethod
     def one(cls):
-        return cls({_ZERO: LaurentPoly.one()})
+        return cls({ZERO4: LaurentPoly.one()})
 
     @classmethod
     def monomial(cls, gamma, coeff=None):

@@ -17,9 +17,8 @@ from functools import lru_cache
 from . import dirac, transform, uq, verma
 from .aq import AqElement
 from .parse import ParseError, _combine, _Value, parse_expression
-from .ring import LaurentPoly
 from .suites import SUITES, run_suite
-from .uq import MU, NU, UqElement
+from .uq import UqElement
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -63,10 +62,7 @@ def cmd_dims(args) -> int:
     return 0
 
 
-_STAR_SYMBOLS = {
-    "Fm": ("F", MU), "Em": ("E", MU), "Km": ("K", MU, 1), "Km^-1": ("K", MU, -1),
-    "Fn": ("F", NU), "En": ("E", NU), "Kn": ("K", NU, 1), "Kn^-1": ("K", NU, -1),
-}
+_STAR_SYMBOLS = {name: s for name, s in uq.GENERATOR_SYMBOLS.items() if s[1] != uq.BETA}
 
 
 def cmd_star(args) -> int:

@@ -1,36 +1,32 @@
 """The 2x2 first-order operator matrices factoring the quantized wave operator.
 
-The two matrices are assembled from the right-multiplication duals:
+Each entry is a right-multiplication dual times its row factor, M_ij =
+s_i dual(w_k) with s_1 = 1, s_2 = -q^-1 and k from the one table ``_LAYOUT``:
 
     D+ = ( dual(w2)        dual(w4)      )     D- = ( dual(w3)        dual(w4)      )
          ( -q^-1 dual(w1)  -q^-1 dual(w3))          ( -q^-1 dual(w1)  -q^-1 dual(w2))
 
-They act on pairs of polynomials as row vectors, (fM)_j = sum_i M_ij f_i;
-this orientation is forced by the intertwiner computation
+They act on pairs as row vectors, (vM)_j = sum_i M_ij(v_i) (``_row_times``,
+for operators, polynomials and functionals alike); this orientation is
+forced by the intertwiner f -> f(. u0) with u0 = w2 - q^-1 w1 F_mu, read
+through the divided-powers correspondence componentwise, and with it both
+products compose to -q^-1 times the diagonal wave operator, exactly.
 
-    g_1 = dual(w2) f_1 - q^-1 dual(w1) f_2
-    g_2 = dual(w4) f_1 - q^-1 dual(w3) f_2
-
-for the map f -> f(. u0) with u0 = w2 - q^-1 w1 F_mu, read through the
-divided-powers correspondence componentwise.  With it both products
-compose to -q^-1 times the diagonal wave operator, exactly.
-
-``intertwine_check`` compares the brute-force pushforward with the matrix
-action on every vector indicator as sparse columns in divided coordinates
-(``transform.first_column_failure``, over Z[q, q^-1]): each entry M_ij
-converts its coefficients once and gives the image of e_gamma through
-``qcalc.divided_column``, the kernel of ``OpMatrix2.apply_divided``,
-which psi, taken componentwise, ties to ``OpMatrix2.apply`` on pairs of
-polynomials.
+Three sweeps name the first indicator up to a degree bound where a check
+fails, in divided coordinates over Z[q, q^-1] through the kernel
+``qcalc.divided_column`` (which psi ties to ``apply`` on polynomials):
+``transform.first_dual_failure`` for one dual, ``first_intertwine_failure``
+for each entry against the brute-force pushforward's, and
+``first_factorization_failure`` for both products, each (index, slot)
+column of D+, D- and -q^-1 diag(box, box) read once per sweep.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .aq import AqElement
-from .qcalc import Poly4Vec2, QOperator, compose
-from .ring import LaurentPoly
+from .lin import add_scaled
+from .qcalc import Poly4Vec2, QOperator, compose, divided_column
+from .ring import LaurentPoly, indices_up_to
 from .transform import (
     DualFunctional,
     box_operator,
@@ -42,6 +38,27 @@ from .transform import (
 )
 
 _Q = LaurentPoly.q
+
+# The w index k of each entry M_ij = s_i dual(w_k), row by row, and the
+# row factors s_i, with None for 1.
+_LAYOUT = {"plus": ((2, 4), (1, 3)), "minus": ((3, 4), (1, 2))}
+_ROW_FACTORS = (None, -_Q(-1))
+
+
+def _layout(variant):
+    """The pairs (s_i, row i of ``_LAYOUT[variant]``)."""
+    if variant not in _LAYOUT:
+        raise ValueError("variant must be 'plus' or 'minus', got %r" % (variant,))
+    return tuple(zip(_ROW_FACTORS, _LAYOUT[variant]))
+
+
+def _scaled(x, s):
+    return x if s is None else x.scale(s)
+
+
+def _row_times(v, m, act):
+    """The row vector v times the 2x2 matrix m: component j is sum_i act(m_ij, v_i)."""
+    return tuple(act(m[0][j], v[0]) + act(m[1][j], v[1]) for j in (0, 1))
 
 
 class OpMatrix2:
@@ -80,30 +97,11 @@ class OpMatrix2:
 
         Effective entries: (self.then(other))_ij = sum_k other_kj o self_ik.
         """
-        out = []
-        for i in (0, 1):
-            row = []
-            for j in (0, 1):
-                row.append(
-                    compose(other.entries[0][j], self.entries[i][0])
-                    + compose(other.entries[1][j], self.entries[i][1])
-                )
-            out.append(tuple(row))
-        return OpMatrix2(tuple(out))
+        return OpMatrix2(tuple(_row_times(row, other.entries, compose) for row in self.entries))
 
     def apply(self, v: Poly4Vec2) -> Poly4Vec2:
         """Row-vector action: component j of the result is sum_i M_ij(v_i)."""
-        return Poly4Vec2(
-            self.entries[0][0].apply(v.p1) + self.entries[1][0].apply(v.p2),
-            self.entries[0][1].apply(v.p1) + self.entries[1][1].apply(v.p2),
-        )
-
-    def apply_divided(self, v: "VectorDualFunctional") -> "VectorDualFunctional":
-        """``apply`` in divided coordinates: slot j is sum_i M_ij.apply_divided(v_i)."""
-        return VectorDualFunctional(
-            self.entries[0][0].apply_divided(v.f1) + self.entries[1][0].apply_divided(v.f2),
-            self.entries[0][1].apply_divided(v.f1) + self.entries[1][1].apply_divided(v.f2),
-        )
+        return Poly4Vec2(*_row_times((v.p1, v.p2), self.entries, QOperator.apply))
 
     @classmethod
     def diagonal(cls, op: QOperator) -> "OpMatrix2":
@@ -116,42 +114,27 @@ class OpMatrix2:
         )
 
 
-_VARIANTS = {"plus": (2, 3), "minus": (3, 2)}  # the w indices (top, bottom) on the diagonal
-
-
-def _roles(variant):
-    if variant not in _VARIANTS:
-        raise ValueError("variant must be 'plus' or 'minus', got %r" % (variant,))
-    return _VARIANTS[variant]
-
-
-def _dirac_parts(top, bottom):
-    """First-order matrix and extra term with dual(w_top), dual(w_bottom) on the diagonal.
-
-    The lower-left corner is -q^-1 dual(w1), split into its first-order
-    part and the second-order departure -q^-1 z_4 (1 - q^-2) K_4 box.
+def _dirac_parts(variant):
+    """The first-order matrix of D+ or D- and its extra term: each dual(w_k)
+    split into its first-order part and the rest, which is zero but for the
+    departure -q^-1 z_4 (1 - q^-2) K_4 box of the corner -q^-1 dual(w1).
     """
-    zero = QOperator.zero()
-    minus_qinv = -_Q(-1)
-    w1_first, w1_extra = dual_w1_parts()
-    first = OpMatrix2(
-        (
-            (right_dual_closed(top), right_dual_closed(4)),
-            (w1_first.scale(minus_qinv), right_dual_closed(bottom).scale(minus_qinv)),
-        )
+    parts = {k: (right_dual_closed(k), QOperator.zero()) for k in (2, 3, 4)}
+    parts[1] = dual_w1_parts()
+    return tuple(
+        OpMatrix2(tuple(tuple(_scaled(parts[k][n], s) for k in row) for s, row in _layout(variant)))
+        for n in (0, 1)
     )
-    extra = OpMatrix2(((zero, zero), (w1_extra.scale(minus_qinv), zero)))
-    return first, extra
 
 
 def dirac_plus_parts():
     """The first-order matrix and the extra wave-operator term, separately."""
-    return _dirac_parts(*_VARIANTS["plus"])
+    return _dirac_parts("plus")
 
 
 def dirac_minus_parts():
     """As ``dirac_plus_parts`` with the roles of w2 and w3 interchanged."""
-    return _dirac_parts(*_VARIANTS["minus"])
+    return _dirac_parts("minus")
 
 
 def dirac_plus() -> OpMatrix2:
@@ -164,11 +147,67 @@ def dirac_minus() -> OpMatrix2:
     return first + extra
 
 
+def factorization_target() -> OpMatrix2:
+    """-q^-1 diag(box, box), the value of both products of D+ and D-."""
+    return OpMatrix2.diagonal(box_operator()).scale(-_Q(-1))
+
+
+def factorization_products():
+    """The two products (D+ then D-, D- then D+)."""
+    dp, dm = dirac_plus(), dirac_minus()
+    return dp.then(dm), dm.then(dp)
+
+
 def factorization_check() -> bool:
     """True iff both products equal -q^-1 diag(box, box) as exact normal forms."""
-    dp, dm = dirac_plus(), dirac_minus()
-    target = OpMatrix2.diagonal(box_operator()).scale(-_Q(-1))
-    return dp.then(dm) == target and dm.then(dp) == target
+    target = factorization_target()
+    return all(p == target for p in factorization_products())
+
+
+class _ByColumns:
+    """A matrix on pairs {delta: value} of functionals in divided coordinates.
+
+    Column (delta, i), the image of the indicator of w^delta in slot i + 1,
+    is row i of the matrix at delta, as the matrix acts on row vectors; it
+    is read through ``divided_column`` on first use.  The image of a pair
+    is the sum of its values times their columns.
+    """
+
+    def __init__(self, matrix):
+        self.rows = [[op.laurent_terms() for op in row] for row in matrix.entries]
+        self.columns = {}
+
+    def column(self, delta, i):
+        key = (delta, i)
+        if key not in self.columns:
+            self.columns[key] = tuple(divided_column(t, delta) for t in self.rows[i])
+        return self.columns[key]
+
+    def times(self, v):
+        out = ({}, {})
+        for i, f in enumerate(v):
+            for delta, c in f.items():
+                for acc, column in zip(out, self.column(delta, i)):
+                    add_scaled(acc, column, c)
+        return out
+
+
+def first_factorization_failure(degree_bound: int):
+    """The first (gamma, slot) of total degree <= degree_bound on which D+ then
+    D- or D- then D+ differs from -q^-1 diag(box, box), or None.
+
+    The matrices act on vector indicators in divided coordinates, over
+    Z[q, q^-1], and read each (index, slot) column at most once per sweep.
+    """
+    if degree_bound < 0:
+        raise ValueError("degree bound must be >= 0")
+    dp, dm, target = (_ByColumns(m) for m in (dirac_plus(), dirac_minus(), factorization_target()))
+    for gamma in indices_up_to(degree_bound):
+        for i in (0, 1):
+            expected = target.column(gamma, i)
+            if any(b.times(a.column(gamma, i)) != expected for a, b in ((dp, dm), (dm, dp))):
+                return gamma, i + 1
+    return None
 
 
 # ------------------------------------------------- algebraic intertwiner
@@ -211,25 +250,6 @@ class VectorDualFunctional:
         return "(%s ; %s)" % (self.f1, self.f2)
 
 
-def _pushforward_generators(variant):
-    """The indices k, in rows i and columns j, of the duals in f -> f(. u0).
-
-    Slot j of f(. u0) takes the dual of right multiplication by w_k on
-    slot i of f, times -q^-1 from slot 2.
-    """
-    top, bottom = _roles(variant)
-    return (top, 4), (1, bottom)
-
-
-@lru_cache(maxsize=None)
-def _pushforward_duals(variant):
-    """The brute-force duals of ``_pushforward_generators``, built once per variant."""
-    return tuple(
-        tuple(right_dual_bruteforce(AqElement.generator(k)) for k in row)
-        for row in _pushforward_generators(variant)
-    )
-
-
 def intertwine_bruteforce(f: VectorDualFunctional, variant: str = "plus") -> VectorDualFunctional:
     """The pushforward f -> f(. u0) on the target bases, via algebra products.
 
@@ -238,13 +258,13 @@ def intertwine_bruteforce(f: VectorDualFunctional, variant: str = "plus") -> Vec
         g1(delta) = f(w^delta w2) - q^-1 f(w^delta w1 F_mu)
         g2(delta) = f(w^delta w4) - q^-1 f(w^delta w3 F_mu)
 
-    which only require normal-ordered products in the quadratic algebra.
-    The minus variant interchanges the roles of w2 and w3.
+    which only require normal-ordered products in the quadratic algebra:
+    the row vector f times the brute-force duals of ``_LAYOUT``.  The
+    minus variant interchanges the roles of w2 and w3.
     """
-    qinv = _Q(-1)
-    (d_top, d_w4), (d_w1, d_bottom) = _pushforward_duals(variant)
-    g1 = d_top(f.f1) + d_w1(f.f2).scale(-qinv)
-    g2 = d_w4(f.f1) + d_bottom(f.f2).scale(-qinv)
+    duals = [[(right_dual_bruteforce(AqElement.generator(k)), s) for k in row]
+             for s, row in _layout(variant)]
+    g1, g2 = _row_times((f.f1, f.f2), duals, lambda d, x: _scaled(d[0](x), d[1]))
     return VectorDualFunctional(g1, g2)
 
 
@@ -252,21 +272,19 @@ def first_intertwine_failure(degree_bound: int, variant: str = "plus"):
     """The first (gamma, slot) of total degree <= degree_bound on which the
     brute-force pushforward and the matrix action disagree, or None.
 
-    Each vector indicator's two images are compared as sparse columns in
-    divided coordinates: entry M_ij's through ``divided_column`` (the
-    kernel of ``OpMatrix2.apply_divided``, which psi carries componentwise
-    to its action on polynomials), against the pushforward's dual of
-    ``_pushforward_generators`` entry (i, j).
+    Each vector indicator's two images are compared entry by entry as
+    sparse columns in divided coordinates: entry M_ij's through
+    ``divided_column`` against s_i times the brute-force dual of w_k, for
+    the k and s_i of ``_LAYOUT``.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
-    gens = _pushforward_generators(variant)  # rejects an unknown name before any matrix is built
+    layout = _layout(variant)  # rejects an unknown name before any matrix is built
     matrix = dirac_plus() if variant == "plus" else dirac_minus()
-    minus_qinv = -_Q(-1)
     sides = [
-        (AqElement.generator(gens[i][j]), minus_qinv if i else None, matrix[i, j].laurent_terms())
-        for i in (0, 1)
-        for j in (0, 1)
+        (AqElement.generator(k), s, matrix[i, j].laurent_terms())
+        for i, (s, row) in enumerate(layout)
+        for j, k in enumerate(row)
     ]
     bad = first_column_failure(sides, degree_bound)
     return (bad[0], bad[1] // 2 + 1) if bad else None

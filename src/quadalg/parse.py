@@ -28,7 +28,7 @@ import re
 from .aq import AqElement
 from .qcalc import QOperator, compose, mul_z, qdiff, scaling
 from .ring import LaurentPoly, RatQ, as_ratq
-from .uq import BETA, MU, NU, UqElement
+from .uq import GENERATOR_SYMBOLS, UqElement
 
 
 class ParseError(ValueError):
@@ -45,9 +45,6 @@ _TOKEN = re.compile(
     )""",
     re.VERBOSE,
 )
-
-_UQ_LETTER = {"m": MU, "n": NU, "b": BETA}
-
 
 def _tokenize(text):
     tokens = []
@@ -211,20 +208,17 @@ class _Parser:
             if exp < 0:
                 raise ParseError("negative powers are only defined for K symbols", pos)
             return _Value("aq", AqElement.generator(int(name[1])) ** exp)
-        if name[0] in "FE" and len(name) == 2:
+        symbol = GENERATOR_SYMBOLS.get(name)
+        if symbol is not None:
+            if symbol[0] == "K":
+                return _Value("uq", UqElement.k_gen(symbol[1], exp))
             if exp < 0:
                 raise ParseError("negative powers are only defined for K symbols", pos)
-            gen = (
-                UqElement.f_gen(_UQ_LETTER[name[1]])
-                if name[0] == "F"
-                else UqElement.e_gen(_UQ_LETTER[name[1]])
-            )
+            gen = UqElement.generator(symbol)
             out = UqElement.one()
             for _ in range(exp):
                 out = out * gen
             return _Value("uq", out)
-        if name[0] == "K" and len(name) == 2 and name[1] in "mnb":
-            return _Value("uq", UqElement.k_gen(_UQ_LETTER[name[1]], exp))
         if name[0] == "d":
             if exp < 0:
                 raise ParseError("negative powers are only defined for K symbols", pos)

@@ -47,11 +47,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .lin import Lin, add_into, rewrite
-from .ring import LaurentPoly, RatQ, as_ratq, mi_check, q_int
+from .ring import INV_MU, ZERO4, LaurentPoly, RatQ, as_ratq, mi_check, q_int
 
 _Q = LaurentPoly.q
-_INV_MU = RatQ(1, _Q(1) - _Q(-1))  # 1/(q - q^-1)
-ZERO4 = (0, 0, 0, 0)
 
 
 # ------------------------------------------------------------ Poly4
@@ -265,7 +263,7 @@ def _axis_step(word):
         if a and g:
             # z K^e [d] = q^e (K^(e-1) - K^(e+1)) / (q - q^-1)
             head, tail = word[:i], word[i + 1:]
-            f = _INV_MU * _Q(e)
+            f = INV_MU * _Q(e)
             return [(head + ((a - 1, e - 1, g - 1),) + tail, f),
                     (head + ((a - 1, e + 1, g - 1),) + tail, -f)]
     if len(word) < 2:

@@ -553,6 +553,9 @@ class RatQ:
         return "RatQ(%s)" % self
 
 
+INV_MU = RatQ(1, LaurentPoly.q(1) - LaurentPoly.q(-1))  # 1/(q - q^-1)
+
+
 # -- multi-indices ------------------------------------------------------
 
 ZERO4 = (0, 0, 0, 0)

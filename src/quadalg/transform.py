@@ -17,18 +17,20 @@ q-difference operators with closed forms:
 
 ``verify_dual`` checks each closed form against brute-force right
 multiplication on every monomial indicator up to a degree bound, and
-``first_dual_failure`` names the first indicator where they disagree.
-The sweep compares sparse columns in divided coordinates: the image of
-the indicator of w^gamma under either side is a fixed {delta: value}
-over Z[q, q^-1].  The closed form's column comes from
-``qcalc.divided_column`` (the kernel of ``QOperator.apply_divided``,
-which psi, a bijection, ties to ``apply`` on the polynomials Psi_f), so
-no Q(q) arithmetic is needed.  The brute-force side forms each product
-w^gamma w0 once per process with the normal-ordering engine and keeps it
-transposed, per degree of gamma; a sweep looks those tables up once per
-degree and reads each column off them, and a dual on a functional reads
-its values off the columns of the functional's support.  The closed
-forms are built once per process as well; verdicts never are.
+``first_dual_failure`` names the first indicator where they disagree
+(``dirac`` runs the other two sweeps).  It compares sparse columns in
+divided coordinates: the image of the indicator of w^gamma under either
+side is a fixed {delta: value} over Z[q, q^-1].  The closed form's column
+comes from ``qcalc.divided_column`` (the kernel of
+``QOperator.apply_divided``, which psi, a bijection, ties to ``apply``
+on the polynomials Psi_f), so no Q(q) arithmetic is needed;
+``first_column_failure`` runs it for one side per dual or matrix entry.
+The brute-force side forms each product w^gamma w0 once per process with
+the normal-ordering engine and keeps it transposed, per degree of gamma;
+a sweep looks those tables up once per degree and reads each column off
+them, and a dual on a functional reads its values off the columns of the
+functional's support.  The closed forms are built once per process as
+well; verdicts never are.
 """
 
 from __future__ import annotations

@@ -35,16 +35,19 @@ from functools import _CacheInfo, cached_property, lru_cache
 
 from .aq import AqElement
 from .lin import Lin, add_into, add_scaled, rewrite
-from .ring import LaurentPoly, RatQ, as_laurent, as_ratq, q_int
+from .ring import INV_MU, LaurentPoly, RatQ, as_laurent, as_ratq, q_int
 
 MU, NU, BETA = 0, 1, 2
 LETTER_NAMES = ("Fm", "Fn", "Fb")
 E_NAMES = ("Em", "En", "Eb")
 K_NAMES = ("Km", "Kn", "Kb")
+# Each generator's name and its straightening symbol ("F", i), ("E", i) or ("K", i, e).
+GENERATOR_SYMBOLS = {name: symbol for i in (MU, NU, BETA) for name, symbol in (
+    (LETTER_NAMES[i], ("F", i)), (E_NAMES[i], ("E", i)),
+    (K_NAMES[i], ("K", i, 1)), (K_NAMES[i] + "^-1", ("K", i, -1)))}
 
 _Q = LaurentPoly.q
 _ONE = LaurentPoly.one()
-_INV_MU = RatQ(_ONE, _Q(1) - _Q(-1))  # 1/(q - q^-1)
 
 # A3 Cartan pairing in the letter order (mu, nu, beta)
 CARTAN = (
@@ -272,8 +275,8 @@ def _straighten_step(word):
         return [(swapped, None)]
     # E_i F_i - F_i E_i = (K_i - K_i^-1)/(q - q^-1)
     i = x[1]
-    return [(swapped, None), (head + (("K", i, 1),) + tail, _INV_MU),
-            (head + (("K", i, -1),) + tail, -_INV_MU)]
+    return [(swapped, None), (head + (("K", i, 1),) + tail, INV_MU),
+            (head + (("K", i, -1),) + tail, -INV_MU)]
 
 
 def _symbols(fw, k, ew):
@@ -331,6 +334,13 @@ class UqElement(Lin):
         k[i] = power
         return cls({((), tuple(k), ()): RatQ.one()})
 
+    @classmethod
+    def generator(cls, symbol):
+        """The generator of a symbol of ``GENERATOR_SYMBOLS``."""
+        if symbol[0] == "K":
+            return cls.k_gen(symbol[1], symbol[2])
+        return (cls.f_gen if symbol[0] == "F" else cls.e_gen)(symbol[1])
+
     # -- algebra ----------------------------------------------------------
 
     def __mul__(self, other):
@@ -364,9 +374,7 @@ class UqElement(Lin):
         return "*".join(factors)
 
 
-def straighten(symbols, coeff=None) -> UqElement:
-    """Public entry point: normal form of a product given in any order."""
-    return straighten_word(symbols, coeff)
+straighten = straighten_word  # the public name
 
 
 # ------------------------------------------------------------- w letters

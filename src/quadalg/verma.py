@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .lin import Lin, add_into
 from .ring import LaurentPoly, RatQ, as_ratq, q_int, vanishes_at_root_of_unity
-from .uq import BETA, CARTAN, E_NAMES, K_NAMES, LETTER_NAMES, MU, NU, UqElement, serre_reduce, w_gen
+from .uq import CARTAN, GENERATOR_SYMBOLS, LETTER_NAMES, MU, UqElement, serre_reduce, w_gen
 
 _Q = LaurentPoly.q
 
@@ -130,9 +130,7 @@ def apply_element(element: UqElement, v: VermaVector, weight: Weight,
     return VermaVector._make(serre_reduce(out))
 
 
-_GENS = {name: g for i in (MU, NU, BETA) for name, g in (
-    (LETTER_NAMES[i], UqElement.f_gen(i)), (E_NAMES[i], UqElement.e_gen(i)),
-    (K_NAMES[i], UqElement.k_gen(i)), (K_NAMES[i] + "^-1", UqElement.k_gen(i, -1)))}
+_GENS = {name: UqElement.generator(symbol) for name, symbol in GENERATOR_SYMBOLS.items()}
 
 
 def act(generator, v: VermaVector, weight: Weight, convention: str = "twisted") -> VermaVector:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quadalg.aq import AqElement
@@ -9,6 +11,7 @@ from quadalg.dirac import (
     dirac_plus,
     dirac_plus_parts,
     factorization_check,
+    first_factorization_failure,
     intertwine_bruteforce,
     intertwine_check,
 )
@@ -98,6 +101,89 @@ def test_factorization_samples():
     v = Poly4Vec2(Poly4.zero(), Poly4.monomial((0, 1, 1, 0)))
     out = dm.apply(dp.apply(v))
     assert out == Poly4Vec2(Poly4.zero(), Poly4.one())
+
+
+def reference_first_factorization_failure(dp, dm, degree_bound):
+    """The per-index oracle: each vector indicator through both products, entry by entry."""
+    target = OpMatrix2.diagonal(box_operator()).scale(-Q(-1))
+
+    def apply(m, v):
+        # row vectors: slot j of the image is sum_i m_ij(v_i)
+        return VectorDualFunctional(
+            m[0, 0].apply_divided(v.f1) + m[1, 0].apply_divided(v.f2),
+            m[0, 1].apply_divided(v.f1) + m[1, 1].apply_divided(v.f2),
+        )
+
+    for gamma in indices_up_to(degree_bound):
+        for slot in (1, 2):
+            v = VectorDualFunctional.indicator(gamma, slot)
+            expected = apply(target, v)
+            if apply(dm, apply(dp, v)) != expected or apply(dp, apply(dm, v)) != expected:
+                return gamma, slot
+    return None
+
+
+def test_factorization_sweep_passes_through_degree_8():
+    assert first_factorization_failure(8) is None
+    assert reference_first_factorization_failure(dirac_plus(), dirac_minus(), 3) is None
+
+
+def test_factorization_sweep_rejects_a_negative_bound():
+    with pytest.raises(ValueError):
+        first_factorization_failure(-1)
+
+
+def _entry_times_q(rng):
+    from test_transform import _mutated
+
+    variant = rng.choice(["plus", "minus"])
+    m = dirac_plus() if variant == "plus" else dirac_minus()
+    entries = [list(row) for row in m.entries]
+    i, j = rng.choice([(0, 0), (0, 1), (1, 0), (1, 1)])
+    entries[i][j] = _mutated(entries[i][j], rng, "times q")
+    return variant, OpMatrix2(entries)
+
+
+def _departure_dropped(rng):
+    variant = rng.choice(["plus", "minus"])
+    first, extra = dirac_plus_parts() if variant == "plus" else dirac_minus_parts()
+    entries = [list(row) for row in (first + extra).entries]
+    entries[1][0] = first[1, 0]
+    return variant, OpMatrix2(entries)
+
+
+def _diagonal_swapped(rng):
+    variant = rng.choice(["plus", "minus"])
+    m = dirac_plus() if variant == "plus" else dirac_minus()
+    return variant, OpMatrix2(((m[1, 1], m[0, 1]), (m[1, 0], m[0, 0])))
+
+
+@pytest.mark.parametrize("mutation", [_entry_times_q, _departure_dropped, _diagonal_swapped],
+                         ids=["entry times q", "departure dropped", "diagonal swapped"])
+def test_factorization_sweep_names_the_oracles_first_failure(mutation, monkeypatch):
+    from quadalg import dirac
+
+    variant, matrix = mutation(random.Random(mutation.__name__))
+    monkeypatch.setattr(dirac, "dirac_%s" % variant, lambda: matrix)
+    got = first_factorization_failure(5)
+    assert got is not None
+    assert got == reference_first_factorization_failure(dirac.dirac_plus(), dirac.dirac_minus(), 5)
+
+
+def test_factorization_sweep_reads_each_column_once(monkeypatch):
+    from quadalg import dirac
+
+    reads = []
+    column = dirac.divided_column
+
+    def counting(terms, beta):
+        if terms:
+            reads.append((id(terms), beta))
+        return column(terms, beta)
+
+    monkeypatch.setattr(dirac, "divided_column", counting)
+    assert first_factorization_failure(4) is None
+    assert reads and len(reads) == len(set(reads))
 
 
 # ----------------------------------------------------------- intertwiner

@@ -547,3 +547,44 @@ def test_readme_examples_print_what_they_say():
     for command, expected in examples:
         code, out = run_cli(*shlex.split(command))
         assert (code, out) == (0, expected + "\n"), command
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("--convention", "plain"), "no generic vanishing in scan 0..6"),
+        (("--scan=3..6",), "no generic vanishing in scan 3..6"),
+    ],
+)
+def test_singular_vector_names_its_vanishing_check_by_the_scan(argv, name):
+    # a scan that misses the expected point cannot claim to find it there
+    code, out = run_cli("verify", "singular-vector", *argv, "--json")
+    assert code == 0
+    checks = [c for c in json.loads(out)["checks"] if "vanishing" in c["name"]]
+    assert [(c["name"], c["ok"]) for c in checks] == [(name, True)]
+
+
+def test_default_suite_reports_match_the_recorded_digests():
+    from quadalg.suites import SUITES
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "suite_digests.json"
+    digests = json.loads(path.read_text())
+    assert sorted(digests) == sorted(SUITES)
+    for suite, digest in sorted(digests.items()):
+        code, out = run_cli("verify", suite, "--json")
+        assert code == 0, suite
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, suite
+
+
+def test_generator_names_come_from_one_table(capsys):
+    from quadalg import verma
+    from quadalg.uq import GENERATOR_SYMBOLS
+
+    assert len(GENERATOR_SYMBOLS) == 12
+    for name, symbol in GENERATOR_SYMBOLS.items():
+        assert straighten([symbol]) == UqElement.generator(symbol) == verma._GENS[name]
+        if not name.endswith("^-1"):
+            assert parse_expression(name) == ("uq", UqElement.generator(symbol))
+    assert main(["star", "--k", "Fb", "--w", "1"]) == 2
+    names = "['Em', 'En', 'Fm', 'Fn', 'Km', 'Km^-1', 'Kn', 'Kn^-1']"
+    assert "star generator must be one of %s" % names in capsys.readouterr().err
