@@ -18,7 +18,7 @@ The package provides, over exact Laurent-polynomial scalars:
 """
 
 from .aq import AqElement, center_element, commutator, multiply, normal_order
-from .qcalc import Poly4, Poly4Vec2, QOperator, compose, mul_z, qdiff, scaling
+from .qcalc import Poly4, QOperator, compose, mul_z, qdiff, scaling
 from .ring import (
     ExactDivisionError,
     LaurentPoly,
@@ -50,10 +50,8 @@ from .verma import (
 )
 from .dirac import (
     OpMatrix2,
-    VectorDualFunctional,
     dirac_minus,
     dirac_plus,
-    factorization_check,
     intertwine_bruteforce,
     intertwine_check,
 )

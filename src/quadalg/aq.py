@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .lin import Lin, add_into
-from .ring import ZERO4, LaurentPoly, as_laurent, divide_exact, mi_check, q_factorial_int as _fact
+from .ring import ZERO4, LaurentPoly, as_laurent, divide_exact, mi_check, q_int
 
 _Q = LaurentPoly.q
 _MU = _Q(1) - _Q(-1)  # q - q^-1
@@ -36,12 +36,12 @@ _UNITS = {i: {tuple(int(j == i) for j in GENERATORS): LaurentPoly.one()} for i i
 @lru_cache(maxsize=None)
 def _d_past_a(m, n):
     """The coefficients of w1^(n-k) w2^k w3^k w4^(m-k) in w4^m w1^n, for k = 0..min(m, n)."""
-    return tuple(
-        # [m k]_q [n k]_q [k]_q! = [m]_q! [n]_q! / ([m-k]_q! [n-k]_q! [k]_q!)
-        divide_exact(_fact(m) * _fact(n), _fact(m - k) * _fact(n - k) * _fact(k))
-        * (-_MU) ** k * _Q(k * (k + 1) // 2 + k * k - k * (m + n))
-        for k in range(min(m, n) + 1)
-    )
+    # c_k = [m k]_q [n k]_q [k]_q! by the ratio c_k / c_(k-1) = [m-k+1]_q [n-k+1]_q / [k]_q
+    c, out = LaurentPoly.one(), [LaurentPoly.one()]
+    for k in range(1, min(m, n) + 1):
+        c = divide_exact(c * q_int(m - k + 1) * q_int(n - k + 1), q_int(k))
+        out.append(c * (-_MU) ** k * _Q(k * (k + 1) // 2 + k * k - k * (m + n)))
+    return tuple(out)
 
 
 def _product(left, right):

@@ -6,11 +6,12 @@ s_i dual(w_k) with s_1 = 1, s_2 = -q^-1 and k from the one table ``_LAYOUT``:
     D+ = ( dual(w2)        dual(w4)      )     D- = ( dual(w3)        dual(w4)      )
          ( -q^-1 dual(w1)  -q^-1 dual(w3))          ( -q^-1 dual(w1)  -q^-1 dual(w2))
 
-They act on pairs as row vectors, (vM)_j = sum_i M_ij(v_i) (``_row_times``,
-for operators, polynomials and functionals alike); this orientation is
-forced by the intertwiner f -> f(. u0) with u0 = w2 - q^-1 w1 F_mu, read
-through the divided-powers correspondence componentwise, and with it both
-products compose to -q^-1 times the diagonal wave operator, exactly.
+They act on pairs, plain tuples, as row vectors, (vM)_j = sum_i M_ij(v_i)
+(``_row_times``, for operators, polynomials and functionals alike); this
+orientation is forced by the intertwiner f -> f(. u0) with u0 = w2 - q^-1
+w1 F_mu, read through the divided-powers correspondence componentwise, and
+with it both products compose to -q^-1 times the diagonal wave operator,
+exactly.
 
 Three sweeps name the first indicator up to a degree bound where a check
 fails, in divided coordinates over Z[q, q^-1] through the kernel
@@ -25,14 +26,12 @@ from __future__ import annotations
 
 from .aq import AqElement
 from .lin import add_scaled
-from .qcalc import Poly4Vec2, QOperator, compose, divided_column
+from .qcalc import QOperator, compose, divided_column
 from .ring import LaurentPoly, indices_up_to
 from .transform import (
-    DualFunctional,
     box_operator,
     dual_w1_parts,
     first_column_failure,
-    psi,
     right_dual_bruteforce,
     right_dual_closed,
 )
@@ -99,9 +98,9 @@ class OpMatrix2:
         """
         return OpMatrix2(tuple(_row_times(row, other.entries, compose) for row in self.entries))
 
-    def apply(self, v: Poly4Vec2) -> Poly4Vec2:
-        """Row-vector action: component j of the result is sum_i M_ij(v_i)."""
-        return Poly4Vec2(*_row_times((v.p1, v.p2), self.entries, QOperator.apply))
+    def apply(self, v):
+        """Row-vector action on a pair (p1, p2) of ``Poly4``: component j is sum_i M_ij(p_i)."""
+        return _row_times(v, self.entries, QOperator.apply)
 
     @classmethod
     def diagonal(cls, op: QOperator) -> "OpMatrix2":
@@ -158,12 +157,6 @@ def factorization_products():
     return dp.then(dm), dm.then(dp)
 
 
-def factorization_check() -> bool:
-    """True iff both products equal -q^-1 diag(box, box) as exact normal forms."""
-    target = factorization_target()
-    return all(p == target for p in factorization_products())
-
-
 class _ByColumns:
     """A matrix on pairs {delta: value} of functionals in divided coordinates.
 
@@ -213,47 +206,14 @@ def first_factorization_failure(degree_bound: int):
 # ------------------------------------------------- algebraic intertwiner
 
 
-class VectorDualFunctional:
-    """A pair of functionals: values on the bases {w^gamma} and {w^gamma F}.
-
-    The second slot refers to F_mu on the source side of the plus
-    intertwiner and to F_nu on its target side (mu and nu swap for the
-    minus intertwiner); the container itself is symmetric.
-    """
-
-    __slots__ = ("f1", "f2")
-
-    def __init__(self, f1=None, f2=None):
-        self.f1 = f1 if f1 is not None else DualFunctional.zero()
-        self.f2 = f2 if f2 is not None else DualFunctional.zero()
-
-    @classmethod
-    def indicator(cls, gamma, slot):
-        if slot == 1:
-            return cls(DualFunctional.indicator(gamma), DualFunctional.zero())
-        if slot == 2:
-            return cls(DualFunctional.zero(), DualFunctional.indicator(gamma))
-        raise ValueError("slot must be 1 or 2, got %r" % (slot,))
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorDualFunctional):
-            return NotImplemented
-        return self.f1 == other.f1 and self.f2 == other.f2
-
-    def __bool__(self):
-        return bool(self.f1) or bool(self.f2)
-
-    def psi_pair(self) -> Poly4Vec2:
-        return Poly4Vec2(psi(self.f1), psi(self.f2))
-
-    def __str__(self):
-        return "(%s ; %s)" % (self.f1, self.f2)
-
-
-def intertwine_bruteforce(f: VectorDualFunctional, variant: str = "plus") -> VectorDualFunctional:
+def intertwine_bruteforce(f, variant: str = "plus"):
     """The pushforward f -> f(. u0) on the target bases, via algebra products.
 
-    For the plus variant u0 = w2 - q^-1 w1 F_mu and the target values are
+    f is a pair (f1, f2) of ``DualFunctional``: the values on the bases
+    {w^gamma} and {w^gamma F}, where F is F_mu on the source side of the
+    plus intertwiner and F_nu on its target side (mu and nu swap for the
+    minus intertwiner).  The result is the pair (g1, g2); for the plus
+    variant u0 = w2 - q^-1 w1 F_mu and
 
         g1(delta) = f(w^delta w2) - q^-1 f(w^delta w1 F_mu)
         g2(delta) = f(w^delta w4) - q^-1 f(w^delta w3 F_mu)
@@ -264,8 +224,7 @@ def intertwine_bruteforce(f: VectorDualFunctional, variant: str = "plus") -> Vec
     """
     duals = [[(right_dual_bruteforce(AqElement.generator(k)), s) for k in row]
              for s, row in _layout(variant)]
-    g1, g2 = _row_times((f.f1, f.f2), duals, lambda d, x: _scaled(d[0](x), d[1]))
-    return VectorDualFunctional(g1, g2)
+    return _row_times(f, duals, lambda d, x: _scaled(d[0](x), d[1]))
 
 
 def first_intertwine_failure(degree_bound: int, variant: str = "plus"):

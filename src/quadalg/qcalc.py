@@ -35,11 +35,12 @@ Coefficients live in the fraction field Q(q): the canonical form can
 introduce denominators of q - q^-1 even for integer inputs (see the identity
 above).  All displayed operators of interest have plain Laurent
 coefficients, and they act on functionals in the divided basis
-e_beta = z^beta / [beta]_q! without leaving Z[q, q^-1]: one kernel,
-``divided_column``, gives the image of e_beta as a sparse column, and
-``apply_divided`` sums those columns.  An operator converts its
-coefficients to Laurent form once (``laurent_terms``), so the oracle
-sweeps read one column per index with no conversion.
+e_beta = z^beta / [beta]_q! without leaving Z[q, q^-1]: the one divided
+action, ``divided_column``, gives the image of e_beta as a sparse column,
+and a functional's image is the sum of its values times their columns.
+An operator converts its coefficients to Laurent form once
+(``laurent_terms``), so the oracle sweeps read one column per index with
+no conversion.
 """
 
 from __future__ import annotations
@@ -76,27 +77,6 @@ class Poly4(Lin):
             "z_%d" % (i + 1) if n == 1 else "z_%d^%d" % (i + 1, n)
             for i, n in enumerate(a) if n
         )
-
-
-class Poly4Vec2:
-    """A pair of Poly4 components (C^2-valued polynomials)."""
-
-    __slots__ = ("p1", "p2")
-
-    def __init__(self, p1=None, p2=None):
-        self.p1 = p1 if p1 is not None else Poly4.zero()
-        self.p2 = p2 if p2 is not None else Poly4.zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly4Vec2):
-            return NotImplemented
-        return self.p1 == other.p1 and self.p2 == other.p2
-
-    def __add__(self, other):
-        return Poly4Vec2(self.p1 + other.p1, self.p2 + other.p2)
-
-    def __str__(self):
-        return "(%s, %s)" % (self.p1, self.p2)
 
 
 # ------------------------------------------------- action factors
@@ -204,22 +184,6 @@ class QOperator(Lin):
                 add_into(out, tuple(a + m for a, m in zip(alpha, n)), coeff)
         return Poly4._make(out)
 
-    def apply_divided(self, f):
-        """The action on a functional f (a ``DualFunctional``) in divided coordinates.
-
-        f stands for sum_beta f(w^beta) e_beta with e_beta = z^beta / [beta]_q!,
-        and the result is sum_beta f(w^beta) ``divided_column(self.laurent_terms(),
-        beta)``, computed in Z[q, q^-1] with no division.  Returns a
-        functional of f's type; raises ``ExactDivisionError`` if a
-        coefficient of the operator is not a Laurent polynomial.
-        """
-        terms = self.laurent_terms()
-        out = {}
-        for beta, v in f.terms.items():
-            for target, c in divided_column(terms, beta).items():
-                add_into(out, target, c * v)
-        return type(f)._make(out)
-
     def laurent_terms(self):
         """The terms as pairs ((alpha, delta, gamma), LaurentPoly), converted once per operator.
 
@@ -231,9 +195,6 @@ class QOperator(Lin):
         except AttributeError:
             self._laurent = tuple((key, c.to_laurent()) for key, c in self.terms.items())
             return self._laurent
-
-    def __call__(self, p: Poly4) -> Poly4:
-        return self.apply(p)
 
     def dbar_orders(self):
         """Sorted set of total [d]-orders over the canonical terms."""

@@ -294,9 +294,9 @@ def suite_singular_vector(report, scan, convention):
         if r.vanishes_generically:
             continue
         modulus = abs(2 * r.x - 4) if convention == "twisted" else abs(2 * r.x + 4)
-        expected = tuple(m for m in range(1, 13) if m >= 3 and modulus % m == 0)
-        extra = tuple(m for m in r.root_of_unity_orders if m > 12)
-        got = tuple(m for m in r.root_of_unity_orders if m <= 12)
+        expected = tuple(m for m in range(3, verma.MAX_ORDER + 1) if modulus % m == 0)
+        extra = tuple(m for m in r.root_of_unity_orders if m > verma.MAX_ORDER)
+        got = tuple(m for m in r.root_of_unity_orders if m <= verma.MAX_ORDER)
         report.add(
             "root-of-unity orders at x=%d are the divisors >= 3 of %d" % (r.x, modulus),
             got == expected and all(modulus % m == 0 for m in extra),

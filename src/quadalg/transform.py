@@ -21,9 +21,9 @@ multiplication on every monomial indicator up to a degree bound, and
 (``dirac`` runs the other two sweeps).  It compares sparse columns in
 divided coordinates: the image of the indicator of w^gamma under either
 side is a fixed {delta: value} over Z[q, q^-1].  The closed form's column
-comes from ``qcalc.divided_column`` (the kernel of
-``QOperator.apply_divided``, which psi, a bijection, ties to ``apply``
-on the polynomials Psi_f), so no Q(q) arithmetic is needed;
+comes from ``qcalc.divided_column``, the one divided action (which psi,
+a bijection, ties to ``apply`` on the polynomials Psi_f), so no Q(q)
+arithmetic is needed;
 ``first_column_failure`` runs it for one side per dual or matrix entry.
 The brute-force side forms each product w^gamma w0 once per process with
 the normal-ordering engine and keeps it transposed, per degree of gamma;

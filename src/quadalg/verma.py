@@ -33,6 +33,7 @@ from .uq import CARTAN, GENERATOR_SYMBOLS, LETTER_NAMES, MU, UqElement, serre_re
 _Q = LaurentPoly.q
 
 CONVENTIONS = ("twisted", "plain")
+MAX_ORDER = 12  # every root-of-unity order up to this one is scanned
 
 
 class Weight:
@@ -176,18 +177,13 @@ class SingularReport:
         return vars(self) == vars(other)
 
 
-def singular_test(u0: UqElement, x: int, convention: str = "twisted",
-                  max_order: int | None = None) -> SingularReport:
+def singular_test(u0: UqElement, x: int, convention: str = "twisted") -> SingularReport:
     """Raising values on u0 v for the weight (1, 0, x), with exact scalars.
 
     The beta obstruction is reported with the root-of-unity orders at
     which it vanishes; the divisors of 2x - 4 (twisted) or 2x + 4 (plain)
-    and every order from 1 to ``max_order`` (12 by default) are scanned.
+    and every order from 1 to ``MAX_ORDER`` are scanned.
     """
-    if max_order is None:
-        max_order = 12
-    elif max_order < 0:
-        raise ValueError("max_order must be >= 0, got %d" % max_order)
     weight = Weight(1, 0, x)
     v = VermaVector.highest_weight()
     u0v = apply_element(u0, v, weight, convention)
@@ -206,7 +202,7 @@ def singular_test(u0: UqElement, x: int, convention: str = "twisted",
     if not report.vanishes_generically:
         modulus = 2 * x - 4 if convention == "twisted" else 2 * x + 4
         orders = {d for d in range(1, abs(modulus) + 1) if modulus % d == 0}
-        orders |= set(range(1, max_order + 1))
+        orders |= set(range(1, MAX_ORDER + 1))
         coeffs = list(report.e_beta.laurent_terms().values())
         found = [
             m for m in sorted(orders)

@@ -8,7 +8,7 @@ import json
 
 from quadalg.aq import AqElement, center_element, commutator, normal_order, relation_pairs
 from quadalg.dirac import dirac_minus, dirac_plus, intertwine_check
-from quadalg.qcalc import Poly4, Poly4Vec2
+from quadalg.qcalc import Poly4
 from quadalg.ring import LaurentPoly, RatQ, indices_up_to, q_int, vanishes_at_root_of_unity
 from quadalg.suites import SUITES, run_suite
 from quadalg.transform import box_operator, verify_dual
@@ -98,10 +98,8 @@ def test_criterion_7_dirac_factorization():
     for gamma in indices_up_to(5):
         for slot in (1, 2):
             p = Poly4.monomial(gamma)
-            v = Poly4Vec2(p, Poly4.zero()) if slot == 1 else Poly4Vec2(Poly4.zero(), p)
-            want = Poly4Vec2(
-                box.apply(v.p1).scale(-Q(-1)), box.apply(v.p2).scale(-Q(-1))
-            )
+            v = (p, Poly4.zero()) if slot == 1 else (Poly4.zero(), p)
+            want = (box.apply(v[0]).scale(-Q(-1)), box.apply(v[1]).scale(-Q(-1)))
             ok = ok and dm.apply(dp.apply(v)) == want and dp.apply(dm.apply(v)) == want
     report(7, "factorization through the wave operator, exact and pointwise", ok)
 

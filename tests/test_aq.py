@@ -180,12 +180,14 @@ def q_binomial(m, k):
 
 
 def test_d_past_a_is_the_q_binomial_formula():
-    for m in range(6):
-        for n in range(6):
-            for k, t in enumerate(aq._d_past_a(m, n)):
-                expected = ((-MU) ** k * q_binomial(m, k) * q_binomial(n, k)
-                            * q_factorial_int(k) * Q(k * (k + 1) // 2 + k * k - k * (m + n)))
-                assert t == expected, (m, n, k)
+    lopsided = [(40, 3), (3, 40), (25, 1), (1, 25)]
+    for m, n in [(m, n) for m in range(6) for n in range(6)] + lopsided:
+        coeffs = aq._d_past_a(m, n)
+        assert len(coeffs) == min(m, n) + 1, (m, n)
+        for k, t in enumerate(coeffs):
+            expected = ((-MU) ** k * q_binomial(m, k) * q_binomial(n, k)
+                        * q_factorial_int(k) * Q(k * (k + 1) // 2 + k * k - k * (m + n)))
+            assert t == expected, (m, n, k)
 
 
 def test_w4_powers_past_w1_powers_match_the_rewriting_oracle():

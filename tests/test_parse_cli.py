@@ -354,6 +354,25 @@ def test_cli_reduces_long_serre_words_at_the_default_recursion_limit(power, dige
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    ("expression", "expected"),
+    [
+        # w4^n w1 = w1 w4^n - (q - q^(1-2n)) w2 w3 w4^(n-1), n = 1200
+        ("w4^1200*w1", AqElement({(1, 0, 0, 1200): ONE, (0, 1, 1, 1199): Q(-2399) - Q(1)})),
+        # w4 w1^n = w1^n w4 - (q - q^(1-2n)) w1^(n-1) w2 w3, n = 1100
+        ("w4*w1^1100", AqElement({(1100, 0, 0, 1): ONE, (1099, 1, 1, 0): Q(-2199) - Q(1)})),
+    ],
+    ids=["w4^1200*w1", "w4*w1^1100"],
+)
+def test_cli_normalizes_high_powers_at_the_default_recursion_limit(expression, expected):
+    # a fresh interpreter, at the default recursion limit
+    run = subprocess.run([sys.executable, "-m", "quadalg", "normalize", expression, "--json"],
+                         capture_output=True, text=True, env=child_env())
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert json.loads(run.stdout) == {"kind": "aq", "normal_form": str(expected)}
+
+
 def test_cli_builds_its_parser_once(monkeypatch):
     from quadalg import cli
 

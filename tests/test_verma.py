@@ -195,7 +195,7 @@ def test_root_of_unity_orders_exact_characterization():
     for x in range(7):
         if x == 2:
             continue
-        r = singular_test(u0, x, max_order=14)
+        r = singular_test(u0, x)
         modulus = abs(2 * x - 4)
         expected = tuple(m for m in range(1, 15) if m >= 3 and modulus % m == 0)
         assert r.root_of_unity_orders == expected, (x, r.root_of_unity_orders)
@@ -212,7 +212,7 @@ def test_plain_convention_obstruction():
         assert vanishes_at_root_of_unity(coeff, 2 * x + 4) == (2 * x + 4 >= 3)
 
 
-def test_max_order_zero_scans_only_divisors_of_the_modulus(monkeypatch):
+def test_scan_reads_every_order_to_max_order_and_the_divisors_of_the_modulus(monkeypatch):
     u0 = singular_candidate_plus()
     scanned = set()
 
@@ -221,14 +221,13 @@ def test_max_order_zero_scans_only_divisors_of_the_modulus(monkeypatch):
         return vanishes_at_root_of_unity(p, m)
 
     monkeypatch.setattr(verma, "vanishes_at_root_of_unity", spy)
-    r = singular_test(u0, 5, max_order=0)
-    assert scanned == {1, 2, 3, 6}  # the divisors of 2*5 - 4
-    assert r.root_of_unity_orders == (3, 6)
-    scanned.clear()
+    assert verma.MAX_ORDER == 12
     singular_test(u0, 5)
     assert scanned == set(range(1, 13))
-    with pytest.raises(ValueError):
-        singular_test(u0, 5, max_order=-1)
+    scanned.clear()
+    r = singular_test(u0, 10)
+    assert scanned == set(range(1, 13)) | {16}  # 16 = 2*10 - 4
+    assert r.root_of_unity_orders == (4, 8, 16)
 
 
 def test_deep_scan_matches_the_predicted_obstruction():
