@@ -20,7 +20,11 @@ arithmetic dunders use them too, returning NotImplemented for any other
 operand type.
 
 Also provides the q-combinatorics ([n]_q, q-factorials of multi-indices)
-and an exact root-of-unity vanishing test via cyclotomic reduction.
+and an exact root-of-unity vanishing test, linear in the degree: the
+exponents are folded modulo q^m - 1, which Phi_m divides, and the fold is
+tested for divisibility by Phi_m through the binomials q^d - 1 of the
+Moebius identity Phi_m * prod_{mu(m/d) = -1} (q^d - 1) = prod_{mu(m/d) = +1}
+(q^d - 1), without building Phi_m.
 
 ``RatQ`` stores a fraction in lowest terms.  Its denominators are
 products of q-integers, and [n]_q = q^(1-n) prod_{d | 2n, d > 2} Phi_d(q),
@@ -39,6 +43,8 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import chain, repeat
+from operator import sub
 
 from .lin import Lin, add_into
 
@@ -364,20 +370,69 @@ def cyclotomic(m: int):
     return tuple(num)
 
 
-def vanishes_at_root_of_unity(p: LaurentPoly, m: int) -> bool:
-    """True iff p(q) = 0 at every primitive m-th root of unity.
+def _prime_divisors(m: int):
+    """The distinct primes dividing m >= 1, ascending."""
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
 
-    The unit q-power that ``_to_dense`` strips is harmless at roots of
-    unity, so the remaining polynomial is reduced modulo the m-th
-    cyclotomic polynomial; vanishing is equivalent to a zero remainder.
+
+def _times_binomial(cs, d):
+    """cs * (q^d - 1), dense ascending."""
+    return list(map(sub, chain(repeat(0, d), cs), chain(cs, repeat(0, d))))
+
+
+def _over_binomial(cs, d):
+    """cs / (q^d - 1) if that is exact, else None; dense ascending.
+
+    The quotient's coefficient at i - d is the sum of cs at i, i + d,
+    i + 2d, ...; what is left at 0..d-1 is the remainder.
+    """
+    r = list(cs)
+    for i in range(len(r) - 1, d - 1, -1):
+        r[i - d] += r[i]
+    return None if any(r[:d]) else r[d:]
+
+
+def vanishes_at_root_of_unity(p: LaurentPoly, m: int) -> bool:
+    """True iff p(q) = 0 at every primitive m-th root of unity, i.e. Phi_m | p.
+
+    Phi_m divides q^m - 1, so the exponents of p (negative ones too) are
+    first folded modulo m into a list of length m.  Divisibility of the
+    fold by Phi_m is then tested through binomials: by Moebius inversion
+    of q^m - 1 = prod_{d | m} Phi_d,
+
+        Phi_m * prod_{mu(m/d) = -1} (q^d - 1) = prod_{mu(m/d) = +1} (q^d - 1),
+
+    so the fold is multiplied by the binomials on the left and divided
+    exactly by those on the right, stopping at the first remainder.  Each
+    step is linear in the length, and no cyclotomic polynomial is built.
     """
     if m < 1:
         raise ValueError("root-of-unity order must be >= 1")
-    if not p:
-        return True
-    _, dense = _to_dense(p)
-    _, rem = _dense_divmod(dense, cyclotomic(m))
-    return not rem
+    folded = [0] * m
+    for e, c in p.terms.items():
+        folded[e % m] += c
+    binomials = [(m, 1)]  # (d, mu(m/d)) for every d with m/d squarefree
+    for prime in _prime_divisors(m):
+        binomials += [(d // prime, -mu) for d, mu in binomials]
+    for d, mu in binomials:
+        if mu < 0:
+            folded = _times_binomial(folded, d)
+    for d, mu in binomials:
+        if mu > 0:
+            folded = _over_binomial(folded, d)
+            if folded is None:
+                return False
+    return True
 
 
 @lru_cache(maxsize=4096)

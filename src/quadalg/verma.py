@@ -22,9 +22,19 @@ generator along beta kills it; the obstruction is the q-integer
 and otherwise vanishes at the primitive m-th roots of unity with
 m | 2x - 4 and m >= 3 (the two classical points q = 1, -1 never kill a
 nonzero q-integer).  Under the plain convention it is -[x + 2]_q.
+
+``singular_test`` is memoised per (u0, x, convention) in a bounded LRU
+table (128 reports), so a scan, the CLI and the verify suite pay for
+each weight once per process; the ``SingularReport`` it hands to every
+caller is therefore read-only.  |x| is capped at ``MAX_ABS_X``: the
+obstruction has |x| terms and is tested at every divisor of 2x -+ 4, so
+the ceiling bounds one report's cost, and a scan checks every x against
+it before building any report.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .lin import Lin, add_into
 from .ring import LaurentPoly, RatQ, as_ratq, q_int, vanishes_at_root_of_unity
@@ -34,6 +44,7 @@ _Q = LaurentPoly.q
 
 CONVENTIONS = ("twisted", "plain")
 MAX_ORDER = 12  # every root-of-unity order up to this one is scanned
+MAX_ABS_X = 10_000  # the largest |x| that singular_test accepts
 
 
 class Weight:
@@ -155,20 +166,22 @@ def target_weight(weight: Weight) -> Weight:
 
 
 class SingularReport:
-    """Exact raising values of u0 v and the root-of-unity bookkeeping."""
+    """Exact raising values of u0 v and the root-of-unity bookkeeping; read-only.
+
+    ``singular_test`` hands one memoised report to every caller, so no
+    field can be assigned or deleted after ``__init__``.
+    """
 
     def __init__(self, x: int, convention: str, e_mu: VermaVector, e_mu_sq: VermaVector,
                  e_nu: VermaVector, e_beta: VermaVector, vanishes_generically: bool,
                  root_of_unity_orders: tuple):
-        self.x = x
-        self.convention = convention
-        self.e_mu = e_mu
-        self.e_mu_sq = e_mu_sq
-        self.e_nu = e_nu
-        self.e_beta = e_beta
-        self.vanishes_generically = vanishes_generically
-        self.root_of_unity_orders = root_of_unity_orders
+        vars(self).update(
+            x=x, convention=convention, e_mu=e_mu, e_mu_sq=e_mu_sq, e_nu=e_nu, e_beta=e_beta,
+            vanishes_generically=vanishes_generically, root_of_unity_orders=root_of_unity_orders,
+        )
 
+    __setattr__ = Weight.__setattr__
+    __delattr__ = Weight.__delattr__
     __hash__ = None
 
     def __eq__(self, other):
@@ -177,43 +190,56 @@ class SingularReport:
         return vars(self) == vars(other)
 
 
+def _bounded_x(x: int) -> int:
+    if abs(x) > MAX_ABS_X:
+        raise ValueError("singular-vector x must satisfy |x| <= %d, got %d" % (MAX_ABS_X, x))
+    return x
+
+
+@lru_cache(maxsize=128)
 def singular_test(u0: UqElement, x: int, convention: str = "twisted") -> SingularReport:
     """Raising values on u0 v for the weight (1, 0, x), with exact scalars.
 
     The beta obstruction is reported with the root-of-unity orders at
     which it vanishes; the divisors of 2x - 4 (twisted) or 2x + 4 (plain)
-    and every order from 1 to ``MAX_ORDER`` are scanned.
+    and every order from 1 to ``MAX_ORDER`` are scanned.  Memoised per
+    (u0, x, convention); raises ValueError when |x| > ``MAX_ABS_X``.
     """
-    weight = Weight(1, 0, x)
+    weight = Weight(1, 0, _bounded_x(x))
     v = VermaVector.highest_weight()
     u0v = apply_element(u0, v, weight, convention)
     e_mu = act("Em", u0v, weight, convention)
-    report = SingularReport(
-        x=x,
-        convention=convention,
-        e_mu=e_mu,
-        e_mu_sq=act("Em", e_mu, weight, convention),
-        e_nu=act("En", u0v, weight, convention),
-        e_beta=act("Eb", u0v, weight, convention),
-        vanishes_generically=False,
-        root_of_unity_orders=(),
-    )
-    report.vanishes_generically = not report.e_beta
-    if not report.vanishes_generically:
+    e_mu_sq = act("Em", e_mu, weight, convention)
+    e_nu = act("En", u0v, weight, convention)
+    e_beta = act("Eb", u0v, weight, convention)
+    found = ()
+    if e_beta:
         modulus = 2 * x - 4 if convention == "twisted" else 2 * x + 4
         orders = {d for d in range(1, abs(modulus) + 1) if modulus % d == 0}
         orders |= set(range(1, MAX_ORDER + 1))
-        coeffs = list(report.e_beta.laurent_terms().values())
-        found = [
+        coeffs = list(e_beta.laurent_terms().values())
+        found = tuple(
             m for m in sorted(orders)
             if all(vanishes_at_root_of_unity(c, m) for c in coeffs)
-        ]
-        report.root_of_unity_orders = tuple(found)
-    return report
+        )
+    return SingularReport(
+        x=x,
+        convention=convention,
+        e_mu=e_mu,
+        e_mu_sq=e_mu_sq,
+        e_nu=e_nu,
+        e_beta=e_beta,
+        vanishes_generically=not e_beta,
+        root_of_unity_orders=found,
+    )
 
 
 def scan_singular(u0: UqElement, xs, convention: str = "twisted"):
-    """Reports for each x in the scan; returns (reports, generically vanishing xs)."""
+    """Reports for each x in the scan; returns (reports, generically vanishing xs).
+
+    Every x is checked against ``MAX_ABS_X`` before any report is built.
+    """
+    xs = [_bounded_x(x) for x in xs]
     reports = [singular_test(u0, x, convention) for x in xs]
     vanishing = [r.x for r in reports if r.vanishes_generically]
     return reports, vanishing

@@ -3,14 +3,16 @@
 ``reference_dual`` is the per-index brute-force dual that the transposed
 tables of ``transform.right_dual_bruteforce`` replaced; ``apply_divided``
 sums ``qcalc.divided_column`` columns into the image of a functional;
-``indicator`` is a pair of functionals with one monomial indicator; and
-``mutated`` perturbs one term of an operator for the mutation tests.
+``indicator`` is a pair of functionals with one monomial indicator;
+``mutated`` perturbs one term of an operator for the mutation tests; and
+``vanishes_by_division`` is the long division by Phi_m that the folded
+binomial test of ``ring.vanishes_at_root_of_unity`` replaced.
 """
 
 from quadalg.aq import AqElement
 from quadalg.lin import add_into
 from quadalg.qcalc import QOperator, divided_column
-from quadalg.ring import LaurentPoly, indices_up_to
+from quadalg.ring import LaurentPoly, _to_dense, cyclotomic, indices_up_to
 from quadalg.transform import DualFunctional
 
 
@@ -64,3 +66,32 @@ def mutated(op, rng, how):
     else:
         del terms[key]
     return QOperator._make(terms)
+
+
+def vanishes_by_division(p, m):
+    """Phi_m | p, by long division of p (its unit q-power stripped) by Phi_m.
+
+    Phi_m(q) = Phi_r(q^(m/r)) for the radical r of m, so only
+    ``cyclotomic(r)`` is built; the division walks the nonzero terms of
+    the monic Phi_m.
+    """
+    if m < 1:
+        raise ValueError("root-of-unity order must be >= 1")
+    if not p:
+        return True
+    r, rest, prime = 1, m, 2
+    while rest > 1:
+        if rest % prime == 0:
+            r *= prime
+            while rest % prime == 0:
+                rest //= prime
+        prime += 1
+    phi = [(j * (m // r), c) for j, c in enumerate(cyclotomic(r)) if c]
+    top = phi[-1][0]
+    rem = _to_dense(p)[1]
+    for i in range(len(rem) - 1, top - 1, -1):
+        f = rem[i]
+        if f:
+            for j, c in phi:
+                rem[i - top + j] -= f * c
+    return not any(rem[:top])

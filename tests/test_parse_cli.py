@@ -555,6 +555,33 @@ def test_cli_singular_vector_outputs_are_pinned(convention):
     assert hashlib.sha256(out.encode()).hexdigest() == SINGULAR_SCAN_DIGESTS[convention]
 
 
+# sha256 of the --json output of the long division by the cyclotomic
+# polynomial, which took about 5 s for each request
+@pytest.mark.parametrize("argv,digest", [
+    (("--x", "5000"), "f105767946952001f2257f298991a7a16980760c43b319460edf1cfcb39bc0a7"),
+    (("--convention", "plain", "--x", "-5000"),
+     "ebc9d0198f7b79c20cddc468d5e5f80b018df6d20c40c4e4a78d237db64bbe07"),
+], ids=["twisted-5000", "plain-minus-5000"])
+def test_cli_singular_vector_at_large_x_is_pinned(argv, digest):
+    code, out = run_cli("singular-vector", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("singular-vector", "--x", "10001"),
+    ("singular-vector", "--x=-10001", "--json"),
+    ("verify", "singular-vector", "--scan", "0..10001"),
+    ("verify", "singular-vector", "--scan=-10001..0", "--json"),
+])
+def test_singular_vector_beyond_the_ceiling_exits_2_naming_it(argv, capsys):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "|x| <= 10000" in err
+
+
 def _readme_examples():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     return re.findall(r"^quadalg (.+?)\s+# -> (.+)$", readme.read_text(), re.MULTILINE)

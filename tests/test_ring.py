@@ -20,6 +20,8 @@ from quadalg.ring import (
     vanishes_at_root_of_unity,
 )
 
+from oracles import vanishes_by_division
+
 Q = LaurentPoly.q
 ONE = LaurentPoly.one()
 
@@ -165,6 +167,31 @@ def test_vanishes_against_numeric_oracle():
                 for k in range(m) if gcd(k, m) == 1
             )
             assert vanishes_at_root_of_unity(p, m) == num, (p, m)
+
+
+def test_vanishes_agrees_with_the_division_oracle():
+    # seeded corpus: int and Fraction coefficients, negative exponents,
+    # every order 1..60, and multiples of Phi_k (k = m or not) shifted by q^s
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1000):
+        m = rng.randint(1, 60)
+        if rng.random() < 0.5:
+            p = rand_poly(rng, span=40, nterms=6)
+        else:
+            p = LaurentPoly({rng.randint(-40, 40): rng.randint(-9, 9) for _ in range(6)})
+        if rng.random() < 0.6:
+            k = m if rng.random() < 0.7 else rng.randint(1, 60)
+            p = p * LaurentPoly(dict(enumerate(cyclotomic(k)))) * Q(rng.randint(-50, 50))
+        got = vanishes_at_root_of_unity(p, m)
+        assert got == vanishes_by_division(p, m), (p, m)
+        verdicts[got] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+    big = q_int(4998)  # vanishes at the primitive m-th roots of unity for m | 9996, m >= 3
+    for p, m, expected in ((big, 9996, True), (big + ONE, 9996, False)):
+        assert vanishes_at_root_of_unity(p, m) == vanishes_by_division(p, m) == expected
+    with pytest.raises(ValueError):
+        vanishes_at_root_of_unity(ONE, 0)
 
 
 # ------------------------------------------------------ text/JSON forms

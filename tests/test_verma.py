@@ -222,9 +222,11 @@ def test_scan_reads_every_order_to_max_order_and_the_divisors_of_the_modulus(mon
 
     monkeypatch.setattr(verma, "vanishes_at_root_of_unity", spy)
     assert verma.MAX_ORDER == 12
+    singular_test.cache_clear()
     singular_test(u0, 5)
     assert scanned == set(range(1, 13))
     scanned.clear()
+    singular_test.cache_clear()
     r = singular_test(u0, 10)
     assert scanned == set(range(1, 13)) | {16}  # 16 = 2*10 - 4
     assert r.root_of_unity_orders == (4, 8, 16)
@@ -252,5 +254,33 @@ def test_weight_and_report_are_plain_values():
         w.x = 4
     a, b = singular_test(singular_candidate_plus(), 2), singular_test(singular_candidate_plus(), 2)
     assert a == b and a != singular_test(singular_candidate_plus(), 3)
-    b.root_of_unity_orders = (5,)
-    assert a != b
+    with pytest.raises(AttributeError):
+        b.root_of_unity_orders = (5,)
+    with pytest.raises(AttributeError):
+        del b.e_beta
+    fields = dict(vars(b), root_of_unity_orders=(5,))
+    assert a != SingularReport(**fields) and a == SingularReport(**vars(b))
+
+
+def test_each_report_is_built_once_per_weight():
+    singular_test.cache_clear()
+    u0 = singular_candidate_plus()
+    reports, _ = scan_singular(u0, range(7))
+    again, _ = scan_singular(singular_candidate_plus(), range(7))
+    assert all(a is b for a, b in zip(reports, again))
+    assert singular_test(u0, 3, "twisted") is reports[3]
+    info = singular_test.cache_info()
+    assert (info.misses, info.maxsize) == (7, 128)
+    assert singular_test(u0, 3, "plain") is not reports[3]
+
+
+def test_x_beyond_the_ceiling_is_refused_before_any_report_is_built():
+    u0 = singular_candidate_plus()
+    assert verma.MAX_ABS_X == 10_000
+    for x in (10_001, -10_001):
+        with pytest.raises(ValueError, match="10000"):
+            singular_test(u0, x)
+    singular_test.cache_clear()
+    with pytest.raises(ValueError, match="10000"):
+        scan_singular(u0, range(0, 10_002))
+    assert singular_test.cache_info().currsize == 0
