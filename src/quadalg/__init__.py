@@ -9,22 +9,25 @@ The package provides, over exact Laurent-polynomial scalars:
   * ``aq``         the quadratic algebra on w1..w4 with PBW normal ordering
   * ``qcalc``      q-difference operators z^a K^d [d]^g in canonical form
   * ``transform``  the divided-powers correspondence and right-dual operators
-  * ``uq``         the enveloping-algebra fragment: quantum Serre ideal
-                   oracles, straightening, and the star action in closed form
-  * ``verma``      highest-weight vectors, raising actions, singular scans
+  * ``uq``         the enveloping-algebra fragment: Serre normal forms,
+                   straightening, and the star action in closed form
+  * ``verma``      highest-weight vectors, raising actions, bounded singular scans
   * ``dirac``      the 2x2 operator matrices factoring the wave operator
+  * ``parse``      the one expression grammar of the command line
   * ``suites``     named verification suites with deterministic reports
   * ``cli``        the ``quadalg`` command-line front end
+
+Only what the command line, the suites or their callers reach lives here;
+the reference implementations the tests compare against live in the tests.
 """
 
-from .aq import AqElement, center_element, commutator, multiply, normal_order
+from .aq import AqElement, center_element, commutator, normal_order
 from .qcalc import Poly4, QOperator, compose, mul_z, qdiff, scaling
 from .ring import (
     ExactDivisionError,
     LaurentPoly,
     RatQ,
     divide_exact,
-    parse_laurent,
     q_factorial,
     q_int,
     vanishes_at_root_of_unity,
@@ -33,7 +36,6 @@ from .transform import (
     DualFunctional,
     box_operator,
     psi,
-    psi_inv,
     right_dual_bruteforce,
     right_dual_closed,
     verify_dual,
@@ -46,7 +48,6 @@ from .verma import (
     act,
     singular_candidate_plus,
     singular_test,
-    target_weight,
 )
 from .dirac import (
     OpMatrix2,

@@ -127,10 +127,6 @@ def normal_order(word) -> AqElement:
     return AqElement(reduce_word(tuple(word)))
 
 
-def multiply(a: AqElement, b: AqElement) -> AqElement:
-    return a * b
-
-
 def commutator(a: AqElement, b: AqElement) -> AqElement:
     return a * b - b * a
 

@@ -107,12 +107,12 @@ def cmd_dirac(args) -> int:
 def cmd_singular_vector(args) -> int:
     lo, hi = args.scan
     xs = list(range(lo, hi + 1))
+    if args.x is not None and not lo <= args.x <= hi:
+        xs.append(args.x)  # reported, but not part of the scan
     u0 = verma.singular_candidate_plus()
     reports, vanishing = verma.scan_singular(u0, xs, args.convention)
-    x = args.x if args.x is not None else (vanishing[0] if vanishing else xs[0])
-    if x not in xs:
-        xs.append(x)
-        reports.append(verma.singular_test(u0, x, args.convention))
+    vanishing = [v for v in vanishing if lo <= v <= hi]
+    x = args.x if args.x is not None else (vanishing[0] if vanishing else lo)
     chosen = next(r for r in reports if r.x == x)
     payload = {
         "x": x,
@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("dirac", cmd_dirac, help="show a first-order operator matrix")
     p.add_argument("--which", required=True, choices=("plus", "minus"))
-    p.add_argument("--show", action="store_true", help="print the entries (default)")
 
     p = add("singular-vector", cmd_singular_vector, help="primitive vector scan")
     p.add_argument("--x", type=int, default=None)

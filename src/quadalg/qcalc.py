@@ -196,10 +196,6 @@ class QOperator(Lin):
             self._laurent = tuple((key, c.to_laurent()) for key, c in self.terms.items())
             return self._laurent
 
-    def dbar_orders(self):
-        """Sorted set of total [d]-orders over the canonical terms."""
-        return sorted({sum(g) for (_, _, g) in self.terms})
-
     @staticmethod
     def _mon(key):
         factors = []

@@ -39,8 +39,6 @@ result does not depend on how many factors the split finds.
 
 from __future__ import annotations
 
-import json
-import re
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import chain, repeat
@@ -177,14 +175,11 @@ class LaurentPoly(Lin):
         """Bottom exponent; raises on the zero polynomial."""
         return min(self.terms)
 
-    def coeff(self, exp: int) -> int | Fraction:
-        return self.terms.get(exp, 0)
-
     def is_unit(self) -> bool:
         """True for c*q^k with c != 0."""
         return len(self.terms) == 1
 
-    # -- text and JSON forms -------------------------------------------
+    # -- text form -----------------------------------------------------
 
     def __str__(self) -> str:
         if not self.terms:
@@ -204,58 +199,6 @@ class LaurentPoly(Lin):
             else:
                 parts.append(("- " if c < 0 else "+ ") + body)
         return " ".join(parts)
-
-    def to_json(self) -> list:
-        return [
-            {"exp": k, "num": str(self.terms[k].numerator), "den": str(self.terms[k].denominator)}
-            for k in sorted(self.terms, reverse=True)
-        ]
-
-    @classmethod
-    def from_json(cls, data) -> "LaurentPoly":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls({int(t["exp"]): Fraction(int(t["num"]), int(t["den"])) for t in data})
-
-
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>\d+(?:/\d+)?)\s*(?:\*\s*(?P<qa>q)(?:\^(?P<expa>-?\d+))?)?
-          | (?P<qb>q)(?:\^(?P<expb>-?\d+))?
-        )\s*""",
-    re.VERBOSE,
-)
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the canonical textual form, e.g. ``q^2 + 1 - 3/2*q^-1``."""
-    pos = 0
-    total = {}
-    text = text.strip()
-    if not text:
-        raise ValueError("empty Laurent polynomial")
-    first = True
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError("bad Laurent term at position %d in %r" % (pos, text))
-        if not first and m.group("sign") is None:
-            raise ValueError("missing +/- at position %d in %r" % (pos, text))
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("coeff") is not None:
-            c = Fraction(m.group("coeff"))
-            if m.group("qa"):
-                k = int(m.group("expa")) if m.group("expa") else 1
-            else:
-                k = 0
-        else:
-            c = 1
-            k = int(m.group("expb")) if m.group("expb") else 1
-        total[k] = total.get(k, 0) + sign * c
-        pos = m.end()
-        first = False
-    return LaurentPoly(total)
 
 
 # -- q-combinatorics ---------------------------------------------------
@@ -587,9 +530,6 @@ class RatQ:
     @_coerced(as_ratq)
     def __rtruediv__(self, other):
         return other / self
-
-    def inverse(self) -> "RatQ":
-        return RatQ(self.den, self.num)
 
     def is_laurent(self) -> bool:
         return self.den.terms == {0: 1}

@@ -60,17 +60,9 @@ class DualFunctional(Lin):
     coerce = staticmethod(as_laurent)
     check_key = staticmethod(mi_check)
 
-    @property
-    def values(self):
-        """The values {gamma: LaurentPoly}; the same dict as ``terms``."""
-        return self.terms
-
     @classmethod
     def indicator(cls, gamma):
         return cls({gamma: LaurentPoly.one()})
-
-    def max_degree(self) -> int:
-        return max((mi_degree(g) for g in self.terms), default=-1)
 
     def evaluate(self, a: AqElement):
         """Linear extension: the value on an arbitrary algebra element."""
@@ -88,14 +80,6 @@ class DualFunctional(Lin):
 def psi(f: DualFunctional) -> Poly4:
     """The divided-powers polynomial of a functional."""
     return Poly4._make({g: RatQ(v, q_factorial(g)) for g, v in f.terms.items()})
-
-
-def psi_inv(p: Poly4) -> DualFunctional:
-    """Inverse of psi on finitely supported data."""
-    out = {}
-    for g, c in p.terms.items():
-        out[g] = (c * RatQ(q_factorial(g))).to_laurent()
-    return DualFunctional._make(out)
 
 
 @lru_cache(maxsize=1024)

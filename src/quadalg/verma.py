@@ -28,8 +28,9 @@ table (128 reports), so a scan, the CLI and the verify suite pay for
 each weight once per process; the ``SingularReport`` it hands to every
 caller is therefore read-only.  |x| is capped at ``MAX_ABS_X``: the
 obstruction has |x| terms and is tested at every divisor of 2x -+ 4, so
-the ceiling bounds one report's cost, and a scan checks every x against
-it before building any report.
+the ceiling bounds one report's cost.  A scan's cost is about the sum of
+|x| over its points, which is capped at ``MAX_SCAN_ABS_X``; a scan checks
+every x and the sum before building any report.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ _Q = LaurentPoly.q
 CONVENTIONS = ("twisted", "plain")
 MAX_ORDER = 12  # every root-of-unity order up to this one is scanned
 MAX_ABS_X = 10_000  # the largest |x| that singular_test accepts
+MAX_SCAN_ABS_X = 300_000  # the largest sum of |x| over the points of one scan
 
 
 class Weight:
@@ -158,13 +160,6 @@ def singular_candidate_plus() -> UqElement:
     return w_gen(2) - (w_gen(1) * UqElement.f_gen(MU)).scale(_Q(-1))
 
 
-def target_weight(weight: Weight) -> Weight:
-    """The weight reached by the candidate from a (1, 0, x) source."""
-    if (weight.m, weight.n) != (1, 0):
-        raise ValueError("source weight must have (m, n) = (1, 0), got %r" % (weight,))
-    return Weight(0, 1, weight.x + 1)
-
-
 class SingularReport:
     """Exact raising values of u0 v and the root-of-unity bookkeeping; read-only.
 
@@ -237,14 +232,15 @@ def singular_test(u0: UqElement, x: int, convention: str = "twisted") -> Singula
 def scan_singular(u0: UqElement, xs, convention: str = "twisted"):
     """Reports for each x in the scan; returns (reports, generically vanishing xs).
 
-    Every x is checked against ``MAX_ABS_X`` before any report is built.
+    Every x is checked against ``MAX_ABS_X``, and the sum of |x| against
+    ``MAX_SCAN_ABS_X``, before any report is built.
     """
     xs = [_bounded_x(x) for x in xs]
+    total = sum(map(abs, xs))
+    if total > MAX_SCAN_ABS_X:
+        raise ValueError("singular-vector scan must satisfy sum of |x| <= %d, got %d"
+                         % (MAX_SCAN_ABS_X, total))
     reports = [singular_test(u0, x, convention) for x in xs]
     vanishing = [r.x for r in reports if r.vanishes_generically]
     return reports, vanishing
 
-
-def expected_beta_obstruction(x: int, convention: str = "twisted") -> LaurentPoly:
-    """The predicted beta obstruction coefficient: [x-2]_q resp. -[x+2]_q."""
-    return _signed_q_int(x - 2) if convention == "twisted" else -_signed_q_int(x + 2)

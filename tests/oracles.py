@@ -1,7 +1,9 @@
 """Oracles and helpers shared by the test modules.
 
 ``reference_dual`` is the per-index brute-force dual that the transposed
-tables of ``transform.right_dual_bruteforce`` replaced; ``apply_divided``
+tables of ``transform.right_dual_bruteforce`` replaced; ``psi_inv`` inverts
+``transform.psi``; ``expected_beta_obstruction`` is the predicted beta
+obstruction of ``verma.singular_test``; ``apply_divided``
 sums ``qcalc.divided_column`` columns into the image of a functional;
 ``indicator`` is a pair of functionals with one monomial indicator;
 ``mutated`` perturbs one term of an operator for the mutation tests; and
@@ -12,7 +14,9 @@ binomial test of ``ring.vanishes_at_root_of_unity`` replaced.
 from quadalg.aq import AqElement
 from quadalg.lin import add_into
 from quadalg.qcalc import QOperator, divided_column
-from quadalg.ring import LaurentPoly, _to_dense, cyclotomic, indices_up_to
+from quadalg.ring import (
+    LaurentPoly, RatQ, _to_dense, cyclotomic, indices_up_to, mi_degree, q_factorial, q_int,
+)
 from quadalg.transform import DualFunctional
 
 
@@ -22,7 +26,7 @@ def reference_dual(w0):
 
     def act(f):
         out = {}
-        for g in indices_up_to(f.max_degree()):
+        for g in indices_up_to(max((mi_degree(g) for g in f.terms), default=-1)):
             if g not in products:
                 products[g] = AqElement.monomial(g) * w0
             val = f.evaluate(products[g])
@@ -31,6 +35,17 @@ def reference_dual(w0):
         return DualFunctional(out)
 
     return act
+
+
+def psi_inv(p):
+    """Inverse of ``transform.psi`` on finitely supported data."""
+    return DualFunctional({g: (c * RatQ(q_factorial(g))).to_laurent() for g, c in p.terms.items()})
+
+
+def expected_beta_obstruction(x, convention="twisted"):
+    """The predicted beta obstruction coefficient: [x-2]_q resp. -[x+2]_q."""
+    n = x - 2 if convention == "twisted" else -(x + 2)  # [-n]_q = -[n]_q
+    return q_int(n) if n >= 0 else -q_int(-n)
 
 
 def apply_divided(op, f):

@@ -7,7 +7,6 @@ from quadalg.aq import (
     AqElement,
     center_element,
     commutator,
-    multiply,
     normal_order,
     reduce_word,
     relation_pairs,
@@ -231,11 +230,11 @@ def test_pbw_monomial_count():
 # ------------------------------------------------------- multiplication
 
 def test_multiply_examples():
-    assert multiply(w2, w1) == AqElement({(1, 1, 0, 0): Q(-1)})
+    assert w2 * w1 == AqElement({(1, 1, 0, 0): Q(-1)})
     a = rand_element(random.Random(1))
-    assert multiply(AqElement.one(), a) == a
+    assert AqElement.one() * a == a
     # w4^2 * w1 = w1 w4^2 - (q - q^-3) w2 w3 w4
-    assert multiply(w4 * w4, w1) == AqElement(
+    assert (w4 * w4) * w1 == AqElement(
         {(1, 0, 0, 2): ONE, (0, 1, 1, 1): -(Q(1) - Q(-3))}
     )
 

@@ -97,6 +97,28 @@ def test_lin_imports_nothing_from_the_package():
             assert not any(a.name.startswith("quadalg") for a in node.names), ast.dump(node)
 
 
+def unused_imports(source):
+    """The names bound by top-level imports of ``source`` that it never reads."""
+    tree = ast.parse(source)
+    bound = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_keeps_an_unused_import():
+    assert unused_imports("import json\nimport re\nfrom .lin import Lin\nR = re.compile(Lin)\n") == ["json"]
+    package = Path(lin.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")  # its imports are the API
+    assert len(modules) >= 12
+    for path in modules:
+        assert unused_imports(path.read_text()) == [], path.name
+
+
 def test_rendering_keeps_unit_and_coefficient_forms():
     assert str(AqElement.zero()) == "0"
     assert str(AqElement.one().scale(2) + AqElement.generator(1)) == "(2) + w1"

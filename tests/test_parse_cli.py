@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import quadalg
+from quadalg import verma
 from quadalg.aq import AqElement, center_element
 from quadalg.cli import main
 from quadalg.parse import ParseError, parse_expression
@@ -57,7 +58,7 @@ def test_parse_powers_and_scalars():
         {(0, 1, 1, 0): Q(1) - Q(-1), (2, 0, 0, 0): LaurentPoly.one()}
     )
     kind, value = parse_expression("(1/2)*w1")
-    assert value == AqElement.generator(1).scale(LaurentPoly.const(RatQ(1, 2).num.coeff(0)))
+    assert value == AqElement.generator(1).scale(LaurentPoly.const(RatQ(1, 2).num.terms[0]))
     kind, value = parse_expression("3*w1 - w1 - w1 - w1")
     assert not value
 
@@ -236,9 +237,12 @@ def test_cli_dual():
 
 
 def test_cli_dirac():
-    code, out = run_cli("dirac", "--which", "plus", "--show")
+    code, out = run_cli("dirac", "--which", "plus")
     assert code == 0
     assert "d_4" in out
+    with pytest.raises(SystemExit) as exc:
+        run_cli("dirac", "--which", "plus", "--show")
+    assert exc.value.code == 2
 
 
 def test_cli_singular_vector():
@@ -582,17 +586,38 @@ def test_singular_vector_beyond_the_ceiling_exits_2_naming_it(argv, capsys):
     assert "|x| <= 10000" in err
 
 
-def _readme_examples():
+@pytest.mark.parametrize("argv, total", [
+    (("singular-vector", "--scan", "0..774", "--x", "10000"), 299_925 + 10_000),
+    (("verify", "singular-vector", "--scan", "9900..9930", "--json"), 307_365),
+])
+def test_singular_vector_scan_beyond_its_cost_ceiling_exits_2_naming_it(argv, total, capsys):
+    verma.singular_test.cache_clear()
+    code, out = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: singular-vector scan must satisfy sum of |x| <= 300000, got %d\n" % total
+    )
+    assert verma.singular_test.cache_info().currsize == 0
+
+
+def _readme_commands():
+    """Each ``quadalg ...`` line of the README: (argv, the output after ``# ->`` or None)."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    return re.findall(r"^quadalg (.+?)\s+# -> (.+)$", readme.read_text(), re.MULTILINE)
+    out = []
+    for line in re.findall(r"^quadalg (.+)$", readme.read_text(), re.MULTILINE):
+        command, _, expected = line.partition("# -> ")
+        out.append((shlex.split(command, comments=True), expected or None))
+    return out
 
 
-def test_readme_examples_print_what_they_say():
-    examples = _readme_examples()
-    assert len(examples) >= 3
-    for command, expected in examples:
-        code, out = run_cli(*shlex.split(command))
-        assert (code, out) == (0, expected + "\n"), command
+def test_readme_examples_print_what_they_say(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 9 and sum(e is not None for _, e in commands) >= 3
+    for argv, expected in commands:
+        code, out = run_cli(*argv)
+        assert code == 0, (argv, capsys.readouterr().err)
+        if expected is not None:
+            assert out == expected + "\n", argv
 
 
 @pytest.mark.parametrize(

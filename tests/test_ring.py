@@ -14,7 +14,6 @@ from quadalg.ring import (
     cyclotomic,
     divide_exact,
     laurent_gcd,
-    parse_laurent,
     q_factorial,
     q_int,
     vanishes_at_root_of_unity,
@@ -204,29 +203,6 @@ def test_str_canonical():
     assert str(LaurentPoly({2: Fraction(3, 2), 0: -1})) == "3/2*q^2 - 1"
 
 
-def test_parse_roundtrip():
-    rng = random.Random(7)
-    for _ in range(100):
-        p = rand_poly(rng)
-        if not p:
-            continue
-        assert parse_laurent(str(p)) == p
-    assert parse_laurent("q") == Q(1)
-    assert parse_laurent("-q^-2 + 5/3") == LaurentPoly({-2: -1, 0: Fraction(5, 3)})
-
-
-def test_parse_rejects_garbage():
-    for bad in ["", "q +", "q^", "* q", "q q"]:
-        with pytest.raises(ValueError):
-            parse_laurent(bad)
-
-
-def test_json_roundtrip():
-    p = LaurentPoly({3: Fraction(-2, 7), 0: 1, -2: 4})
-    assert LaurentPoly.from_json(p.to_json()) == p
-    assert p.to_json()[0] == {"exp": 3, "num": "-2", "den": "7"}
-
-
 # -------------------------------------------------------- fraction field
 
 def test_ratq_normalization():
@@ -390,13 +366,21 @@ def scalar_corpus():
             yield x + y if kind == "RatQ +" else x * y if kind == "RatQ *" else x / y
 
 
+def terms_json(p):
+    """The terms of p as exact JSON records, highest exponent first."""
+    return json.dumps([
+        {"exp": k, "num": str(p.terms[k].numerator), "den": str(p.terms[k].denominator)}
+        for k in sorted(p.terms, reverse=True)
+    ])
+
+
 def scalar_corpus_digest():
     h = hashlib.sha256()
     for x in scalar_corpus():
         if isinstance(x, RatQ):
-            x = "%s %s %s" % (x, json.dumps(x.num.to_json()), json.dumps(x.den.to_json()))
+            x = "%s %s %s" % (x, terms_json(x.num), terms_json(x.den))
         elif isinstance(x, LaurentPoly):
-            x = "%s %s" % (x, json.dumps(x.to_json()))
+            x = "%s %s" % (x, terms_json(x))
         h.update(x.encode() + b"\n")
     return h.hexdigest()
 
@@ -432,10 +416,10 @@ def test_coefficients_are_int_or_non_integral_fraction():
         divide_exact(LaurentPoly({1: Fraction(1, 2), 0: Fraction(3, 4)}), Q(1) * 2 + 3),
         laurent_gcd((Q(1) * 2 + 1) * mu, (Q(1) * 2 + 1) * (Q(1) + 3)),
         laurent_gcd(Q(2) * 3 - 3, Q(1) * 6 - 6),
-        parse_laurent("4/2*q^2 - 3/4 + q^-1"),
-        LaurentPoly.from_json([{"exp": 1, "num": "6", "den": "3"}, {"exp": 0, "num": "1", "den": "2"}]),
+        LaurentPoly({2: Fraction(4, 2), 0: Fraction(-3, 4), -1: 1}),
+        LaurentPoly({1: Fraction(6, 3), 0: Fraction(1, 2)}),
     )
-    assert LaurentPoly.from_json([{"exp": 1, "num": "6", "den": "3"}]).terms == {1: 2}
+    assert LaurentPoly({1: Fraction(6, 3)}).terms == {1: 2}
     for den in (Q(1) * 2 + 1, Q(2) * 3 - 1, Q(1) * Fraction(1, 2) - 2, Q(3) * -2):
         for num in (ONE, Q(2) * 4 - Q(-1) * 6, LaurentPoly.const(Fraction(3, 2)) + Q(1), den * (Q(1) - 5)):
             x = RatQ(num, den)
@@ -454,7 +438,7 @@ def reference_ratq(num, den):
         return LaurentPoly.zero(), ONE
     g = laurent_gcd(num, den)
     num, den = divide_exact(num, g), divide_exact(den, g)
-    unit = LaurentPoly({-den.valuation: Fraction(1) / den.coeff(den.degree)})
+    unit = LaurentPoly({-den.valuation: Fraction(1) / den.terms[den.degree]})
     return num * unit, den * unit
 
 
@@ -506,6 +490,6 @@ def test_ratq_cancellation_matches_euclid():
         x = RatQ(num, den)
         n, d = reference_ratq(num, den)
         assert (x.num, x.den) == (n, d), (num, den)
-        assert x.num.to_json() == n.to_json() and x.den.to_json() == d.to_json()
+        assert terms_json(x.num) == terms_json(n) and terms_json(x.den) == terms_json(d)
         assert str(x) == (str(n) if d == ONE else "(%s)/(%s)" % (n, d))
         assert _exact_coefficients(x.num, x.den), (num, den)

@@ -10,13 +10,12 @@ from quadalg.transform import (
     DualFunctional,
     box_operator,
     psi,
-    psi_inv,
     right_dual_bruteforce,
     right_dual_closed,
     verify_dual,
 )
 
-from oracles import apply_divided, indicator, mutated, reference_dual
+from oracles import apply_divided, indicator, mutated, psi_inv, reference_dual
 
 Q = LaurentPoly.q
 ONE = LaurentPoly.one()
@@ -44,14 +43,14 @@ def test_psi_inverse():
 def test_bruteforce_examples():
     dual4 = right_dual_bruteforce(AqElement.generator(4))
     g = dual4(DualFunctional.indicator((0, 0, 0, 1)))
-    assert g.values == {(0, 0, 0, 0): ONE}
+    assert g.terms == {(0, 0, 0, 0): ONE}
 
     dual1 = right_dual_bruteforce(AqElement.generator(1))
     # w4 w1 = w1 w4 - (q - q^-1) w2 w3: the two coefficients read off at (0,0,0,1)
     g = dual1(DualFunctional.indicator((1, 0, 0, 1)))
-    assert g.values.get((0, 0, 0, 1)) == ONE
+    assert g.terms.get((0, 0, 0, 1)) == ONE
     g = dual1(DualFunctional.indicator((0, 1, 1, 0)))
-    assert g.values.get((0, 0, 0, 1)) == -MU
+    assert g.terms.get((0, 0, 0, 1)) == -MU
 
     ident = right_dual_bruteforce(AqElement.one())
     f = DualFunctional({(1, 2, 0, 1): Q(2), (0, 0, 0, 0): ONE})
@@ -89,7 +88,7 @@ def test_dual_w1_contains_extra_term():
     op = right_dual_closed(1)
     # canonical form carries a z_4-term: the departure from first order
     assert any(alpha != (0, 0, 0, 0) for alpha, _, _ in op.terms)
-    assert 2 in op.dbar_orders()
+    assert any(sum(g) == 2 for _, _, g in op.terms)
 
 
 def test_verify_dual_all_generators():

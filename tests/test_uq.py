@@ -141,7 +141,7 @@ class Echelon:
         if not row:
             return None
         pivot = max(row)
-        inv = row[pivot].inverse()
+        inv = 1 / row[pivot]
         row = {w: c * inv for w, c in row.items()}
         for r in self.pivots.values():  # back-substitute into the existing rows
             c = r.get(pivot)

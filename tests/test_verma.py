@@ -13,12 +13,12 @@ from quadalg.verma import (
     Weight,
     act,
     apply_element,
-    expected_beta_obstruction,
     scan_singular,
     singular_candidate_plus,
     singular_test,
-    target_weight,
 )
+
+from oracles import expected_beta_obstruction
 
 Q = LaurentPoly.q
 ONE = LaurentPoly.one()
@@ -141,16 +141,6 @@ def test_plain_convention_sign():
     fb_v = act("Fb", V, w, convention="plain")
     got = act("Eb", fb_v, w, convention="plain")
     assert got == VermaVector({(): RatQ(q_int(x))})
-
-
-# -------------------------------------------------------- target weight
-
-def test_target_weight():
-    assert target_weight(Weight(1, 0, 2)) == Weight(0, 1, 3)
-    assert target_weight(Weight(1, 0, 0)) == Weight(0, 1, 1)
-    assert target_weight(Weight(1, 0, 5)) == Weight(0, 1, 6)
-    with pytest.raises(ValueError):
-        target_weight(Weight(0, 1, 2))
 
 
 # ------------------------------------------------------- singular scan
