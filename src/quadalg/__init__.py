@@ -19,42 +19,7 @@ The package provides, over exact Laurent-polynomial scalars:
 
 Only what the command line, the suites or their callers reach lives here;
 the reference implementations the tests compare against live in the tests.
+The package root re-exports nothing: import each name from its module.
 """
-
-from .aq import AqElement, center_element, commutator, normal_order
-from .qcalc import Poly4, QOperator, compose, mul_z, qdiff, scaling
-from .ring import (
-    ExactDivisionError,
-    LaurentPoly,
-    RatQ,
-    divide_exact,
-    q_factorial,
-    q_int,
-    vanishes_at_root_of_unity,
-)
-from .transform import (
-    DualFunctional,
-    box_operator,
-    psi,
-    right_dual_bruteforce,
-    right_dual_closed,
-    verify_dual,
-)
-from .uq import UqElement, graded_dimension, serre_reduce, star_act, straighten, w_embed
-from .verma import (
-    SingularReport,
-    VermaVector,
-    Weight,
-    act,
-    singular_candidate_plus,
-    singular_test,
-)
-from .dirac import (
-    OpMatrix2,
-    dirac_minus,
-    dirac_plus,
-    intertwine_bruteforce,
-    intertwine_check,
-)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import dirac, transform, uq, verma
 from .aq import AqElement
 from .parse import ParseError, _combine, _Value, parse_expression
-from .suites import SUITES, run_suite
+from .suites import DEFAULT_CONVENTION, SUITES, run_suite
 from .uq import UqElement
 
 
@@ -95,7 +95,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_dirac(args) -> int:
-    matrix = dirac.dirac_plus() if args.which == "plus" else dirac.dirac_minus()
+    matrix = dirac.dirac_matrix(args.which)
     payload = {
         "which": args.which,
         "entries": [[str(matrix[i, j]) for j in (0, 1)] for i in (0, 1)],
@@ -197,20 +197,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-degree", type=int, default=6)
 
     p = add("dirac", cmd_dirac, help="show a first-order operator matrix")
-    p.add_argument("--which", required=True, choices=("plus", "minus"))
+    p.add_argument("--which", required=True, choices=tuple(dirac._LAYOUT))
 
     p = add("singular-vector", cmd_singular_vector, help="primitive vector scan")
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--scan", type=_scan_range, default=(0, 6), metavar="A..B")
-    p.add_argument("--convention", choices=("twisted", "plain"), default="twisted")
+    p.add_argument("--convention", choices=tuple(verma.CONVENTIONS), default=DEFAULT_CONVENTION)
 
     p = add("verify", cmd_verify, help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--scan", type=_scan_range, default=None, metavar="A..B",
                    help="singular-vector only (default 0..6)")
-    p.add_argument("--convention", choices=("twisted", "plain"), default=None,
-                   help="singular-vector only (default twisted)")
+    p.add_argument("--convention", choices=tuple(verma.CONVENTIONS), default=None,
+                   help="singular-vector only (default %s)" % DEFAULT_CONVENTION)
 
     return parser
 

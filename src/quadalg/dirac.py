@@ -24,6 +24,8 @@ column of D+, D- and -q^-1 diag(box, box) read once per sweep.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .aq import AqElement
 from .lin import add_scaled
 from .qcalc import QOperator, compose, divided_column
@@ -38,8 +40,9 @@ from .transform import (
 
 _Q = LaurentPoly.q
 
-# The w index k of each entry M_ij = s_i dual(w_k), row by row, and the
-# row factors s_i, with None for 1.
+# The variants of D+-, the one table of their names: per variant the w index
+# k of each entry M_ij = s_i dual(w_k), row by row.  The row factors s_i,
+# with None for 1.
 _LAYOUT = {"plus": ((2, 4), (1, 3)), "minus": ((3, 4), (1, 2))}
 _ROW_FACTORS = (None, -_Q(-1))
 
@@ -47,7 +50,7 @@ _ROW_FACTORS = (None, -_Q(-1))
 def _layout(variant):
     """The pairs (s_i, row i of ``_LAYOUT[variant]``)."""
     if variant not in _LAYOUT:
-        raise ValueError("variant must be 'plus' or 'minus', got %r" % (variant,))
+        raise ValueError("variant must be %s, got %r" % (" or ".join(map(repr, _LAYOUT)), variant))
     return tuple(zip(_ROW_FACTORS, _LAYOUT[variant]))
 
 
@@ -113,7 +116,8 @@ class OpMatrix2:
         )
 
 
-def _dirac_parts(variant):
+@lru_cache(maxsize=None)
+def dirac_parts(variant):
     """The first-order matrix of D+ or D- and its extra term: each dual(w_k)
     split into its first-order part and the rest, which is zero but for the
     departure -q^-1 z_4 (1 - q^-2) K_4 box of the corner -q^-1 dual(w1).
@@ -126,23 +130,11 @@ def _dirac_parts(variant):
     )
 
 
-def dirac_plus_parts():
-    """The first-order matrix and the extra wave-operator term, separately."""
-    return _dirac_parts("plus")
-
-
-def dirac_minus_parts():
-    """As ``dirac_plus_parts`` with the roles of w2 and w3 interchanged."""
-    return _dirac_parts("minus")
-
-
-def dirac_plus() -> OpMatrix2:
-    first, extra = dirac_plus_parts()
-    return first + extra
-
-
-def dirac_minus() -> OpMatrix2:
-    first, extra = dirac_minus_parts()
+@lru_cache(maxsize=None)
+def dirac_matrix(variant) -> OpMatrix2:
+    """D+ or D-, one matrix per variant of ``_LAYOUT``, built once per
+    process and shared by every caller."""
+    first, extra = dirac_parts(variant)
     return first + extra
 
 
@@ -153,7 +145,7 @@ def factorization_target() -> OpMatrix2:
 
 def factorization_products():
     """The two products (D+ then D-, D- then D+)."""
-    dp, dm = dirac_plus(), dirac_minus()
+    dp, dm = map(dirac_matrix, _LAYOUT)
     return dp.then(dm), dm.then(dp)
 
 
@@ -194,7 +186,7 @@ def first_factorization_failure(degree_bound: int):
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
-    dp, dm, target = (_ByColumns(m) for m in (dirac_plus(), dirac_minus(), factorization_target()))
+    dp, dm, target = (_ByColumns(m) for m in (*map(dirac_matrix, _LAYOUT), factorization_target()))
     for gamma in indices_up_to(degree_bound):
         for i in (0, 1):
             expected = target.column(gamma, i)
@@ -206,8 +198,8 @@ def first_factorization_failure(degree_bound: int):
 # ------------------------------------------------- algebraic intertwiner
 
 
-def intertwine_bruteforce(f, variant: str = "plus"):
-    """The pushforward f -> f(. u0) on the target bases, via algebra products.
+def intertwine_bruteforce(f, variant: str):
+    """The pushforward f -> f(. u0) on the target bases, read off ``_LAYOUT``.
 
     f is a pair (f1, f2) of ``DualFunctional``: the values on the bases
     {w^gamma} and {w^gamma F}, where F is F_mu on the source side of the
@@ -218,16 +210,19 @@ def intertwine_bruteforce(f, variant: str = "plus"):
         g1(delta) = f(w^delta w2) - q^-1 f(w^delta w1 F_mu)
         g2(delta) = f(w^delta w4) - q^-1 f(w^delta w3 F_mu)
 
-    which only require normal-ordered products in the quadratic algebra:
-    the row vector f times the brute-force duals of ``_LAYOUT``.  The
-    minus variant interchanges the roles of w2 and w3.
+    The minus variant interchanges the roles of w2 and w3.  This is not
+    computed from u0: it is the row vector f times the brute-force duals
+    of the w_k and row factors that ``_LAYOUT`` names, the table the
+    matrices are built from.  So ``verify dirac-intertwine`` checks each
+    entry's closed form against its brute-force dual, but cannot catch a
+    wrong layout; ``verify dirac-factorization`` catches that.
     """
     duals = [[(right_dual_bruteforce(AqElement.generator(k)), s) for k in row]
              for s, row in _layout(variant)]
     return _row_times(f, duals, lambda d, x: _scaled(d[0](x), d[1]))
 
 
-def first_intertwine_failure(degree_bound: int, variant: str = "plus"):
+def first_intertwine_failure(degree_bound: int, variant: str):
     """The first (gamma, slot) of total degree <= degree_bound on which the
     brute-force pushforward and the matrix action disagree, or None.
 
@@ -239,7 +234,7 @@ def first_intertwine_failure(degree_bound: int, variant: str = "plus"):
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     layout = _layout(variant)  # rejects an unknown name before any matrix is built
-    matrix = dirac_plus() if variant == "plus" else dirac_minus()
+    matrix = dirac_matrix(variant)
     sides = [
         (AqElement.generator(k), s, matrix[i, j].laurent_terms())
         for i, (s, row) in enumerate(layout)
@@ -249,7 +244,7 @@ def first_intertwine_failure(degree_bound: int, variant: str = "plus"):
     return (bad[0], bad[1] // 2 + 1) if bad else None
 
 
-def intertwine_check(degree_bound: int, variant: str = "plus") -> bool:
+def intertwine_check(degree_bound: int, variant: str) -> bool:
     """True iff the brute-force pushforward equals the matrix action for
     every vector indicator of total degree <= degree_bound."""
     return first_intertwine_failure(degree_bound, variant) is None

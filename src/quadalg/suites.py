@@ -23,6 +23,9 @@ _Q = LaurentPoly.q
 # this many characters the report keeps its head and the full length.
 WITNESS_LIMIT = 400
 
+# The singular-vector convention when none is named, on the command line too.
+DEFAULT_CONVENTION = "twisted"
+
 
 def _capped(witness):
     if witness is None or len(witness) <= WITNESS_LIMIT:
@@ -137,12 +140,10 @@ def suite_aq_power_identity(report, degree):
 
 
 def suite_serre_oracle(report):
-    from .aq import normal_order
-
     words = [(2, 1), (3, 1), (4, 3), (4, 2), (3, 2), (4, 1)]
     for word in words:
         lhs = uq.w_gen(word[0]) * uq.w_gen(word[1])
-        rhs = uq.w_embed(normal_order(word))
+        rhs = uq.w_embed(aq.normal_order(word))
         diff = lhs - rhs
         report.add("transported relation w%d*w%d" % word, not diff, str(diff))
 
@@ -266,7 +267,7 @@ def suite_dirac_factorization(report, degree):
 
 
 def suite_dirac_intertwine(report, degree):
-    for variant in ("plus", "minus"):
+    for variant in dirac._LAYOUT:
         bad = dirac.first_intertwine_failure(degree, variant)
         report.add(
             "matrix matches the algebraic intertwiner (%s) through degree %d"
@@ -284,7 +285,7 @@ def suite_singular_vector(report, scan, convention):
         report.add(
             "E_mu^2 kills the candidate at x=%d" % r.x, not r.e_mu_sq, str(r.e_mu_sq)
         )
-    expected_x = 2 if convention == "twisted" else -2
+    expected_x = -2 * verma.CONVENTIONS[convention]
     expected = [expected_x] if expected_x in scan else []
     # a scan that misses the expected point checks only that nothing vanishes
     name = ("generic vanishing exactly at x=%d" % expected_x if expected
@@ -293,7 +294,7 @@ def suite_singular_vector(report, scan, convention):
     for r in reports:
         if r.vanishes_generically:
             continue
-        modulus = abs(2 * r.x - 4) if convention == "twisted" else abs(2 * r.x + 4)
+        modulus = verma.obstruction_modulus(r.x, convention)
         expected = tuple(m for m in range(3, verma.MAX_ORDER + 1) if modulus % m == 0)
         extra = tuple(m for m in r.root_of_unity_orders if m > verma.MAX_ORDER)
         got = tuple(m for m in r.root_of_unity_orders if m <= verma.MAX_ORDER)
@@ -338,7 +339,7 @@ def run_suite(name, degree=None, scan=None, convention=None) -> Report:
     start = time.monotonic()
     if name == "singular-vector":
         scan = scan if scan is not None else range(0, 7)
-        convention = convention if convention is not None else "twisted"
+        convention = convention if convention is not None else DEFAULT_CONVENTION
         params = {"scan": "%d..%d" % (min(scan), max(scan)), "convention": convention}
         report = Report(name, params)
         fn(report, list(scan), convention)

@@ -1,13 +1,14 @@
 """Verma module machinery: weights, the raising action on lowered vectors,
 and the singular-vector scan for the degree-one intertwiner candidate.
 
-A weight (m, n, x) declares the character values q^m, q^n, q^x of the
-three Cartan generators on the highest weight line.  Under the default
+A weight is a plain tuple (m, n, x): the character values q^m, q^n, q^x
+of the three Cartan generators on the highest weight line.  Under the
 "twisted" convention the generators act on v by the inverse character
 (K_mu v = q^-m v, ...), which is the convention induced on functions by
 twisting with the inverse character and the antipode; the "plain"
-convention drops the inversion.  The active convention is recorded in
-every report.
+convention drops the inversion.  ``CONVENTIONS`` holds the sign each one
+puts on the weight; every function here takes the convention explicitly,
+and every report records it.
 
 Elements act by closed formulas over Z[q, q^-1], with no straightening:
 E_i F_w v = sum over the letters w_k = i of F_(w<k) [s_k]_q F_(w>k) v,
@@ -21,13 +22,15 @@ generator along beta kills it; the obstruction is the q-integer
 [x - 2]_q (twisted convention), which vanishes at generic q iff x = 2
 and otherwise vanishes at the primitive m-th roots of unity with
 m | 2x - 4 and m >= 3 (the two classical points q = 1, -1 never kill a
-nonzero q-integer).  Under the plain convention it is -[x + 2]_q.
+nonzero q-integer).  Under the plain convention it is -[x + 2]_q.  With
+s the convention's sign, generic vanishing is at x = -2s and the orders
+divide 2x + 4s (``obstruction_modulus``).
 
 ``singular_test`` is memoised per (u0, x, convention) in a bounded LRU
 table (128 reports), so a scan, the CLI and the verify suite pay for
 each weight once per process; the ``SingularReport`` it hands to every
 caller is therefore read-only.  |x| is capped at ``MAX_ABS_X``: the
-obstruction has |x| terms and is tested at every divisor of 2x -+ 4, so
+obstruction has |x| terms and is tested at every divisor of its modulus, so
 the ceiling bounds one report's cost.  A scan's cost is about the sum of
 |x| over its points, which is capped at ``MAX_SCAN_ABS_X``; a scan checks
 every x and the sum before building any report.
@@ -43,43 +46,11 @@ from .uq import CARTAN, GENERATOR_SYMBOLS, LETTER_NAMES, MU, UqElement, serre_re
 
 _Q = LaurentPoly.q
 
-CONVENTIONS = ("twisted", "plain")
+# The sign the weight carries in the K exponents on v, per convention.
+CONVENTIONS = {"twisted": -1, "plain": 1}
 MAX_ORDER = 12  # every root-of-unity order up to this one is scanned
 MAX_ABS_X = 10_000  # the largest |x| that singular_test accepts
 MAX_SCAN_ABS_X = 300_000  # the largest sum of |x| over the points of one scan
-
-
-class Weight:
-    """Character exponents (m, n, x) for the Cartan generators; read-only and hashable."""
-
-    def __init__(self, m: int, n: int, x: int):
-        for name, value in (("m", m), ("n", n), ("x", x)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __eq__(self, other):
-        if type(other) is not Weight:
-            return NotImplemented
-        return (self.m, self.n, self.x) == (other.m, other.n, other.x)
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.x))
-
-    def __repr__(self):
-        return "Weight(m=%r, n=%r, x=%r)" % (self.m, self.n, self.x)
-
-    def exponent_of(self, kexp, convention="twisted") -> int:
-        """The q-exponent by which K_mu^a K_nu^b K_beta^c acts on v."""
-        if convention not in CONVENTIONS:
-            raise ValueError("convention must be twisted or plain, got %r" % (convention,))
-        a, b, c = kexp
-        raw = a * self.m + b * self.n + c * self.x
-        return -raw if convention == "twisted" else raw
 
 
 class VermaVector(Lin):
@@ -122,15 +93,28 @@ def _raise(eword, fword, k_exps) -> dict:
     return vec
 
 
-def apply_element(element: UqElement, v: VermaVector, weight: Weight,
-                  convention: str = "twisted") -> VermaVector:
-    """The action of a straightened element on a Verma vector.
+def _sign(convention: str) -> int:
+    if convention not in CONVENTIONS:
+        raise ValueError("convention must be %s, got %r" % (" or ".join(CONVENTIONS), convention))
+    return CONVENTIONS[convention]
+
+
+def obstruction_modulus(x: int, convention: str) -> int:
+    """|2x + 4s| for the convention's sign s: the m >= 3 dividing it are the
+    root-of-unity orders at which the beta obstruction at (1, 0, x) vanishes."""
+    return abs(2 * x + 4 * _sign(convention))
+
+
+def apply_element(element: UqElement, v: VermaVector, weight: tuple,
+                  convention: str) -> VermaVector:
+    """The action of a straightened element on a Verma vector of the weight (m, n, x).
 
     A term F_f K^k E_e acts on F_w v by the raising rule of ``_raise``,
     then K^k by its weight, then F_f by concatenation on the left; one
     Serre reduction at the end brings the result to quotient-basis words.
     """
-    k_exps = [weight.exponent_of(unit, convention) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    sign = _sign(convention)
+    k_exps = [sign * c for c in weight]
     out = {}
     for word, cv in v.terms.items():
         raised = {}
@@ -147,12 +131,9 @@ def apply_element(element: UqElement, v: VermaVector, weight: Weight,
 _GENS = {name: UqElement.generator(symbol) for name, symbol in GENERATOR_SYMBOLS.items()}
 
 
-def act(generator, v: VermaVector, weight: Weight, convention: str = "twisted") -> VermaVector:
+def act(name: str, v: VermaVector, weight: tuple, convention: str) -> VermaVector:
     """Action of a single named generator (e.g. "Eb", "Fm", "Kb^-1") on v."""
-    g = generator if isinstance(generator, UqElement) else _GENS.get(generator)
-    if g is None:
-        raise ValueError("unknown generator %r" % (generator,))
-    return apply_element(g, v, weight, convention)
+    return apply_element(_GENS[name], v, weight, convention)
 
 
 def singular_candidate_plus() -> UqElement:
@@ -175,9 +156,13 @@ class SingularReport:
             vanishes_generically=vanishes_generically, root_of_unity_orders=root_of_unity_orders,
         )
 
-    __setattr__ = Weight.__setattr__
-    __delattr__ = Weight.__delattr__
     __hash__ = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
     def __eq__(self, other):
         if type(other) is not SingularReport:
@@ -192,15 +177,15 @@ def _bounded_x(x: int) -> int:
 
 
 @lru_cache(maxsize=128)
-def singular_test(u0: UqElement, x: int, convention: str = "twisted") -> SingularReport:
+def singular_test(u0: UqElement, x: int, convention: str) -> SingularReport:
     """Raising values on u0 v for the weight (1, 0, x), with exact scalars.
 
     The beta obstruction is reported with the root-of-unity orders at
-    which it vanishes; the divisors of 2x - 4 (twisted) or 2x + 4 (plain)
-    and every order from 1 to ``MAX_ORDER`` are scanned.  Memoised per
+    which it vanishes; the divisors of ``obstruction_modulus`` and every
+    order from 1 to ``MAX_ORDER`` are scanned.  Memoised per
     (u0, x, convention); raises ValueError when |x| > ``MAX_ABS_X``.
     """
-    weight = Weight(1, 0, _bounded_x(x))
+    weight = (1, 0, _bounded_x(x))
     v = VermaVector.highest_weight()
     u0v = apply_element(u0, v, weight, convention)
     e_mu = act("Em", u0v, weight, convention)
@@ -209,8 +194,8 @@ def singular_test(u0: UqElement, x: int, convention: str = "twisted") -> Singula
     e_beta = act("Eb", u0v, weight, convention)
     found = ()
     if e_beta:
-        modulus = 2 * x - 4 if convention == "twisted" else 2 * x + 4
-        orders = {d for d in range(1, abs(modulus) + 1) if modulus % d == 0}
+        modulus = obstruction_modulus(x, convention)
+        orders = {d for d in range(1, modulus + 1) if modulus % d == 0}
         orders |= set(range(1, MAX_ORDER + 1))
         coeffs = list(e_beta.laurent_terms().values())
         found = tuple(
@@ -229,7 +214,7 @@ def singular_test(u0: UqElement, x: int, convention: str = "twisted") -> Singula
     )
 
 
-def scan_singular(u0: UqElement, xs, convention: str = "twisted"):
+def scan_singular(u0: UqElement, xs, convention: str):
     """Reports for each x in the scan; returns (reports, generically vanishing xs).
 
     Every x is checked against ``MAX_ABS_X``, and the sum of |x| against

@@ -7,7 +7,7 @@ each test prints a single pass/fail line (visible with ``pytest -s``).
 import json
 
 from quadalg.aq import AqElement, center_element, commutator, normal_order, relation_pairs
-from quadalg.dirac import dirac_minus, dirac_plus, intertwine_check
+from quadalg.dirac import dirac_matrix, intertwine_check
 from quadalg.qcalc import Poly4
 from quadalg.ring import LaurentPoly, RatQ, indices_up_to, q_int, vanishes_at_root_of_unity
 from quadalg.suites import SUITES, run_suite
@@ -91,7 +91,7 @@ def test_criterion_6_dual_closed_forms():
 def test_criterion_7_dirac_factorization():
     from quadalg.dirac import OpMatrix2
 
-    dp, dm = dirac_plus(), dirac_minus()
+    dp, dm = dirac_matrix("plus"), dirac_matrix("minus")
     target = OpMatrix2.diagonal(box_operator()).scale(-Q(-1))
     ok = dp.then(dm) == target and dm.then(dp) == target
     box = box_operator()

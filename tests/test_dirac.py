@@ -5,10 +5,8 @@ import pytest
 from quadalg.aq import AqElement
 from quadalg.dirac import (
     OpMatrix2,
-    dirac_minus,
-    dirac_minus_parts,
-    dirac_plus,
-    dirac_plus_parts,
+    dirac_matrix,
+    dirac_parts,
     factorization_products,
     factorization_target,
     first_factorization_failure,
@@ -27,7 +25,7 @@ Q = LaurentPoly.q
 # --------------------------------------------------------- matrix shape
 
 def test_dirac_plus_entries():
-    dp = dirac_plus()
+    dp = dirac_matrix("plus")
     assert dp[0, 1] == qdiff(4)
     assert dp[0, 0] == compose(scaling(4), qdiff(2))
     assert dp[1, 1] == compose(scaling(4), qdiff(3)).scale(-Q(-1))
@@ -35,16 +33,16 @@ def test_dirac_plus_entries():
 
 
 def test_dirac_minus_entries():
-    dm = dirac_minus()
+    dm = dirac_matrix("minus")
     assert dm[0, 0] == compose(scaling(4), qdiff(3))
     assert dm[1, 1] == compose(scaling(4), qdiff(2)).scale(-Q(-1))
     # shared corner entry
-    assert dm[1, 0] == dirac_plus()[1, 0]
+    assert dm[1, 0] == dirac_matrix("plus")[1, 0]
 
 
 def test_first_order_plus_extra_decomposition():
-    for parts, full in ((dirac_plus_parts(), dirac_plus()),
-                        (dirac_minus_parts(), dirac_minus())):
+    for parts, full in ((dirac_parts("plus"), dirac_matrix("plus")),
+                        (dirac_parts("minus"), dirac_matrix("minus"))):
         first, extra = parts
         assert first + extra == full
         # every term of the first-order part is exactly first order in [d]
@@ -63,7 +61,7 @@ def test_first_order_plus_extra_decomposition():
 
 def test_annihilates_constants():
     v = (Poly4.one(), Poly4.zero())
-    out = dirac_plus().apply(v)
+    out = dirac_matrix("plus").apply(v)
     assert out == (Poly4.zero(), Poly4.zero())
 
 
@@ -75,12 +73,12 @@ def test_factorization_exact_normal_forms():
 
 
 def test_factorization_products_commute():
-    dp, dm = dirac_plus(), dirac_minus()
+    dp, dm = dirac_matrix("plus"), dirac_matrix("minus")
     assert dp.then(dm) == dm.then(dp)
 
 
 def test_factorization_pointwise_degree_5():
-    dp, dm = dirac_plus(), dirac_minus()
+    dp, dm = dirac_matrix("plus"), dirac_matrix("minus")
     box = box_operator()
     minus_qinv = -Q(-1)
     for gamma in indices_up_to(5):
@@ -95,7 +93,7 @@ def test_factorization_pointwise_degree_5():
 
 def test_factorization_samples():
     # (D+ then D-)(z1 z4 e1) = -q^-1 e1 and the e2 companion with z2 z3
-    dp, dm = dirac_plus(), dirac_minus()
+    dp, dm = dirac_matrix("plus"), dirac_matrix("minus")
     v = (Poly4.monomial((1, 0, 0, 1)), Poly4.zero())
     out = dm.apply(dp.apply(v))
     assert out == (Poly4.monomial((0, 0, 0, 0), -Q(-1)), Poly4.zero())
@@ -126,7 +124,7 @@ def reference_first_factorization_failure(dp, dm, degree_bound):
 
 def test_factorization_sweep_passes_through_degree_8():
     assert first_factorization_failure(8) is None
-    assert reference_first_factorization_failure(dirac_plus(), dirac_minus(), 3) is None
+    assert reference_first_factorization_failure(dirac_matrix("plus"), dirac_matrix("minus"), 3) is None
 
 
 def test_factorization_sweep_rejects_a_negative_bound():
@@ -136,7 +134,7 @@ def test_factorization_sweep_rejects_a_negative_bound():
 
 def _entry_times_q(rng):
     variant = rng.choice(["plus", "minus"])
-    m = dirac_plus() if variant == "plus" else dirac_minus()
+    m = dirac_matrix(variant)
     entries = [list(row) for row in m.entries]
     i, j = rng.choice([(0, 0), (0, 1), (1, 0), (1, 1)])
     entries[i][j] = mutated(entries[i][j], rng, "times q")
@@ -145,7 +143,7 @@ def _entry_times_q(rng):
 
 def _departure_dropped(rng):
     variant = rng.choice(["plus", "minus"])
-    first, extra = dirac_plus_parts() if variant == "plus" else dirac_minus_parts()
+    first, extra = dirac_parts(variant)
     entries = [list(row) for row in (first + extra).entries]
     entries[1][0] = first[1, 0]
     return variant, OpMatrix2(entries)
@@ -153,7 +151,7 @@ def _departure_dropped(rng):
 
 def _diagonal_swapped(rng):
     variant = rng.choice(["plus", "minus"])
-    m = dirac_plus() if variant == "plus" else dirac_minus()
+    m = dirac_matrix(variant)
     return variant, OpMatrix2(((m[1, 1], m[0, 1]), (m[1, 0], m[0, 0])))
 
 
@@ -163,10 +161,11 @@ def test_factorization_sweep_names_the_oracles_first_failure(mutation, monkeypat
     from quadalg import dirac
 
     variant, matrix = mutation(random.Random(mutation.__name__))
-    monkeypatch.setattr(dirac, "dirac_%s" % variant, lambda: matrix)
+    monkeypatch.setattr(dirac, "dirac_matrix", lambda v: matrix if v == variant else dirac_matrix(v))
     got = first_factorization_failure(5)
     assert got is not None
-    assert got == reference_first_factorization_failure(dirac.dirac_plus(), dirac.dirac_minus(), 5)
+    patched = dirac.dirac_matrix("plus"), dirac.dirac_matrix("minus")
+    assert got == reference_first_factorization_failure(*patched, 5)
 
 
 def test_factorization_sweep_reads_each_column_once(monkeypatch):
@@ -190,24 +189,24 @@ def test_factorization_sweep_reads_each_column_once(monkeypatch):
 def test_bruteforce_examples():
     # with p1 = 1 the map reads off the w2 coefficient of the first slot
     # and the -q^-1 w1 coefficient of the second
-    g = intertwine_bruteforce(indicator((0, 1, 0, 0), 1))
+    g = intertwine_bruteforce(indicator((0, 1, 0, 0), 1), "plus")
     assert g[0].terms.get((0, 0, 0, 0)) == LaurentPoly.one()
-    g = intertwine_bruteforce(indicator((1, 0, 0, 0), 2))
+    g = intertwine_bruteforce(indicator((1, 0, 0, 0), 2), "plus")
     assert g[0].terms.get((0, 0, 0, 0)) == -Q(-1)
 
     # with p2 = 1 it picks out w4 and -q^-1 w3 instead
-    g = intertwine_bruteforce(indicator((0, 0, 0, 1), 1))
+    g = intertwine_bruteforce(indicator((0, 0, 0, 1), 1), "plus")
     assert g[1].terms.get((0, 0, 0, 0)) == LaurentPoly.one()
-    g = intertwine_bruteforce(indicator((0, 0, 1, 0), 2))
+    g = intertwine_bruteforce(indicator((0, 0, 1, 0), 2), "plus")
     assert g[1].terms.get((0, 0, 0, 0)) == -Q(-1)
 
-    assert not any(intertwine_bruteforce((DualFunctional.zero(), DualFunctional.zero())))
+    assert not any(intertwine_bruteforce((DualFunctional.zero(), DualFunctional.zero()), "plus"))
     # the pushforward lowers the support degree; degree-zero input dies
-    assert not any(intertwine_bruteforce(indicator((0, 0, 0, 0), 1)))
+    assert not any(intertwine_bruteforce(indicator((0, 0, 0, 0), 1), "plus"))
 
 
 def test_intertwine_check_degree_0():
-    assert intertwine_check(0)
+    assert intertwine_check(0, "plus")
     assert intertwine_check(0, "minus")
 
 
@@ -235,13 +234,9 @@ def test_intertwine_check_recomputes_its_verdict(monkeypatch):
     from quadalg import dirac
 
     assert intertwine_check(2, "plus")
-    plus = dirac.dirac_plus
-
-    def swapped():
-        m = plus()
-        return OpMatrix2(((m[1, 1], m[0, 1]), (m[1, 0], m[0, 0])))
-
-    monkeypatch.setattr(dirac, "dirac_plus", swapped)
+    m = dirac_matrix("plus")
+    swapped = OpMatrix2(((m[1, 1], m[0, 1]), (m[1, 0], m[0, 0])))
+    monkeypatch.setattr(dirac, "dirac_matrix", lambda variant: swapped)
     assert not intertwine_check(2, "plus")
 
 
@@ -249,7 +244,7 @@ def test_unknown_variant_is_rejected_before_any_matrix_is_built(monkeypatch):
     from quadalg import dirac
 
     built = []
-    monkeypatch.setattr(dirac, "dirac_minus", lambda: built.append(1) or dirac_minus())
+    monkeypatch.setattr(dirac, "dirac_matrix", lambda variant: built.append(1) or dirac_matrix(variant))
     message = "variant must be 'plus' or 'minus', got 'Plus'"
     with pytest.raises(ValueError) as first:
         dirac.first_intertwine_failure(2, "Plus")

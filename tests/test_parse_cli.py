@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import quadalg
-from quadalg import verma
+from quadalg import dirac, verma
 from quadalg.aq import AqElement, center_element
 from quadalg.cli import main
 from quadalg.parse import ParseError, parse_expression
@@ -243,6 +244,41 @@ def test_cli_dirac():
     with pytest.raises(SystemExit) as exc:
         run_cli("dirac", "--which", "plus", "--show")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("variant", list(dirac._LAYOUT))
+def test_cli_dirac_prints_each_variant_of_the_table(variant):
+    code, out = run_cli("dirac", "--which", variant, "--json")
+    assert code == 0
+    matrix = dirac.dirac_matrix(variant)
+    entries = [[str(matrix[i, j]) for j in (0, 1)] for i in (0, 1)]
+    assert json.loads(out) == {"which": variant, "entries": entries}
+    assert dirac.intertwine_check(3, variant)
+
+
+@pytest.mark.parametrize("convention", list(verma.CONVENTIONS))
+def test_singular_vector_vanishes_exactly_at_minus_twice_the_sign(convention):
+    expected_x = -2 * verma.CONVENTIONS[convention]
+    code, out = run_cli("verify", "singular-vector", "--convention", convention, "--scan=-6..6", "--json")
+    assert code == 0
+    checks = [c for c in json.loads(out)["checks"] if "vanishing" in c["name"]]
+    assert checks == [{"name": "generic vanishing exactly at x=%d" % expected_x, "ok": True, "witness": None}]
+    code, out = run_cli("singular-vector", "--convention", convention, "--scan=-6..6", "--json")
+    assert code == 0
+    assert json.loads(out)["vanishing_x"] == [expected_x]
+
+
+def test_cli_choices_are_the_table_keys():
+    from quadalg import cli
+
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command, option):
+        return tuple(next(a.choices for a in commands.choices[command]._actions if option in a.option_strings))
+
+    assert choices("dirac", "--which") == tuple(dirac._LAYOUT)
+    assert choices("singular-vector", "--convention") == tuple(verma.CONVENTIONS)
+    assert choices("verify", "--convention") == tuple(verma.CONVENTIONS)
 
 
 def test_cli_singular_vector():

@@ -122,7 +122,7 @@ def test_axis_rules_are_operator_identities():
 def _compose_corpus():
     """str of compositions of random composites over all four axes, the
     closed forms pairwise and D+ then D-."""
-    from quadalg.dirac import dirac_minus, dirac_plus
+    from quadalg.dirac import dirac_matrix
     from quadalg.transform import right_dual_closed
 
     rng = random.Random(10)
@@ -142,7 +142,7 @@ def _compose_corpus():
     pairs = [(composite() + composite(), composite()) for _ in range(470)]
     pairs += list(product(closed, repeat=2))
     out = [str(compose(a, b)) for a, b in pairs]
-    out.append(str(dirac_plus().then(dirac_minus())))
+    out.append(str(dirac_matrix("plus").then(dirac_matrix("minus"))))
     return out
 
 

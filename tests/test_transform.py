@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -199,10 +200,10 @@ def test_memoized_closed_forms_are_not_changed_by_arithmetic():
 # ------------------------- divided coordinates against the psi picture
 
 def _operators_with_laurent_coefficients():
-    from quadalg.dirac import dirac_minus, dirac_plus
+    from quadalg.dirac import _LAYOUT, dirac_matrix
 
     ops = [right_dual_closed(which) for which in (1, 2, 3, 4, "box")]
-    for m in (dirac_plus(), dirac_minus()):
+    for m in map(dirac_matrix, _LAYOUT):
         ops += [m[i, j] for i in (0, 1) for j in (0, 1)]
     return ops + [box_operator().scale(-Q(-1))]
 
@@ -247,16 +248,24 @@ def reference_first_dual_failure(which, degree_bound):
 
 
 def reference_first_intertwine_failure(degree_bound, variant):
-    from quadalg.dirac import dirac_minus, dirac_plus, intertwine_bruteforce
+    from quadalg import dirac
 
-    matrix = dirac_plus() if variant == "plus" else dirac_minus()
+    matrix = dirac.dirac_matrix(variant)
     for gamma in indices_up_to(degree_bound):
         for slot in (1, 2):
             f = indicator(gamma, slot)
-            got = tuple(map(psi, intertwine_bruteforce(f, variant)))
+            got = tuple(map(psi, dirac.intertwine_bruteforce(f, variant)))
             if got != matrix.apply(tuple(map(psi, f))):
                 return gamma, slot
     return None
+
+
+def _fresh_dirac_memos(monkeypatch):
+    """Empty memo tables for the D+- matrices while a closed form is patched."""
+    from quadalg import dirac
+
+    for name in ("dirac_parts", "dirac_matrix"):
+        monkeypatch.setattr(dirac, name, lru_cache(maxsize=None)(getattr(dirac, name).__wrapped__))
 
 
 def _swap_w2_w3(monkeypatch):
@@ -269,6 +278,7 @@ def _swap_w2_w3(monkeypatch):
 
     monkeypatch.setattr(transform, "right_dual_closed", swapped)
     monkeypatch.setattr(dirac, "right_dual_closed", swapped)
+    _fresh_dirac_memos(monkeypatch)
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["closed forms", "w2 and w3 swapped"])
@@ -301,6 +311,7 @@ def _patch_closed(monkeypatch, which, op):
 
     monkeypatch.setattr(transform, "right_dual_closed", patched)
     monkeypatch.setattr(dirac, "right_dual_closed", patched)
+    _fresh_dirac_memos(monkeypatch)
 
 
 @pytest.mark.parametrize("how", ["times q", "dropped"])
@@ -323,12 +334,12 @@ def test_intertwine_sweep_names_the_oracles_first_failure_on_a_perturbed_entry(v
     from quadalg import dirac
 
     rng = random.Random(variant)
-    build = dirac.dirac_plus if variant == "plus" else dirac.dirac_minus
+    original = dirac.dirac_matrix(variant)
     for i, j in product((0, 1), repeat=2):
-        entries = [list(row) for row in build().entries]
+        entries = [list(row) for row in original.entries]
         entries[i][j] = mutated(entries[i][j], rng, "times q")
         matrix = dirac.OpMatrix2(entries)
-        monkeypatch.setattr(dirac, "dirac_%s" % variant, lambda matrix=matrix: matrix)
+        monkeypatch.setattr(dirac, "dirac_matrix", lambda v, matrix=matrix: matrix)
         got = dirac.first_intertwine_failure(5, variant)
         assert got is not None and got[1] == i + 1, (i, j)
         assert got == reference_first_intertwine_failure(5, variant), (i, j)
@@ -357,16 +368,16 @@ def test_non_laurent_coefficients_still_raise(monkeypatch):
     _patch_closed(monkeypatch, 4, broken())
     with pytest.raises(ExactDivisionError):
         first_dual_failure(4, 3)
-    entries = [list(row) for row in dirac.dirac_plus().entries]
+    entries = [list(row) for row in dirac.dirac_matrix("plus").entries]
     entries[0][1] = broken()
-    monkeypatch.setattr(dirac, "dirac_plus", lambda: dirac.OpMatrix2(entries))
+    monkeypatch.setattr(dirac, "dirac_matrix", lambda variant: dirac.OpMatrix2(entries))
     with pytest.raises(ExactDivisionError):
         first_intertwine_failure(3, "plus")
 
 
 def test_sweeps_convert_each_operator_term_at_most_once(monkeypatch):
-    from quadalg import transform
-    from quadalg.dirac import dirac_plus, intertwine_check
+    from quadalg import dirac, transform
+    from quadalg.dirac import intertwine_check
 
     calls = [0]
     to_laurent = RatQ.to_laurent
@@ -375,13 +386,14 @@ def test_sweeps_convert_each_operator_term_at_most_once(monkeypatch):
         calls[0] += 1
         return to_laurent(c)
 
-    transform.right_dual_closed.cache_clear()  # a fresh operator, not yet converted
+    for memo in (transform.right_dual_closed, dirac.dirac_parts, dirac.dirac_matrix):
+        memo.cache_clear()  # fresh operators, not yet converted
     monkeypatch.setattr(RatQ, "to_laurent", counting)
     assert verify_dual(1, 6)
     assert 0 < calls[0] <= len(right_dual_closed(1).terms)
     calls[0] = 0
     assert intertwine_check(4, "plus")
-    matrix = dirac_plus()
+    matrix = dirac.dirac_matrix("plus")
     assert 0 < calls[0] <= sum(len(matrix[i, j].terms) for i in (0, 1) for j in (0, 1))
 
 
