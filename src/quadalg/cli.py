@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import dirac, transform, uq, verma
 from .aq import AqElement
-from .parse import ParseError, _combine, _Value, parse_expression
+from .parse import KINDS, ParseError, combine, parse_expression
 from .suites import DEFAULT_CONVENTION, SUITES, run_suite
 from .uq import UqElement
 
@@ -35,10 +35,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_mul(args) -> int:
-    left = _Value(*parse_expression(args.left))
-    right = _Value(*parse_expression(args.right))
-    out = _combine(left, right, "*", 0)
-    _emit(args, {"kind": out.kind, "product": str(out.data)}, str(out.data))
+    _, left = parse_expression(args.left)
+    _, right = parse_expression(args.right)
+    out = combine(left, right, "*", 0)
+    _emit(args, {"kind": KINDS[type(out)], "product": str(out)}, str(out))
     return 0
 
 
@@ -56,7 +56,7 @@ def cmd_serre_reduce(args) -> int:
 def cmd_dims(args) -> int:
     if args.max_degree < 0:
         raise ValueError("--max-degree must be >= 0")
-    dims = [uq.graded_dimension(d) for d in range(args.max_degree + 1)]
+    dims = uq.graded_dimensions(args.max_degree)
     payload = {"max_degree": args.max_degree, "dimensions": dims}
     _emit(args, payload, " ".join(str(d) for d in dims))
     return 0

@@ -19,6 +19,11 @@ allowed only between two scalars.  Parentheses hold scalars only: the
 symbol ``q`` and integers combined into elements of Q(q), such as
 ``(q - q^-1)`` or ``(1/2)``.  Noncommutative products are kept in input
 order and only normal-ordered by the algebra itself.
+
+A parse value is the element itself, and its type names its family
+(``KINDS``): ``RatQ`` for a scalar, ``AqElement``, ``UqElement`` or
+``QOperator``.  ``combine`` applies one binary operator, promoting a
+scalar into the other operand's family.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import re
 
 from .aq import AqElement
 from .qcalc import QOperator, compose, mul_z, qdiff, scaling
-from .ring import LaurentPoly, RatQ, as_ratq
+from .ring import LaurentPoly, RatQ
 from .uq import GENERATOR_SYMBOLS, UqElement
 
 
@@ -67,58 +72,45 @@ def _tokenize(text):
     return tokens
 
 
-class _Value:
-    """A family-tagged parse value: kind in {scalar, aq, uq, op}."""
-
-    __slots__ = ("kind", "data")
-
-    def __init__(self, kind, data):
-        self.kind = kind
-        self.data = data
+# The family of each parse value, read off its type.
+KINDS = {RatQ: "scalar", AqElement: "aq", UqElement: "uq", QOperator: "op"}
 
 
-def _scalar(c) -> _Value:
-    return _Value("scalar", as_ratq(c))
-
-
-def _promote(value: _Value, kind: str, pos: int) -> _Value:
-    if value.kind == kind:
+def _promote(value, kind: str, pos: int):
+    have = KINDS[type(value)]
+    if have == kind:
         return value
-    if value.kind != "scalar":
+    if have != "scalar":
         raise ParseError(
-            "cannot mix %s and %s symbols in one expression" % (value.kind, kind), pos
+            "cannot mix %s and %s symbols in one expression" % (have, kind), pos
         )
-    c = value.data
     if kind == "aq":
-        return _Value("aq", AqElement.one().scale(c.to_laurent()))
+        return AqElement.one().scale(value.to_laurent())
     if kind == "uq":
-        return _Value("uq", UqElement.one().scale(c))
-    if kind == "op":
-        return _Value("op", QOperator.scalar(c))
-    raise AssertionError(kind)
+        return UqElement.one().scale(value)
+    return QOperator.scalar(value)
 
 
-def _combine(a: _Value, b: _Value, op: str, pos: int) -> _Value:
+def combine(a, b, op: str, pos: int):
     """``a op b`` for op in ``+ - * /``; ``/`` only between two scalars."""
-    if a.kind == "scalar" and b.kind == "scalar":
-        x, y = a.data, b.data
+    if type(a) is RatQ and type(b) is RatQ:
         if op == "/":
-            if not y:
+            if not b:
                 raise ParseError("scalar division by zero", pos)
-            return _scalar(x / y)
-        return _scalar(x + y if op == "+" else x - y if op == "-" else x * y)
+            return a / b
+        return a + b if op == "+" else a - b if op == "-" else a * b
     if op == "/":
         raise ParseError("division is defined between scalars only", pos)
-    kind = a.kind if a.kind != "scalar" else b.kind
+    kind = KINDS[type(a) if type(a) is not RatQ else type(b)]
     a = _promote(a, kind, pos)
     b = _promote(b, kind, pos)
     if op == "+":
-        return _Value(kind, a.data + b.data)
+        return a + b
     if op == "-":
-        return _Value(kind, a.data - b.data)
+        return a - b
     if kind == "op":
-        return _Value(kind, compose(a.data, b.data))
-    return _Value(kind, a.data * b.data)
+        return compose(a, b)
+    return a * b
 
 
 class _Parser:
@@ -159,79 +151,73 @@ class _Parser:
 
     # -- the grammar ------------------------------------------------------
 
-    def expression(self) -> _Value:
+    def expression(self):
         total = self.term()
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                total = _combine(total, self.term(), val, pos)
+                total = combine(total, self.term(), val, pos)
             else:
                 return total
 
-    def term(self) -> _Value:
+    def term(self):
         total = self.factor()
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val in "*./":
                 self.next()
-                total = _combine(total, self.factor(), "/" if val == "/" else "*", pos)
+                total = combine(total, self.factor(), "/" if val == "/" else "*", pos)
             elif kind in ("name", "int") or (kind == "op" and val == "("):
-                total = _combine(total, self.factor(), "*", pos)
+                total = combine(total, self.factor(), "*", pos)
             else:
                 return total
 
-    def factor(self) -> _Value:
+    def factor(self):
         kind, val, pos = self.next()
         if kind == "op" and val in "+-":
             inner = self.factor()
-            return _Value(inner.kind, -inner.data) if val == "-" else inner
+            return -inner if val == "-" else inner
         if kind == "int":
-            return _scalar(val)
+            return RatQ(val)
         if kind == "op" and val == "(":
             inner = self.expression()
             self.expect_op(")")
-            if inner.kind != "scalar":
+            if type(inner) is not RatQ:
                 raise ParseError("expected a scalar", pos)
             return inner
         if kind != "name":
             raise ParseError("expected a symbol, integer or scalar literal", pos)
         return self.symbol_power(val, pos)
 
-    def symbol_power(self, name, pos) -> _Value:
+    def symbol_power(self, name, pos):
         exp = self.maybe_power(pos)
         if name == "q":
-            return _scalar(RatQ(LaurentPoly.q(exp if exp is not None else 1)))
+            return RatQ(LaurentPoly.q(exp if exp is not None else 1))
         if exp is None:
             exp = 1
-        if name.startswith("w"):
-            if exp < 0:
-                raise ParseError("negative powers are only defined for K symbols", pos)
-            return _Value("aq", AqElement.generator(int(name[1])) ** exp)
+        if exp < 0 and name[0] != "K":
+            raise ParseError("negative powers are only defined for K symbols", pos)
+        if name[0] == "w":
+            return AqElement.generator(int(name[1])) ** exp
         symbol = GENERATOR_SYMBOLS.get(name)
         if symbol is not None:
             if symbol[0] == "K":
-                return _Value("uq", UqElement.k_gen(symbol[1], exp))
-            if exp < 0:
-                raise ParseError("negative powers are only defined for K symbols", pos)
+                return UqElement.k_gen(symbol[1], exp)
             gen = UqElement.generator(symbol)
             out = UqElement.one()
             for _ in range(exp):
                 out = out * gen
-            return _Value("uq", out)
+            return out
         if name[0] == "d":
-            if exp < 0:
-                raise ParseError("negative powers are only defined for K symbols", pos)
             op = QOperator.identity()
             for _ in range(exp):
                 op = compose(op, qdiff(int(name[2])))
-            return _Value("op", op)
+            return op
         if name[0] == "K":
-            return _Value("op", scaling(int(name[2]), exp))
+            return scaling(int(name[2]), exp)
         if name[0] == "z":
-            if exp < 0:
-                raise ParseError("negative powers are only defined for K symbols", pos)
-            return _Value("op", mul_z(int(name[2]), exp))
+            return mul_z(int(name[2]), exp)
         raise ParseError("unknown symbol %r" % name, pos)
 
 
@@ -242,4 +228,4 @@ def parse_expression(text: str):
     kind, _, pos = parser.peek()
     if kind != "end":
         raise ParseError("trailing input", pos)
-    return value.kind, value.data
+    return KINDS[type(value)], value

@@ -48,7 +48,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .lin import Lin, add_into, rewrite
-from .ring import INV_MU, ZERO4, LaurentPoly, RatQ, as_ratq, mi_check, q_int
+from .ring import INV_MU, ZERO4, LaurentPoly, RatQ, as_ratq, mi_check, q_rising
 
 _Q = LaurentPoly.q
 
@@ -83,18 +83,12 @@ class Poly4(Lin):
 
 
 @lru_cache(maxsize=None)
-def _rising(n: int, a: int) -> LaurentPoly:
-    """The rising q-factorial [n+1][n+2]...[n+a] = [n+a]!/[n]!."""
-    return LaurentPoly.one() if a == 0 else _rising(n, a - 1) * q_int(n + a)
-
-
-@lru_cache(maxsize=None)
 def _divided_factor(n, alpha, delta) -> LaurentPoly:
     """prod_i [n_i+alpha_i]!/[n_i]! * q^(-delta.n): z^alpha K^delta on e_n, in e_(n+alpha)."""
     out = _Q(-(delta[0] * n[0] + delta[1] * n[1] + delta[2] * n[2] + delta[3] * n[3]))
     for m, a in zip(n, alpha):
         if a:
-            out = out * _rising(m, a)
+            out = out * q_rising(m, a)
     return out
 
 

@@ -213,16 +213,18 @@ def q_int(n: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def q_factorial_int(n: int) -> LaurentPoly:
-    if n < 0:
-        raise ValueError("q_factorial requires n >= 0, got %d" % n)
-    if n == 0:
-        return LaurentPoly.one()
-    return q_factorial_int(n - 1) * q_int(n)
+def q_rising(n: int, a: int) -> LaurentPoly:
+    """The rising q-factorial [n+1]_q [n+2]_q ... [n+a]_q = [n+a]_q!/[n]_q!."""
+    if n < 0 or a < 0:
+        raise ValueError("q_rising requires n, a >= 0, got %d, %d" % (n, a))
+    out = LaurentPoly.one()
+    for k in range(n + 1, n + a + 1):
+        out = out * q_int(k)
+    return out
 
 
 def q_factorial(gamma) -> LaurentPoly:
-    """Product of the single-index q-factorials over a multi-index."""
+    """Product of the single-index q-factorials [n]_q! = q_rising(0, n) over a multi-index."""
     return _q_factorial(tuple(gamma))
 
 
@@ -230,7 +232,7 @@ def q_factorial(gamma) -> LaurentPoly:
 def _q_factorial(gamma) -> LaurentPoly:
     out = LaurentPoly.one()
     for n in gamma:
-        out = out * q_factorial_int(n)
+        out = out * q_rising(0, n)
     return out
 
 

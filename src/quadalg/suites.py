@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 
 from . import aq, dirac, transform, uq, verma
 from .aq import AqElement
@@ -33,24 +34,8 @@ def _capped(witness):
     return "%s ... [%d characters in all]" % (witness[:WITNESS_LIMIT], len(witness))
 
 
-class Check:
-    """One named check of a suite: its verdict and, if it failed, a witness."""
-
-    __slots__ = ("name", "ok", "witness")
-    __hash__ = None
-
-    def __init__(self, name: str, ok: bool, witness: str | None = None):
-        self.name = name
-        self.ok = ok
-        self.witness = witness
-
-    def __eq__(self, other):
-        if type(other) is not Check:
-            return NotImplemented
-        return (self.name, self.ok, self.witness) == (other.name, other.ok, other.witness)
-
-    def __repr__(self):
-        return "Check(name=%r, ok=%r, witness=%r)" % (self.name, self.ok, self.witness)
+# One named check of a suite: its verdict and, if it failed, a witness.
+Check = namedtuple("Check", ("name", "ok", "witness"), defaults=(None,))
 
 
 class Report:
@@ -154,8 +139,7 @@ def suite_dims(report, degree):
         for _ in range(mult):
             for i in range(height, degree + 1):
                 coeffs[i] += coeffs[i - height]
-    for d in range(degree + 1):
-        got = uq.graded_dimension(d)
+    for d, got in enumerate(uq.graded_dimensions(degree)):
         report.add(
             "dimension at degree %d" % d,
             got == coeffs[d],

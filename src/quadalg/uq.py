@@ -10,10 +10,11 @@ Dynkin path mu -- beta -- nu.
 Ideal membership is decided by the finite Groebner-Shirshov basis of the
 Serre ideal (Bokut & Malcolmson 1996): eight rules rewrite leading words
 to lex-smaller words, so each word has one normal form (diamond lemma) on
-the basis words, those with no leading word as a factor.  Component bases
-come from that factor test alone.  Normal forms are memoised per word over
-Z[q, q^-1] (the rules are integral), each built on demand, on an explicit
-work stack, from those of lex-smaller words.
+the basis words, those with no leading word as a factor.  A component is
+a named tuple (content, basis, dimension) whose basis comes from that
+factor test alone.  Normal forms are memoised per word over Z[q, q^-1]
+(the rules are integral), each built on demand, on an explicit work
+stack, from those of lex-smaller words.
 
 Elements of the full fragment are straightened by ``lin.rewrite`` to (F word)
 (K monomial) (E word), with both words reduced to quotient-basis coordinates.
@@ -31,7 +32,8 @@ word at a time.
 
 from __future__ import annotations
 
-from functools import _CacheInfo, cached_property, lru_cache
+from collections import namedtuple
+from functools import _CacheInfo, lru_cache
 
 from .aq import AqElement
 from .lin import Lin, add_into, add_scaled, rewrite
@@ -86,7 +88,10 @@ def _grown_words(content, pruned):
 
 @lru_cache(maxsize=None)
 def words_of_content(content):
-    """All distinct words with the given letter counts, ascending lex."""
+    """All distinct words with the given letter counts, ascending lex.
+
+    No caller in the package: it stays because perfbench reads its ``cache_info()``.
+    """
     return _grown_words(content, lambda w: False)
 
 
@@ -118,32 +123,17 @@ def _ends_in_lead(w):
     return False
 
 
-class _Component:
-    """One multidegree: its irreducible words, and the rows w - NF(w) of the others.
-
-    The basis is the words with no leading word as a factor, grown letter by
-    letter and pruned at the first prefix that ends in one (a prefix of an
-    irreducible word is irreducible); no normal form is built for it.  The
-    rows are built on first use, and with them the normal forms they read.
-    """
-
-    def __init__(self, content):
-        self.content = content
-        self.basis = _grown_words(content, _ends_in_lead)
-
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-    @cached_property
-    def pivots(self):  # built on first use, then kept
-        return {w: {w: _ONE, **{x: -c for x, c in nf.items()}}
-                for w in words_of_content(self.content) if (nf := _normal_form(w)) is not None}
+# One multidegree: its letter counts, its irreducible words and their number.
+Component = namedtuple("Component", ("content", "basis", "dimension"))
 
 
 @lru_cache(maxsize=None)
-def component(content) -> _Component:
-    return _Component(tuple(content))
+def component(content) -> Component:
+    """The words with no leading word as a factor, grown letter by letter and
+    pruned at the first prefix that ends in one; no normal form is built."""
+    content = tuple(content)
+    basis = _grown_words(content, _ends_in_lead)
+    return Component(content, basis, len(basis))
 
 
 _NF = {}  # word -> NF(word), or None for an irreducible word
@@ -234,20 +224,27 @@ def serre_reduce(element) -> dict:
     return {w: as_ratq(c) for w, c in _sum_normal_forms(terms).items()}
 
 
-def graded_dimension(d: int) -> int:
-    """Dimension of the degree-d Serre quotient: the number of words no rule applies to."""
-    if d < 0:
+def graded_dimensions(n: int) -> list:
+    """Dimensions of the Serre quotient in degrees 0..n: the numbers of words no rule applies to."""
+    if n < 0:
         raise ValueError("degree must be >= 0")
     counts = {(): 1}  # last letters a leading word can still overlap -> words
-    for _ in range(d):
+    dims = [1]
+    for _ in range(n):
         grown = {}
-        for suffix, n in counts.items():
+        for suffix, m in counts.items():
             for x in range(3):
                 w = suffix + (x,)
                 if not _ends_in_lead(w):
-                    add_into(grown, w[1 - _LEAD_LENGTHS[-1]:], n)
+                    add_into(grown, w[1 - _LEAD_LENGTHS[-1]:], m)
         counts = grown
-    return sum(counts.values())
+        dims.append(sum(counts.values()))
+    return dims
+
+
+def graded_dimension(d: int) -> int:
+    """Dimension of the degree-d Serre quotient."""
+    return graded_dimensions(d)[-1]
 
 
 # ----------------------------------------------------- straightened form
@@ -372,9 +369,6 @@ class UqElement(Lin):
         ]
         factors += [E_NAMES[i] for i in ew]
         return "*".join(factors)
-
-
-straighten = straighten_word  # the public name
 
 
 # ------------------------------------------------------------- w letters

@@ -38,6 +38,7 @@ every x and the sum before building any report.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .lin import Lin, add_into
@@ -141,33 +142,11 @@ def singular_candidate_plus() -> UqElement:
     return w_gen(2) - (w_gen(1) * UqElement.f_gen(MU)).scale(_Q(-1))
 
 
-class SingularReport:
-    """Exact raising values of u0 v and the root-of-unity bookkeeping; read-only.
-
-    ``singular_test`` hands one memoised report to every caller, so no
-    field can be assigned or deleted after ``__init__``.
-    """
-
-    def __init__(self, x: int, convention: str, e_mu: VermaVector, e_mu_sq: VermaVector,
-                 e_nu: VermaVector, e_beta: VermaVector, vanishes_generically: bool,
-                 root_of_unity_orders: tuple):
-        vars(self).update(
-            x=x, convention=convention, e_mu=e_mu, e_mu_sq=e_mu_sq, e_nu=e_nu, e_beta=e_beta,
-            vanishes_generically=vanishes_generically, root_of_unity_orders=root_of_unity_orders,
-        )
-
-    __hash__ = None
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __eq__(self, other):
-        if type(other) is not SingularReport:
-            return NotImplemented
-        return vars(self) == vars(other)
+# Exact raising values of u0 v and the root-of-unity bookkeeping: a named
+# tuple, so the one memoised report that ``singular_test`` hands to every
+# caller is read-only.
+SingularReport = namedtuple("SingularReport", "x convention e_mu e_mu_sq e_nu e_beta "
+                                              "vanishes_generically root_of_unity_orders")
 
 
 def _bounded_x(x: int) -> int:
@@ -202,16 +181,7 @@ def singular_test(u0: UqElement, x: int, convention: str) -> SingularReport:
             m for m in sorted(orders)
             if all(vanishes_at_root_of_unity(c, m) for c in coeffs)
         )
-    return SingularReport(
-        x=x,
-        convention=convention,
-        e_mu=e_mu,
-        e_mu_sq=e_mu_sq,
-        e_nu=e_nu,
-        e_beta=e_beta,
-        vanishes_generically=not e_beta,
-        root_of_unity_orders=found,
-    )
+    return SingularReport(x, convention, e_mu, e_mu_sq, e_nu, e_beta, not e_beta, found)
 
 
 def scan_singular(u0: UqElement, xs, convention: str):

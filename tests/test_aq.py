@@ -12,7 +12,7 @@ from quadalg.aq import (
     relation_pairs,
 )
 from quadalg.lin import add_into, rewrite
-from quadalg.ring import LaurentPoly, q_factorial_int
+from quadalg.ring import LaurentPoly, q_factorial
 
 Q = LaurentPoly.q
 ONE = LaurentPoly.one()
@@ -185,7 +185,7 @@ def test_d_past_a_is_the_q_binomial_formula():
         assert len(coeffs) == min(m, n) + 1, (m, n)
         for k, t in enumerate(coeffs):
             expected = ((-MU) ** k * q_binomial(m, k) * q_binomial(n, k)
-                        * q_factorial_int(k) * Q(k * (k + 1) // 2 + k * k - k * (m + n)))
+                        * q_factorial((k,)) * Q(k * (k + 1) // 2 + k * k - k * (m + n)))
             assert t == expected, (m, n, k)
 
 

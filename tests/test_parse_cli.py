@@ -20,7 +20,7 @@ from quadalg.parse import ParseError, parse_expression
 from quadalg.qcalc import QOperator, compose, mul_z, qdiff, scaling
 from quadalg.ring import LaurentPoly, RatQ
 from quadalg.transform import box_operator
-from quadalg.uq import BETA, MU, NU, UqElement, straighten, w_gen
+from quadalg.uq import BETA, MU, NU, UqElement, straighten_word, w_gen
 
 Q = LaurentPoly.q
 ONE = LaurentPoly.one()
@@ -81,6 +81,41 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and "position" in str(err)
+
+
+@pytest.mark.parametrize(
+    "text, kind, cls",
+    [
+        ("w2*w3 - w1", "aq", AqElement),
+        ("Fm*Km^-1 + Eb", "uq", UqElement),
+        ("z_1 d_1 K_2^-1", "op", QOperator),
+        ("(q + 2)/(q - 1) - 3", "scalar", RatQ),
+    ],
+)
+def test_parse_expression_names_the_family_of_its_value(text, kind, cls):
+    got, value = parse_expression(text)
+    assert (got, type(value)) == (kind, cls)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("w1*Fb", "cannot mix uq and aq symbols in one expression (at position 2)"),
+        ("Fm + 2 + d_1", "cannot mix op and uq symbols in one expression (at position 7)"),
+        ("d_1 * w1", "cannot mix aq and op symbols in one expression (at position 4)"),
+        ("(q)*z_1 + w4", "cannot mix aq and op symbols in one expression (at position 8)"),
+        ("w1^-1", "negative powers are only defined for K symbols (at position 0)"),
+        ("Fm^-2", "negative powers are only defined for K symbols (at position 0)"),
+        ("2*d_1^-1", "negative powers are only defined for K symbols (at position 2)"),
+        ("z_3^-1*K_1", "negative powers are only defined for K symbols (at position 0)"),
+        ("Fm/2", "division is defined between scalars only (at position 2)"),
+        ("(w1)", "expected a scalar (at position 0)"),
+    ],
+)
+def test_parse_errors_keep_their_text_and_position(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(text)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -155,7 +190,7 @@ def rand_op(rng):
 
 
 def test_roundtrip_non_laurent_coefficient():
-    value = straighten([("E", BETA), ("F", BETA)])
+    value = straighten_word([("E", BETA), ("F", BETA)])
     assert any(not c.is_laurent() for c in value.terms.values())
     assert parse_expression(str(value)) == ("uq", value)
 
@@ -689,7 +724,7 @@ def test_generator_names_come_from_one_table(capsys):
 
     assert len(GENERATOR_SYMBOLS) == 12
     for name, symbol in GENERATOR_SYMBOLS.items():
-        assert straighten([symbol]) == UqElement.generator(symbol) == verma._GENS[name]
+        assert straighten_word([symbol]) == UqElement.generator(symbol) == verma._GENS[name]
         if not name.endswith("^-1"):
             assert parse_expression(name) == ("uq", UqElement.generator(symbol))
     assert main(["star", "--k", "Fb", "--w", "1"]) == 2

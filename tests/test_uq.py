@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import os
 import random
 import subprocess
@@ -23,7 +24,6 @@ from quadalg.uq import (
     graded_dimension,
     serre_reduce,
     star_act,
-    straighten,
     straighten_word,
     w_embed,
     w_gen,
@@ -99,6 +99,14 @@ def test_graded_dimensions():
     oracle = series_dims(6)
     assert [graded_dimension(d) for d in range(7)] == oracle
     assert oracle == [1, 3, 8, 17, 33, 58, 97]
+
+
+def test_graded_dimensions_in_one_pass_match_the_generating_function():
+    dims = uq.graded_dimensions(400)
+    assert dims == series_dims(400)
+    assert graded_dimension(37) == dims[37]
+    with pytest.raises(ValueError):
+        uq.graded_dimensions(-1)
 
 
 def test_graded_dimensions_count_irreducible_words_without_components():
@@ -186,26 +194,32 @@ def oracle_component(content):
     return basis, ech
 
 
+def component_pivots(content):
+    """The rows w - NF(w) of the words of ``content`` outside its basis, keyed by w."""
+    return {w: {w: ONE, **{x: -c for x, c in nf.items()}}
+            for w in words_of_content(content) if (nf := uq._normal_form(w)) is not None}
+
+
 def component_digest(max_degree):
     """sha256 of every component's basis and pivot rows through ``max_degree``."""
     h = hashlib.sha256()
     for content in contents_up_to(max_degree):
-        comp = component(content)
-        h.update(repr((content, comp.basis)).encode())
-        for p in sorted(comp.pivots):
-            h.update(repr((p, sorted((w, str(c)) for w, c in comp.pivots[p].items()))).encode())
+        h.update(repr((content, component(content).basis)).encode())
+        pivots = component_pivots(content)
+        for p in sorted(pivots):
+            h.update(repr((p, sorted((w, str(c)) for w, c in pivots[p].items()))).encode())
     return h.hexdigest()
 
 
 def test_components_match_the_row_reduction_oracle():
     for content in contents_up_to(6):
-        comp = component(content)
+        pivots = component_pivots(content)
         basis, ech = oracle_component(content)
-        assert comp.basis == basis, content
-        assert set(comp.pivots) == set(ech.pivots), content
+        assert component(content).basis == basis, content
+        assert set(pivots) == set(ech.pivots), content
         for p, row in ech.pivots.items():
-            assert comp.pivots[p] == row, (content, p)
-            assert {w: str(c) for w, c in comp.pivots[p].items()} == {
+            assert pivots[p] == row, (content, p)
+            assert {w: str(c) for w, c in pivots[p].items()} == {
                 w: str(c) for w, c in row.items()
             }
 
@@ -226,10 +240,10 @@ def test_component_digest_through_degree_8_is_pinned():
 
 def test_components_hold_one_row_per_non_basis_word():
     for content in contents_up_to(6):
-        comp = component(content)
+        comp, pivots = component(content), component_pivots(content)
         words = set(words_of_content(content))
-        assert set(comp.pivots) == words - set(comp.basis), content
-        assert len(comp.pivots) + comp.dimension == len(words), content
+        assert set(pivots) == words - set(comp.basis), content
+        assert len(pivots) + comp.dimension == len(words), content
 
 
 def test_rules_are_integral_and_hold_in_the_oracle():
@@ -324,7 +338,6 @@ def test_a_component_builds_without_other_components():
     before = component.cache_info()
     comp = component.__wrapped__((2, 3, 4))
     assert comp.dimension == len(comp.basis) > 0
-    assert comp.pivots is comp.pivots  # built once, then kept
     assert component.cache_info() == before
 
 
@@ -350,7 +363,16 @@ def test_components_build_no_normal_form_until_their_rows_are_read():
     comps = [component(content) for content in contents_up_to(10)]
     assert sum(comp.dimension for comp in comps) == sum(series_dims(10))
     assert uq._normal_form.cache_info().currsize == 0
-    assert component((2, 1, 2)).pivots and uq._normal_form.cache_info().currsize > 0
+    assert component_pivots((2, 1, 2)) and uq._normal_form.cache_info().currsize > 0
+
+
+def test_reading_every_field_of_a_component_builds_no_normal_form():
+    component.cache_clear()
+    uq._normal_form.cache_clear()
+    for content in contents_up_to(10):
+        got, basis, dimension = component(content)
+        assert (got, dimension) == (content, len(basis)), content
+    assert uq._normal_form.cache_info().currsize == 0
 
 
 def test_basis_pruning_without_any_one_leading_word_is_caught(monkeypatch):
@@ -448,7 +470,7 @@ def test_w_embed_of_w4_to_the_5_runs_cold_under_the_default_recursion_limit():
 # -------------------------------------------------------- straightening
 
 def test_straighten_eb_fb():
-    got = straighten([("E", BETA), ("F", BETA)])
+    got = straighten_word([("E", BETA), ("F", BETA)])
     expected = UqElement(
         {
             ((BETA,), (0, 0, 0), (BETA,)): RatQ.one(),
@@ -504,7 +526,7 @@ def test_straighten_matches_the_per_path_reference():
 
 
 def test_straighten_distinct_indices_commute():
-    assert straighten([("E", MU), ("F", BETA)]) == Fb * Em
+    assert straighten_word([("E", MU), ("F", BETA)]) == Fb * Em
 
 
 def test_plain_swaps_reach_rewrite_with_a_unit_factor():
@@ -845,30 +867,41 @@ def test_w_pbw_matrix_builds_no_component(monkeypatch):
     assert uq._w_pbw_matrix.cache_info().misses > 0
 
 
-def assert_reduced_echelon(echelon):
-    for pivot, row in echelon.pivots.items():
+def assert_reduced_echelon(pivots):
+    for pivot, row in pivots.items():
         assert row[pivot] == RatQ.one()
         assert pivot == max(row)
-        assert not (set(row) - {pivot}) & set(echelon.pivots)
+        assert not (set(row) - {pivot}) & set(pivots)
         assert all(row.values())
 
 
 def test_echelon_rows_are_reduced():
     for content in contents_up_to(5):
-        comp = component(content)
-        assert_reduced_echelon(comp)
-        assert not set(comp.basis) & set(comp.pivots)
-        for w, row in comp.pivots.items():  # w - NF(w)
+        pivots = component_pivots(content)
+        assert_reduced_echelon(pivots)
+        assert not set(component(content).basis) & set(pivots)
+        for w, row in pivots.items():  # w - NF(w)
             assert row == {w: ONE, **{x: -c for x, c in uq._normal_form(w).items()}}, w
     for content in contents_up_to(4):
         basis, echelon = oracle_component(content)
-        assert_reduced_echelon(echelon)
+        assert_reduced_echelon(echelon.pivots)
         assert len(echelon.pivots) + len(basis) == len(words_of_content(content))
+
+
+def _benchmark_uq_caches():
+    """``UQ_CACHES`` of the benchmark's tracer, which imports only the standard library."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.UQ_CACHES
 
 
 def test_uq_memo_tables_expose_cache_info():
     # the perfbench worker reads these on every pass
-    for name in ("words_of_content", "component", "w_gen", "_w_pbw_basis", "_w_pbw_matrix"):
+    names = _benchmark_uq_caches()
+    assert "component" in names and "words_of_content" in names
+    for name in names:
         info = getattr(uq, name).cache_info()
         assert info.currsize >= 0, name
 

@@ -5,7 +5,7 @@ import pytest
 from quadalg import verma
 from quadalg.lin import add_into
 from quadalg.ring import LaurentPoly, RatQ, q_int, vanishes_at_root_of_unity
-from quadalg.uq import BETA, MU, NU, UqElement, serre_reduce, straighten, w_gen
+from quadalg.uq import BETA, MU, NU, UqElement, serre_reduce, straighten_word, w_gen
 from quadalg.verma import (
     CONVENTIONS,
     SingularReport,
@@ -108,8 +108,8 @@ def test_apply_element_matches_the_straightening_oracle():
     for _ in range(150):
         element = UqElement.zero()
         for _ in range(rng.randint(1, 2)):
-            element = element + straighten(_random_symbols(rng, rng.randint(0, 5)),
-                                           RatQ(Q(rng.randint(-2, 2)) * rng.choice((-2, 1, 3))))
+            element = element + straighten_word(_random_symbols(rng, rng.randint(0, 5)),
+                                                RatQ(Q(rng.randint(-2, 2)) * rng.choice((-2, 1, 3))))
         words = {tuple(rng.randrange(3) for _ in range(rng.randint(0, 4))): RatQ(Q(rng.randint(-2, 2)))
                  for _ in range(rng.randint(1, 3))}
         v = VermaVector(serre_reduce(words))
@@ -242,8 +242,8 @@ def test_weight_and_report_are_plain_values():
         b.root_of_unity_orders = (5,)
     with pytest.raises(AttributeError):
         del b.e_beta
-    fields = dict(vars(b), root_of_unity_orders=(5,))
-    assert a != SingularReport(**fields) and a == SingularReport(**vars(b))
+    fields = dict(b._asdict(), root_of_unity_orders=(5,))
+    assert a != SingularReport(**fields) and a == SingularReport(**b._asdict())
 
 
 def test_each_report_is_built_once_per_weight():
