@@ -14,7 +14,13 @@ the basis words, those with no leading word as a factor.  A component is
 a named tuple (content, basis, dimension) whose basis comes from that
 factor test alone.  Normal forms are memoised per word over Z[q, q^-1]
 (the rules are integral), each built on demand, on an explicit work
-stack, from those of lex-smaller words.
+stack, from those of lex-smaller words.  A sum of c NF(x) over several
+words x accumulates one {exponent: coefficient} table per basis word and
+wraps each as a LaurentPoly once, at the end.  The memo holds at most
+``MAX_NF_LETTERS`` letters, counting its words and the basis words of
+their normal forms: a reduction that needs more on its own is refused
+with ValueError, and one that earlier reductions leave no room for
+clears the memo and starts again.
 
 Elements of the full fragment are straightened by ``lin.rewrite`` to (F word)
 (K monomial) (E word), with both words reduced to quotient-basis coordinates.
@@ -136,7 +142,12 @@ def component(content) -> Component:
     return Component(content, basis, len(basis))
 
 
+# The most letters the normal-form memo may hold in all: those of its words
+# and of the basis words in their normal forms.
+MAX_NF_LETTERS = 10_000_000
+
 _NF = {}  # word -> NF(word), or None for an irreducible word
+_nf_letters = 0  # the letters _NF holds, counted as MAX_NF_LETTERS counts them
 _UNBUILT = object()
 
 
@@ -147,13 +158,39 @@ def _normal_form(w):
     return _NF[w]
 
 
+def _clear_normal_forms():
+    global _nf_letters
+    _NF.clear()
+    _nf_letters = 0
+
+
 # read like an lru_cache's: every word built is a miss, and hits are not counted
 _normal_form.cache_info = lambda: _CacheInfo(None, len(_NF), None, len(_NF))
-_normal_form.cache_clear = _NF.clear
+_normal_form.cache_clear = _clear_normal_forms
+
+
+class _NoRoom(Exception):
+    """The entries that earlier builds left in the memo leave a build no room."""
 
 
 def _memoise_normal_form(word):
-    """Put NF(word) into the memo, each normal form after those it reads.
+    """Put NF(word) into the memo, with every normal form it reads.
+
+    The memo holds at most ``MAX_NF_LETTERS`` letters, in its words and in
+    the basis words of their normal forms.  A build that needs more on its
+    own is refused with ValueError; one that the entries of earlier builds
+    leave no room for clears the memo and starts again, so no entry is
+    evicted while a build reads the memo.
+    """
+    try:
+        _build_normal_forms(word)
+    except _NoRoom:
+        _clear_normal_forms()
+        _build_normal_forms(word)
+
+
+def _build_normal_forms(word):
+    """Memoise NF(word), each normal form after those it reads.
 
     NF(w) = NF(w[0] NF(w[1:])) for a reducible tail; an irreducible tail
     leaves only the rule whose leading word prefixes w.  Both steps reach
@@ -161,6 +198,7 @@ def _memoise_normal_form(word):
     normal form unique (diamond lemma).  The words still to build wait on
     an explicit stack, so no word length meets the recursion limit.
     """
+    start = _nf_letters
     stack = [(word, None)]  # (w, its terms once NF(w[1:]) is known)
     while stack:
         w, terms = stack[-1]
@@ -180,7 +218,7 @@ def _memoise_normal_form(word):
                         terms = [(u + w[n:], c) for u, c in RULES[w[:n]].items()]
                         break
                 else:
-                    _NF[w] = None
+                    _store(w, None, start)
                     stack.pop()
                     continue
             stack[-1] = (w, terms)
@@ -189,12 +227,41 @@ def _memoise_normal_form(word):
                 stack.append((x, None))
                 break
         else:
-            _NF[w] = _sum_normal_forms(terms)
+            _store(w, _sum_normal_forms(terms), start)
             stack.pop()
 
 
+def _store(w, nf, start):
+    """Memoise NF(w) for a build that began with ``start`` letters in the memo."""
+    global _nf_letters
+    letters = _nf_letters + len(w) + (sum(map(len, nf)) if nf else 0)
+    if letters > MAX_NF_LETTERS:
+        if letters - start > MAX_NF_LETTERS:
+            raise ValueError("the normal forms of this reduction need more than "
+                             "MAX_NF_LETTERS = %d memoised letters" % MAX_NF_LETTERS)
+        raise _NoRoom
+    _NF[w] = nf
+    _nf_letters = letters
+
+
 def _sum_normal_forms(terms):
-    """The sum of c NF(x) over the pairs (x, c), where NF(x) = x for an irreducible x."""
+    """The sum of c NF(x) over the pairs (x, c), c != 0, where NF(x) = x for an irreducible x.
+
+    One pair is scaled directly.  For more, a Laurent multiple of a
+    reducible word's normal form is summed on one {exponent: coefficient}
+    table per basis word, each wrapped once at the end; irreducible words
+    and other coefficients (RatQ) are summed by their own arithmetic.
+    """
+    if len(terms) == 1:
+        (x, c), = terms
+        try:
+            nf = _NF[x]
+        except KeyError:
+            nf = _normal_form(x)
+        if nf is None:
+            return {x: c}
+        return {u: c * v for u, v in nf.items()}
+    tables = {}  # basis word -> {exponent: coefficient}
     out = {}
     for x, c in terms:
         try:
@@ -203,8 +270,23 @@ def _sum_normal_forms(terms):
             nf = _normal_form(x)
         if nf is None:
             add_into(out, x, c)
-        else:
+        elif type(c) is not LaurentPoly:
             add_scaled(out, nf, c)
+        else:
+            cs = c.terms.items()
+            for u, v in nf.items():
+                table = tables.get(u)
+                if table is None:
+                    table = tables[u] = {}
+                get = table.get
+                for f, b in cs:
+                    for e, a in v.terms.items():
+                        k = e + f
+                        table[k] = get(k, 0) + a * b
+    for u, table in tables.items():
+        table = {k: a for k, a in table.items() if a}
+        if table:
+            add_into(out, u, LaurentPoly._make(table))
     return out
 
 
@@ -220,7 +302,9 @@ def serre_reduce(element) -> dict:
     for w, c in element.items():
         if isinstance(c, RatQ) and c.is_laurent():
             c = c.num
-        terms.append((w, c if isinstance(c, RatQ) else as_laurent(c)))
+        c = c if isinstance(c, RatQ) else as_laurent(c)
+        if c:
+            terms.append((w, c))
     return {w: as_ratq(c) for w, c in _sum_normal_forms(terms).items()}
 
 

@@ -429,6 +429,17 @@ def test_cli_reduces_long_serre_words_at_the_default_recursion_limit(power, dige
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("command", ["serre-reduce", "normalize"])
+def test_cli_refuses_a_word_whose_normal_forms_pass_the_memo_bound(command):
+    # Fm^n memoises the words Fm^1 .. Fm^n, n (n + 1) / 2 letters: 12.5 M for n = 5000
+    run = subprocess.run([sys.executable, "-m", "quadalg", command, "Fm^5000"],
+                         capture_output=True, text=True, env=child_env())
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert "MAX_NF_LETTERS = 10000000" in run.stderr
+
+
 @pytest.mark.parametrize(
     ("expression", "expected"),
     [

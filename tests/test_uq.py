@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
@@ -323,15 +324,71 @@ def test_non_laurent_coefficients_keep_their_values_and_printed_forms():
               "(-q^7 - q^6 - 2*q^5 - 2*q^4 + q^3 + 3*q + 2 + q^-1 + q^-2)/(q^4 - 2*q^2 + 1)",
           (BETA, MU, NU, BETA, NU): "(q^4 + 3*q^2 + 3 + q^-2)/(q - 1)"}),
     ]
+    # the paths of the exponent-table sum, checked by their values alone
+    halves = LaurentPoly({1: Fraction(1, 2), -2: Fraction(-3, 4), 0: 5})
+    cases += [
+        ({(BETA, MU, MU): halves, (BETA, MU, NU, MU): Q(1), (NU, MU): Fraction(2, 3)}, None),
+        # a Laurent and a RatQ term that land on the basis word (MU, BETA, MU)
+        ({(BETA, MU, MU): Q(2) - 3, (MU, BETA, MU): INV_MU}, None),
+        ({(BETA, MU, MU): 0, (MU, NU): LaurentPoly.zero(), (BETA, NU, NU): Q(-1)}, None),
+        ({(MU, BETA, MU): Q(2) - 3 + Q(-4)}, None),
+        ({(MU, BETA, MU): Q(2) - 3 + Q(-4), (NU, MU): Q(1) + 1}, None),
+    ]
     for element, want in cases:
         got = serre_reduce(element)
-        assert {w: str(c) for w, c in got.items()} == want
-        assert all(type(c) is RatQ for c in got.values())
+        if want is not None:
+            assert {w: str(c) for w, c in got.items()} == want
+        assert all(type(c) is RatQ and c for c in got.values())
         expected = {}
         for w, c in element.items():
             for x, f in serre_reduce({w: 1}).items():
                 add_into(expected, x, f * c)
         assert got == expected
+
+
+def test_a_reduction_with_large_coefficients_is_pinned():
+    # three seeded 16-letter words with three-term coefficients; the result
+    # has 77 terms, with coefficients of up to 59 terms
+    rng = random.Random(2000)
+    element = {}
+    for _ in range(3):
+        word = tuple(rng.randrange(3) for _ in range(16))
+        exponents = rng.sample(range(-4, 5), 3)
+        element[word] = LaurentPoly({e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in exponents})
+    got = serre_reduce(element)
+    assert (len(got), max(len(c.num.terms) for c in got.values())) == (77, 59)
+    pairs = sorted((w, str(c)) for w, c in got.items())
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
+        "ff67eb57cc6e0ebcb9944b814f5202fba818e0e92e85ab52c400a35567b45fc9"
+    )
+
+
+def memo_letters():
+    """The letters of the memoised words and of the basis words in their normal forms."""
+    return sum(len(w) + (sum(map(len, nf)) if nf else 0) for w, nf in uq._NF.items())
+
+
+def test_the_normal_form_memo_stays_within_its_letter_bound(monkeypatch):
+    rng = random.Random(7)
+    words = [tuple(rng.randrange(3) for _ in range(rng.randint(5, 10))) for _ in range(40)]
+    elements = [{w: 1} for w in words] + [{words[i]: 1, words[i + 1]: Q(1)} for i in range(0, 40, 4)]
+    want = [serre_reduce(e) for e in elements]
+    # each element's build needs at most 6,096 letters, all of them 21,295
+    monkeypatch.setattr(uq, "MAX_NF_LETTERS", 7000)
+    uq._normal_form.cache_clear()
+    cleared = 0
+    for _ in range(2):
+        for element, expected in zip(elements, want):
+            before = memo_letters()
+            assert serre_reduce(element) == expected, element
+            assert memo_letters() == uq._nf_letters <= 7000
+            cleared += memo_letters() < before
+    assert cleared >= 3
+    # a build that alone needs 120 * 121 / 2 = 7,260 letters is refused
+    with pytest.raises(ValueError, match="MAX_NF_LETTERS = 7000"):
+        serre_reduce({(MU,) * 120: 1})
+    assert memo_letters() == uq._nf_letters <= 7000
+    assert [serre_reduce(e) for e in elements] == want
 
 
 def test_a_component_builds_without_other_components():
@@ -479,6 +536,18 @@ def test_straighten_eb_fb():
         }
     )
     assert got == expected
+
+
+def test_straightening_a_seeded_corpus_is_pinned():
+    # 200 words of F, E and K letters, up to 6 long; the digest was taken
+    # when normal forms were summed on LaurentPoly products
+    rng = random.Random(24)
+    symbols = sorted(uq.GENERATOR_SYMBOLS.values())
+    words = [[rng.choice(symbols) for _ in range(rng.randint(1, 6))] for _ in range(200)]
+    text = "\n".join(str(straighten_word(word)) for word in words)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e30c3433d5b763bedd210b5a93546ef99b4b8c2471e13b2b0636f3e5606ce8a6"
+    )
 
 
 def reference_straighten(symbols):
