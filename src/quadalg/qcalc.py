@@ -170,12 +170,13 @@ class QOperator(Lin):
         out = {}
         for (alpha, delta, gamma), c in self.terms.items():
             for beta, pc in p.terms.items():
-                n = tuple(b - g for b, g in zip(beta, gamma))
+                n = (beta[0] - gamma[0], beta[1] - gamma[1], beta[2] - gamma[2], beta[3] - gamma[3])
                 if min(n) < 0:
                     continue
                 # z^alpha K^delta [d]^gamma z^beta = [beta]!/[n]! q^(-delta.n) z^(n+alpha)
-                coeff = RatQ(c.num * pc.num * _divided_factor(n, gamma, delta), c.den * pc.den)
-                add_into(out, tuple(a + m for a, m in zip(alpha, n)), coeff)
+                target = (n[0] + alpha[0], n[1] + alpha[1], n[2] + alpha[2], n[3] + alpha[3])
+                num = c.num * pc.num * _divided_factor(n, gamma, delta)
+                add_into(out, target, RatQ._over(num, c.den * pc.den))
         return Poly4._make(out)
 
     def laurent_terms(self):

@@ -26,15 +26,19 @@ tested for divisibility by Phi_m through the binomials q^d - 1 of the
 Moebius identity Phi_m * prod_{mu(m/d) = -1} (q^d - 1) = prod_{mu(m/d) = +1}
 (q^d - 1), without building Phi_m.
 
-``RatQ`` stores a fraction in lowest terms.  Its denominators are
-products of q-integers, and [n]_q = q^(1-n) prod_{d | 2n, d > 2} Phi_d(q),
-so it cancels over cyclotomic factors rather than by Euclid over Q: a
-monomial numerator shares no factor with a denominator whose constant
-term is nonzero; otherwise the denominator is split once (memoised) into
-Phi_m^e factors and a rest, each Phi_m is divided out of the numerator
-while that is exact and at most e times, and ``laurent_gcd`` runs only on
-a rest of positive degree.  The lowest-terms form is unique, so the
-result does not depend on how many factors the split finds.
+``RatQ`` stores a fraction in lowest terms over a canonical denominator:
+monic, of valuation 0, with q-power units in the numerator.  A product of
+canonical denominators is canonical, so sums and products, and ``psi`` and
+``apply`` downstream, build their results with ``RatQ._over``, which only
+cancels; ``RatQ(num, den)`` and quotients normalise den first.
+Denominators are products of q-integers, and [n]_q = q^(1-n) prod_{d | 2n,
+d > 2} Phi_d(q), so it cancels over cyclotomic factors rather than by
+Euclid over Q: a monomial numerator shares no factor with a denominator
+whose constant term is nonzero; otherwise the denominator is split once
+(memoised) into Phi_m^e factors and a rest, each Phi_m is divided out of
+the numerator while that is exact and at most e times, and ``laurent_gcd``
+runs only on a rest of positive degree.  The lowest-terms form is unique,
+so the result does not depend on how many factors the split finds.
 """
 
 from __future__ import annotations
@@ -175,10 +179,6 @@ class LaurentPoly(Lin):
         """Bottom exponent; raises on the zero polynomial."""
         return min(self.terms)
 
-    def is_unit(self) -> bool:
-        """True for c*q^k with c != 0."""
-        return len(self.terms) == 1
-
     # -- text form -----------------------------------------------------
 
     def __str__(self) -> str:
@@ -225,15 +225,17 @@ def q_rising(n: int, a: int) -> LaurentPoly:
 
 def q_factorial(gamma) -> LaurentPoly:
     """Product of the single-index q-factorials [n]_q! = q_rising(0, n) over a multi-index."""
-    return _q_factorial(tuple(gamma))
+    return _q_factorial(tuple(gamma))[0]
 
 
-@lru_cache(maxsize=None)
-def _q_factorial(gamma) -> LaurentPoly:
+@lru_cache(maxsize=4096)
+def _q_factorial(gamma):
+    """([gamma]_q!, s, D) with [gamma]_q! = q^s D and D canonical: each [n]_q! is monic."""
     out = LaurentPoly.one()
     for n in gamma:
         out = out * q_rising(0, n)
-    return out
+    s = out.valuation
+    return out, s, LaurentPoly._make({e - s: c for e, c in out.terms.items()})
 
 
 # -- exact division and polynomial helpers -----------------------------
@@ -406,11 +408,15 @@ def _cyclotomic_split(den):
 
 
 def _cancel(num: LaurentPoly, den: LaurentPoly):
-    """num/den in lowest terms, for a monic den with valuation 0.
+    """num/den in lowest terms, for a canonical den: monic, with valuation 0.
 
-    The cyclotomic factors of den are divided out of num as often as both
-    hold them; Euclid runs only on what the split leaves.
+    Zero goes over 1 and a unit cancels nothing; else the cyclotomic factors
+    of den leave num as often as both hold them, and Euclid runs on the rest.
     """
+    if not num:
+        return num, LaurentPoly.one()
+    if len(den.terms) == 1 or len(num.terms) == 1:
+        return num, den
     dd = _to_dense(den)[1]
     factors, rest = _cyclotomic_split(tuple(dd))
     vn, dn = _to_dense(num)
@@ -443,37 +449,28 @@ def as_ratq(c) -> RatQ:
 
 
 class RatQ:
-    """An element of Q(q), stored as num/den with a canonical denominator.
-
-    The denominator is a monic polynomial in q with nonzero constant
-    term; all q-power units are absorbed into the numerator.  Exact
-    arithmetic; equality is structural.
-    """
+    """An element of Q(q): num/den in lowest terms, den canonical.  Equality is structural."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = as_laurent(num)
+        self.num, self.den = as_laurent(num), LaurentPoly.one()
         if den is not None:
             den = as_laurent(den)
             if not den:
                 raise ZeroDivisionError("zero denominator in RatQ")
-        if den is None or not num:
-            self.num = num
-            self.den = LaurentPoly.one()
-            return
-        vd, dd = _to_dense(den)
-        lead = dd[-1]
-        den = LaurentPoly._make({i: _div(c, lead) for i, c in enumerate(dd) if c})
-        # a monomial numerator shares no factor with den, whose constant term is nonzero
-        if not (den.is_unit() or num.is_unit()):
-            num, den = _cancel(num, den)
-        self.den = den
-        self.num = LaurentPoly._make({e - vd: _div(v, lead) for e, v in num.terms.items()})
+            vd, dd = _to_dense(den)
+            lead = dd[-1]
+            num = LaurentPoly._make({e - vd: _div(v, lead) for e, v in self.num.terms.items()})
+            den = LaurentPoly._make({i: _div(c, lead) for i, c in enumerate(dd) if c})
+            self.num, self.den = _cancel(num, den)
 
     @classmethod
-    def zero(cls) -> "RatQ":
-        return cls(0)
+    def _over(cls, num: LaurentPoly, den: LaurentPoly) -> "RatQ":
+        """num/den over an already canonical den: ``__init__`` without its normalisation."""
+        out = object.__new__(cls)
+        out.num, out.den = _cancel(num, den)
+        return out
 
     @classmethod
     def one(cls) -> "RatQ":
@@ -499,8 +496,8 @@ class RatQ:
     @_coerced(as_ratq)
     def __add__(self, other):
         if self.den == other.den:
-            return RatQ(self.num + other.num, self.den)
-        return RatQ(self.num * other.den + other.num * self.den, self.den * other.den)
+            return RatQ._over(self.num + other.num, self.den)
+        return RatQ._over(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -514,12 +511,7 @@ class RatQ:
 
     @_coerced(as_ratq)
     def __mul__(self, other):
-        if self.den.terms == {0: 1} and other.den.terms == {0: 1}:
-            out = object.__new__(RatQ)
-            out.num = self.num * other.num
-            out.den = self.den
-            return out
-        return RatQ(self.num * other.num, self.den * other.den)
+        return RatQ._over(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -560,8 +552,8 @@ ZERO4 = (0, 0, 0, 0)
 
 def mi_check(gamma):
     """Validate a 4-part multi-index of non-negative integers."""
-    g = tuple(int(x) for x in gamma)
-    if len(g) != 4 or any(x < 0 for x in g):
+    g = tuple(map(int, gamma))
+    if len(g) != 4 or min(g) < 0:
         raise ValueError("multi-index must be 4 non-negative integers, got %r" % (gamma,))
     return g
 

@@ -6,7 +6,8 @@ polynomial is
 
     Psi_f(z) = sum_gamma f(w^gamma) z^gamma / [gamma]_q!
 
-(divided-powers normalization).  Right multiplication w^gamma -> w^gamma w0
+(divided-powers normalization; ``psi`` reads each [gamma]_q! = q^s D, D
+canonical, from a bounded memo).  Right multiplication w^gamma -> w^gamma w0
 dualizes to an operator on functionals; through Psi these duals become
 q-difference operators with closed forms:
 
@@ -43,11 +44,11 @@ from .qcalc import Poly4, QOperator, compose, divided_column, mul_z, qdiff, scal
 from .ring import (
     LaurentPoly,
     RatQ,
+    _q_factorial,
     all_indices,
     as_laurent,
     mi_check,
     mi_degree,
-    q_factorial,
 )
 
 _Q = LaurentPoly.q
@@ -79,7 +80,11 @@ class DualFunctional(Lin):
 
 def psi(f: DualFunctional) -> Poly4:
     """The divided-powers polynomial of a functional."""
-    return Poly4._make({g: RatQ(v, q_factorial(g)) for g, v in f.terms.items()})
+    out = {}
+    for g, v in f.terms.items():
+        _, s, den = _q_factorial(g)
+        out[g] = RatQ._over(LaurentPoly._make({e - s: c for e, c in v.terms.items()}), den)
+    return Poly4._make(out)
 
 
 @lru_cache(maxsize=1024)

@@ -19,8 +19,8 @@ words x accumulates one {exponent: coefficient} table per basis word and
 wraps each as a LaurentPoly once, at the end.  The memo holds at most
 ``MAX_NF_LETTERS`` letters, counting its words and the basis words of
 their normal forms: a reduction that needs more on its own is refused
-with ValueError, and one that earlier reductions leave no room for
-clears the memo and starts again.
+with ValueError and the memo cleared, and one that earlier reductions
+leave no room for clears the memo and starts again.
 
 Elements of the full fragment are straightened by ``lin.rewrite`` to (F word)
 (K monomial) (E word), with both words reduced to quotient-basis coordinates.
@@ -178,9 +178,9 @@ def _memoise_normal_form(word):
 
     The memo holds at most ``MAX_NF_LETTERS`` letters, in its words and in
     the basis words of their normal forms.  A build that needs more on its
-    own is refused with ValueError; one that the entries of earlier builds
-    leave no room for clears the memo and starts again, so no entry is
-    evicted while a build reads the memo.
+    own is refused with ValueError and clears the memo; one that the
+    entries of earlier builds leave no room for clears the memo and starts
+    again, so no entry is evicted while a build reads the memo.
     """
     try:
         _build_normal_forms(word)
@@ -237,6 +237,7 @@ def _store(w, nf, start):
     letters = _nf_letters + len(w) + (sum(map(len, nf)) if nf else 0)
     if letters > MAX_NF_LETTERS:
         if letters - start > MAX_NF_LETTERS:
+            _clear_normal_forms()
             raise ValueError("the normal forms of this reduction need more than "
                              "MAX_NF_LETTERS = %d memoised letters" % MAX_NF_LETTERS)
         raise _NoRoom

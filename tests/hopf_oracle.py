@@ -59,7 +59,7 @@ def antipode(x: UqElement) -> UqElement:
 
 
 def counit(x: UqElement) -> RatQ:
-    total = RatQ.zero()
+    total = RatQ(0)
     for (fw, k, ew), c in x.terms.items():
         if not fw and not ew:
             total = total + c

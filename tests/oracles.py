@@ -6,9 +6,11 @@ tables of ``transform.right_dual_bruteforce`` replaced; ``psi_inv`` inverts
 obstruction of ``verma.singular_test``; ``apply_divided``
 sums ``qcalc.divided_column`` columns into the image of a functional;
 ``indicator`` is a pair of functionals with one monomial indicator;
-``mutated`` perturbs one term of an operator for the mutation tests; and
+``mutated`` perturbs one term of an operator for the mutation tests;
 ``vanishes_by_division`` is the long division by Phi_m that the folded
-binomial test of ``ring.vanishes_at_root_of_unity`` replaced.
+binomial test of ``ring.vanishes_at_root_of_unity`` replaced; and
+``require_canonical_denominators`` makes every ``RatQ`` built check that
+its denominator is canonical.
 """
 
 from quadalg.aq import AqElement
@@ -110,3 +112,29 @@ def vanishes_by_division(p, m):
             for j, c in phi:
                 rem[i - top + j] -= f * c
     return not any(rem[:top])
+
+
+def is_canonical(den):
+    """Monic with valuation 0, so with a nonzero constant term."""
+    return den.valuation == 0 and den.terms[den.degree] == 1
+
+
+def require_canonical_denominators(monkeypatch):
+    """Make ``ring._cancel``, which every ``RatQ`` constructor ends in, assert
+    that the denominator it receives and the one it returns are canonical.
+
+    Returns the list of the denominators received, one per call.
+    """
+    from quadalg import ring
+
+    cancel, seen = ring._cancel, []
+
+    def checked(num, den):
+        assert is_canonical(den), den
+        seen.append(den)
+        num, den = cancel(num, den)
+        assert is_canonical(den), den
+        return num, den
+
+    monkeypatch.setattr(ring, "_cancel", checked)
+    return seen

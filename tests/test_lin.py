@@ -119,6 +119,71 @@ def test_no_module_keeps_an_unused_import():
         assert unused_imports(path.read_text()) == [], path.name
 
 
+# Memos with no bound, each with the reason it may stay unbounded.  Those
+# that grow with the input are open under ROADMAP item 7; no new one may join.
+UNBOUNDED_MEMOS = {
+    "aq._d_past_a": "open: grows with the w-exponents of the products",
+    "cli._shared_parser": "takes no argument: one parser",
+    "dirac.dirac_parts": "one entry per D+- variant",
+    "dirac.dirac_matrix": "one entry per D+- variant",
+    "qcalc._divided_factor": "open: grows with the multi-indices an operator meets",
+    "qcalc._axis_normal": "open: grows with the per-axis words of compose",
+    "ring.q_int": "open: one entry per q-integer reached",
+    "ring.q_rising": "open: one entry per rising q-factorial reached",
+    "ring.cyclotomic": "open: one entry per cyclotomic order reached",
+    "transform.box_operator": "takes no argument: one operator",
+    "transform.dual_w1_parts": "takes no argument: one pair of operators",
+    "transform.right_dual_closed": "one entry per closed dual, five in all",
+    "uq.words_of_content": "open: grows with the contents reached",
+    "uq.component": "open: grows with the contents reached",
+    "uq.w_gen": "one entry per generator, four in all",
+    "uq._w_pbw_basis": "open: grows with the contents reached",
+    "uq._w_pbw_matrix": "open: grows with the F-words reached",
+}
+
+
+def _callee(node):
+    f = node.func if isinstance(node, ast.Call) else node
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def unbounded_memos(source):
+    """The functions of ``source`` memoised with no bound, by ``lru_cache(maxsize=None)``
+    or ``cache``; such a memo made outside a decorator is named by its line."""
+    tree = ast.parse(source)
+    owner = {
+        id(d): f.name for f in ast.walk(tree)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for d in f.decorator_list
+    }
+    out = []
+    for node in ast.walk(tree):
+        name = _callee(node) if isinstance(node, (ast.Call, ast.Name, ast.Attribute)) else None
+        if name == "lru_cache" and isinstance(node, ast.Call):
+            size = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "maxsize"), None)
+            unbounded = isinstance(size, ast.Constant) and size.value is None
+        else:
+            unbounded = name == "cache" and (isinstance(node, ast.Call) or id(node) in owner)
+        if unbounded:
+            out.append(owner.get(id(node), "line %d" % node.lineno))
+    return sorted(out)
+
+
+def test_no_new_memo_is_unbounded():
+    assert unbounded_memos(
+        "@lru_cache(maxsize=None)\ndef a(): pass\n@functools.lru_cache(None)\ndef b(): pass\n"
+        "@lru_cache(maxsize=64)\ndef c(): pass\n@lru_cache\ndef d(): pass\n@cache\ndef e(): pass\n"
+        "f = lru_cache(maxsize=None)(len)\n"
+    ) == ["a", "b", "e", "line 11"]
+    found = {
+        "%s.%s" % (path.stem, name)
+        for path in Path(lin.__file__).parent.glob("*.py")
+        for name in unbounded_memos(path.read_text())
+    }
+    assert found == set(UNBOUNDED_MEMOS)
+    assert all(reason and "\n" not in reason for reason in UNBOUNDED_MEMOS.values())
+
+
 def test_rendering_keeps_unit_and_coefficient_forms():
     assert str(AqElement.zero()) == "0"
     assert str(AqElement.one().scale(2) + AqElement.generator(1)) == "(2) + w1"

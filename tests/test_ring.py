@@ -19,7 +19,7 @@ from quadalg.ring import (
     vanishes_at_root_of_unity,
 )
 
-from oracles import vanishes_by_division
+from oracles import is_canonical, require_canonical_denominators, vanishes_by_division
 
 Q = LaurentPoly.q
 ONE = LaurentPoly.one()
@@ -267,7 +267,7 @@ def test_laurent_mixed_operands_agree_with_ratq():
 
 def test_equal_scalars_hash_alike():
     assert len({LaurentPoly.const(2), 2, RatQ(2), Fraction(2)}) == 1
-    assert len({LaurentPoly.zero(), 0, RatQ.zero()}) == 1
+    assert len({LaurentPoly.zero(), 0, RatQ(0)}) == 1
     half = Fraction(1, 2)
     assert hash(LaurentPoly.const(half)) == hash(half) == hash(RatQ(half))
     # x/1 hashes as x, also when it came out of a division
@@ -493,3 +493,34 @@ def test_ratq_cancellation_matches_euclid():
         assert terms_json(x.num) == terms_json(n) and terms_json(x.den) == terms_json(d)
         assert str(x) == (str(n) if d == ONE else "(%s)/(%s)" % (n, d))
         assert _exact_coefficients(x.num, x.den), (num, den)
+
+
+# ------------------------------------ fractions over canonical denominators
+
+
+def test_over_a_canonical_denominator_matches_the_constructor():
+    # the corpus's denominators made canonical: q-integer products, 2q + 1 and
+    # other non-cyclotomic factors; zero, monomial, int and Fraction numerators
+    for num, den in ratq_corpus():
+        den = RatQ(ONE, den).den
+        assert is_canonical(den), den
+        x, y = RatQ._over(num, den), RatQ(num, den)
+        assert (x.num.terms, x.den.terms) == (y.num.terms, y.den.terms), (num, den)
+        assert str(x) == str(y)
+
+
+def test_sums_and_products_over_canonical_denominators_are_in_lowest_terms(monkeypatch):
+    rng = random.Random(20261020)
+    xs = [RatQ(num, den) for num, den in ratq_corpus()]
+    seen = require_canonical_denominators(monkeypatch)
+    for x in xs[::5]:
+        y = rng.choice(xs)
+        for got, num, den in ((x + y, x.num * y.den + y.num * x.den, x.den * y.den),
+                              (x - y, x.num * y.den - y.num * x.den, x.den * y.den),
+                              (x * y, x.num * y.num, x.den * y.den)):
+            assert (got.num, got.den) == reference_ratq(num, den), (x, y)
+        if y:
+            q = x / y
+            assert (q.num, q.den) == reference_ratq(x.num * y.den, x.den * y.num), (x, y)
+        assert is_canonical((-x).den)
+    assert len(seen) > len(xs) // 5

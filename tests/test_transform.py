@@ -1,4 +1,6 @@
+import hashlib
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -6,7 +8,7 @@ import pytest
 
 from quadalg.aq import AqElement, center_element
 from quadalg.qcalc import Poly4, compose, mul_z, qdiff, scaling
-from quadalg.ring import LaurentPoly, RatQ, indices_up_to, q_int
+from quadalg.ring import LaurentPoly, RatQ, divide_exact, indices_up_to, q_factorial, q_int
 from quadalg.transform import (
     DualFunctional,
     box_operator,
@@ -16,7 +18,10 @@ from quadalg.transform import (
     verify_dual,
 )
 
-from oracles import apply_divided, indicator, mutated, psi_inv, reference_dual
+from oracles import (
+    apply_divided, indicator, is_canonical, mutated, psi_inv, reference_dual,
+    require_canonical_denominators,
+)
 
 Q = LaurentPoly.q
 ONE = LaurentPoly.one()
@@ -343,6 +348,106 @@ def test_intertwine_sweep_names_the_oracles_first_failure_on_a_perturbed_entry(v
         got = dirac.first_intertwine_failure(5, variant)
         assert got is not None and got[1] == i + 1, (i, j)
         assert got == reference_first_intertwine_failure(5, variant), (i, j)
+
+
+# ---------------------------- psi and apply over canonical denominators
+
+
+def multi_term_functionals(count, seed):
+    """Seeded functionals of 2-5 values, each of 1-3 terms, on indices of degree <= 6."""
+    rng = random.Random(seed)
+    support = indices_up_to(6)
+
+    def value():
+        return LaurentPoly({e: rng.choice((-3, -1, 1, 2, 5))
+                            for e in rng.sample(range(-4, 5), rng.randint(1, 3))})
+
+    return [DualFunctional({g: value() for g in rng.sample(support, rng.randint(2, 5))})
+            for _ in range(count)]
+
+
+def test_psi_divides_each_value_by_its_q_factorial(monkeypatch):
+    rng = random.Random(6)
+    every = DualFunctional({g: Q(rng.randint(-2, 2)) * 3 - Q(1) + 2 for g in indices_up_to(6)})
+    seen = require_canonical_denominators(monkeypatch)
+    for f in multi_term_functionals(100, 6) + [every]:
+        got = psi(f)
+        want = {g: RatQ(v, q_factorial(g)) for g, v in f.terms.items()}
+        assert {g: (c.num.terms, c.den.terms) for g, c in got.terms.items()} == {
+            g: (c.num.terms, c.den.terms) for g, c in want.items()
+        }, f
+    assert len(seen) > len(every.terms)
+
+
+def reference_apply(op, p):
+    """``QOperator.apply`` one term pair at a time, every coefficient and every
+    sum normalised in full by the constructor:
+    z^alpha K^delta [d]^gamma z^beta = [beta]!/[n]! q^(-delta.n) z^(n+alpha), n = beta - gamma."""
+    out = {}
+    for (alpha, delta, gamma), c in op.terms.items():
+        for beta, pc in p.terms.items():
+            n = tuple(b - g for b, g in zip(beta, gamma))
+            if min(n) < 0:
+                continue
+            factor = divide_exact(q_factorial(beta), q_factorial(n))
+            factor = factor * Q(-sum(d * m for d, m in zip(delta, n)))
+            x = RatQ(c.num * pc.num * factor, c.den * pc.den)
+            target = tuple(a + m for a, m in zip(alpha, n))
+            y = out.get(target)
+            out[target] = x if y is None else RatQ(x.num * y.den + y.num * x.den, x.den * y.den)
+    return Poly4(out)
+
+
+def _apply_inputs():
+    """Poly4 inputs over q-factorial denominators (psi's), and over others: 2 + q, 2q + 1,
+    (2q + 1)[3]_q, q^2 - q + 1 and 1/2, with int and Fraction numerators."""
+    rng = random.Random(20261020)
+    inputs = [psi(f) for f in multi_term_functionals(12, 7)]
+    others = [Q(1) + 2, Q(1) * 2 + 1, (Q(1) * 2 + 1) * q_int(3), Q(2) - Q(1) + 1, LaurentPoly.const(2)]
+    for i in range(12):
+        coeffs = (1, -2, 3) if i % 2 else (Fraction(1, 2), Fraction(-3, 4))
+        inputs.append(Poly4({
+            g: RatQ(LaurentPoly({rng.randint(-2, 2): rng.choice(coeffs)}) + Q(rng.randint(-1, 1)),
+                    rng.choice(others))
+            for g in rng.sample(indices_up_to(4), 3)
+        }))
+    return inputs
+
+
+def test_apply_matches_the_per_pair_formula(monkeypatch):
+    # the 5 closed duals, the 8 D+- entries, a scaled box, and two operators
+    # whose own coefficients have denominators
+    ops = _operators_with_laurent_coefficients() + [
+        right_dual_closed(4).scale(RatQ(ONE, q_int(2))), mul_z(1) * qdiff(1) * mul_z(2),
+    ]
+    inputs = _apply_inputs()
+    seen = require_canonical_denominators(monkeypatch)
+    for op in ops:
+        for p in inputs:
+            got = op.apply(p)
+            want = reference_apply(op, p)
+            assert {k: (c.num.terms, c.den.terms) for k, c in got.terms.items()} == {
+                k: (c.num.terms, c.den.terms) for k, c in want.terms.items()
+            }, (op, p)
+            assert all(is_canonical(c.den) for c in got.terms.values())
+    assert seen
+
+
+def psi_apply_digest():
+    """sha256 of psi(f) and of one closed operator's apply on it, printed, for 300 functionals."""
+    ops = _operators_with_laurent_coefficients()
+    h = hashlib.sha256()
+    for i, f in enumerate(multi_term_functionals(300, 20261020)):
+        p = psi(f)
+        h.update(("%s\n%s\n" % (p, ops[i % len(ops)].apply(p))).encode())
+    return h.hexdigest()
+
+
+def test_psi_and_apply_output_is_pinned():
+    # taken when psi and apply built each coefficient with RatQ(num, den)
+    assert psi_apply_digest() == (
+        "caf684befdb94a130fd1747f682e4db7221bef1893646770599f254582293c2b"
+    )
 
 
 def test_apply_divided_on_multi_term_functionals_is_apply_through_psi():

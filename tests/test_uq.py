@@ -387,6 +387,7 @@ def test_the_normal_form_memo_stays_within_its_letter_bound(monkeypatch):
     # a build that alone needs 120 * 121 / 2 = 7,260 letters is refused
     with pytest.raises(ValueError, match="MAX_NF_LETTERS = 7000"):
         serre_reduce({(MU,) * 120: 1})
+    assert uq._nf_letters == 0 == len(uq._NF)
     assert memo_letters() == uq._nf_letters <= 7000
     assert [serre_reduce(e) for e in elements] == want
 
