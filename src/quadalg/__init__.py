@@ -2,8 +2,9 @@
 
 The package provides, over exact Laurent-polynomial scalars:
 
-  * ``ring``       q-integers, q-factorials, exact division, cyclotomic
-                   root-of-unity tests, and the fraction field of Q[q, q^-1]
+  * ``ring``       q-integers, q-factorials, exact division, one binomial
+                   Phi_m for the root-of-unity test and for cancelling, and
+                   the fraction field of Q[q, q^-1]
   * ``lin``        the shared linear-combination core: zero-dropping
                    accumulation and the base class of the element classes
   * ``aq``         the quadratic algebra on w1..w4 with PBW normal ordering

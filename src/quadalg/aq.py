@@ -100,14 +100,6 @@ class AqElement(Lin):
     def __rmul__(self, other):
         return self._scalar_mul(other)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = AqElement.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def degrees(self):
         return sorted({sum(g) for g in self.terms})
 

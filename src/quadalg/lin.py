@@ -73,10 +73,10 @@ class Lin:
     Per-class hooks: ``coerce`` converts a coefficient to the scalar type
     and has no default, so every subclass names its own (``as_laurent``,
     ``as_ratq`` or the int-or-Fraction coercion of ``ring``); ``check_key``,
-    when set, validates a monomial key; ``_mon`` renders a monomial, with
-    the empty string for the unit monomial, and a class whose terms print
-    differently overrides ``_term``.  Instances are immutable by
-    convention.
+    when set, validates a monomial key; ``one()`` is the unit ``**`` starts
+    from; ``_mon`` renders a monomial, with the empty string for the unit
+    monomial, and a class whose terms print differently overrides
+    ``_term``.  Instances are immutable by convention.
     """
 
     __slots__ = ("terms",)
@@ -148,6 +148,16 @@ class Lin:
         except TypeError:
             return NotImplemented
         return self.scale(c)
+
+    def __pow__(self, n: int):
+        """n >= 0 products by ``self`` from ``one()``, not repeated squaring: squaring
+        a many-term noncommutative element costs more than n products by a generator."""
+        if n < 0:
+            raise ValueError("negative powers are not defined, got %d" % n)
+        out = self.one()
+        for _ in range(n):
+            out = out * self
+        return out
 
     def _term(self, key, c) -> str:
         mon = self._mon(key)

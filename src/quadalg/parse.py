@@ -204,16 +204,9 @@ class _Parser:
         if symbol is not None:
             if symbol[0] == "K":
                 return UqElement.k_gen(symbol[1], exp)
-            gen = UqElement.generator(symbol)
-            out = UqElement.one()
-            for _ in range(exp):
-                out = out * gen
-            return out
+            return UqElement.generator(symbol) ** exp
         if name[0] == "d":
-            op = QOperator.identity()
-            for _ in range(exp):
-                op = compose(op, qdiff(int(name[2])))
-            return op
+            return qdiff(int(name[2])) ** exp
         if name[0] == "K":
             return scaling(int(name[2]), exp)
         if name[0] == "z":

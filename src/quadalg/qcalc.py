@@ -143,7 +143,7 @@ class QOperator(Lin):
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def identity(cls):
+    def one(cls):
         return cls._make({(ZERO4, ZERO4, ZERO4): RatQ.one()})
 
     @classmethod

@@ -20,11 +20,12 @@ arithmetic dunders use them too, returning NotImplemented for any other
 operand type.
 
 Also provides the q-combinatorics ([n]_q, q-factorials of multi-indices)
-and an exact root-of-unity vanishing test, linear in the degree: the
-exponents are folded modulo q^m - 1, which Phi_m divides, and the fold is
-tested for divisibility by Phi_m through the binomials q^d - 1 of the
-Moebius identity Phi_m * prod_{mu(m/d) = -1} (q^d - 1) = prod_{mu(m/d) = +1}
-(q^d - 1), without building Phi_m.
+and one definition of Phi_m: the binomials q^d - 1 of the Moebius identity
+Phi_m * prod_{mu(m/d) = -1} (q^d - 1) = prod_{mu(m/d) = +1} (q^d - 1).  The
+exact root-of-unity vanishing test reads them without building Phi_m, in
+time linear in the degree: the exponents are folded modulo q^m - 1, which
+Phi_m divides, and the fold is multiplied and divided by the binomials.
+The cancel rule below builds each Phi_m it divides by from them.
 
 ``RatQ`` stores a fraction in lowest terms over a canonical denominator:
 monic, of valuation 0, with q-power units in the numerator.  A product of
@@ -155,18 +156,6 @@ class LaurentPoly(Lin):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers only for monomials; use divide_exact")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- inspection ----------------------------------------------------
 
     @property
@@ -221,11 +210,6 @@ def q_rising(n: int, a: int) -> LaurentPoly:
     for k in range(n + 1, n + a + 1):
         out = out * q_int(k)
     return out
-
-
-def q_factorial(gamma) -> LaurentPoly:
-    """Product of the single-index q-factorials [n]_q! = q_rising(0, n) over a multi-index."""
-    return _q_factorial(tuple(gamma))[0]
 
 
 @lru_cache(maxsize=4096)
@@ -303,20 +287,6 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 # -- cyclotomic reduction ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def cyclotomic(m: int):
-    """Coefficient tuple (ascending) of the m-th cyclotomic polynomial."""
-    if m < 1:
-        raise ValueError("cyclotomic order must be >= 1")
-    # x^m - 1 divided by the cyclotomics of all proper divisors
-    num = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            num, rem = _dense_divmod(num, cyclotomic(d))
-            assert not rem
-    return tuple(num)
-
-
 def _prime_divisors(m: int):
     """The distinct primes dividing m >= 1, ascending."""
     out = []
@@ -349,28 +319,34 @@ def _over_binomial(cs, d):
     return None if any(r[:d]) else r[d:]
 
 
+def _cyclotomic_binomials(m: int):
+    """The pairs (d, mu(m/d)) for the d | m with m/d squarefree, which define Phi_m:
+    by Moebius inversion of q^m - 1 = prod_{d | m} Phi_d,
+
+        Phi_m * prod_{mu(m/d) = -1} (q^d - 1) = prod_{mu(m/d) = +1} (q^d - 1).
+    """
+    out = [(m, 1)]
+    for prime in _prime_divisors(m):
+        out += [(d // prime, -mu) for d, mu in out]
+    return out
+
+
 def vanishes_at_root_of_unity(p: LaurentPoly, m: int) -> bool:
     """True iff p(q) = 0 at every primitive m-th root of unity, i.e. Phi_m | p.
 
     Phi_m divides q^m - 1, so the exponents of p (negative ones too) are
-    first folded modulo m into a list of length m.  Divisibility of the
-    fold by Phi_m is then tested through binomials: by Moebius inversion
-    of q^m - 1 = prod_{d | m} Phi_d,
-
-        Phi_m * prod_{mu(m/d) = -1} (q^d - 1) = prod_{mu(m/d) = +1} (q^d - 1),
-
-    so the fold is multiplied by the binomials on the left and divided
-    exactly by those on the right, stopping at the first remainder.  Each
-    step is linear in the length, and no cyclotomic polynomial is built.
+    first folded modulo m into a list of length m.  The fold is then
+    multiplied by the binomials on the left of the identity of
+    ``_cyclotomic_binomials`` and divided exactly by those on the right,
+    stopping at the first remainder.  Each step is linear in the length,
+    and Phi_m itself is not built.
     """
     if m < 1:
         raise ValueError("root-of-unity order must be >= 1")
     folded = [0] * m
     for e, c in p.terms.items():
         folded[e % m] += c
-    binomials = [(m, 1)]  # (d, mu(m/d)) for every d with m/d squarefree
-    for prime in _prime_divisors(m):
-        binomials += [(d // prime, -mu) for d, mu in binomials]
+    binomials = _cyclotomic_binomials(m)
     for d, mu in binomials:
         if mu < 0:
             folded = _times_binomial(folded, d)
@@ -386,7 +362,8 @@ def vanishes_at_root_of_unity(p: LaurentPoly, m: int) -> bool:
 def _cyclotomic_split(den):
     """Split a monic dense polynomial as prod Phi_m^e times a rest.
 
-    Returns (((m, e), ...), rest).  Tries Phi_m for m <= deg + 2, which
+    Returns (((Phi_m, e), ...), rest), each Phi_m dense ascending and
+    built from its binomials.  Tries Phi_m for m <= deg + 2, which
     finds every factor of a product of q-integers; ``rest`` keeps the
     others, so it may still hold a cyclotomic factor of higher order.
     """
@@ -395,7 +372,9 @@ def _cyclotomic_split(den):
     for m in range(1, len(den) + 2):
         if len(rest) == 1:
             break
-        phi = cyclotomic(m)
+        phi = [1]
+        for d, mu in sorted(_cyclotomic_binomials(m), key=lambda b: -b[1]):  # products first
+            phi = _times_binomial(phi, d) if mu > 0 else _over_binomial(phi, d)
         e = 0
         while len(phi) <= len(rest):
             quo, rem = _dense_divmod(rest, phi)
@@ -403,7 +382,7 @@ def _cyclotomic_split(den):
                 break
             rest, e = quo, e + 1
         if e:
-            factors.append((m, e))
+            factors.append((tuple(phi), e))
     return tuple(factors), tuple(rest)
 
 
@@ -420,8 +399,7 @@ def _cancel(num: LaurentPoly, den: LaurentPoly):
     dd = _to_dense(den)[1]
     factors, rest = _cyclotomic_split(tuple(dd))
     vn, dn = _to_dense(num)
-    for m, e in factors:
-        phi = cyclotomic(m)
+    for phi, e in factors:
         for _ in range(e):
             quo, rem = _dense_divmod(dn, phi)
             if rem:

@@ -7,17 +7,22 @@ obstruction of ``verma.singular_test``; ``apply_divided``
 sums ``qcalc.divided_column`` columns into the image of a functional;
 ``indicator`` is a pair of functionals with one monomial indicator;
 ``mutated`` perturbs one term of an operator for the mutation tests;
-``vanishes_by_division`` is the long division by Phi_m that the folded
-binomial test of ``ring.vanishes_at_root_of_unity`` replaced; and
+``q_factorial`` is the multi-index q-factorial as a product of q-integers;
+``cyclotomic`` builds Phi_m by recursive division of q^m - 1, the
+reference for the binomial Phi_m of ``ring``; ``vanishes_by_division`` is
+the long division by Phi_m that the folded binomial test of
+``ring.vanishes_at_root_of_unity`` replaced; and
 ``require_canonical_denominators`` makes every ``RatQ`` built check that
 its denominator is canonical.
 """
+
+from functools import lru_cache
 
 from quadalg.aq import AqElement
 from quadalg.lin import add_into
 from quadalg.qcalc import QOperator, divided_column
 from quadalg.ring import (
-    LaurentPoly, RatQ, _to_dense, cyclotomic, indices_up_to, mi_degree, q_factorial, q_int,
+    LaurentPoly, RatQ, _dense_divmod, _to_dense, indices_up_to, mi_degree, q_int,
 )
 from quadalg.transform import DualFunctional
 
@@ -37,6 +42,15 @@ def reference_dual(w0):
         return DualFunctional(out)
 
     return act
+
+
+def q_factorial(gamma):
+    """prod_i [gamma_i]_q!, each [n]_q! the product [1]_q [2]_q ... [n]_q."""
+    out = LaurentPoly.one()
+    for n in gamma:
+        for k in range(1, n + 1):
+            out = out * q_int(k)
+    return out
 
 
 def psi_inv(p):
@@ -83,6 +97,19 @@ def mutated(op, rng, how):
     else:
         del terms[key]
     return QOperator._make(terms)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(m):
+    """Coefficient tuple (ascending) of Phi_m: q^m - 1 divided by every Phi_d, d | m, d < m."""
+    if m < 1:
+        raise ValueError("cyclotomic order must be >= 1")
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            num, rem = _dense_divmod(num, cyclotomic(d))
+            assert not rem
+    return tuple(num)
 
 
 def vanishes_by_division(p, m):

@@ -12,7 +12,9 @@ from quadalg.aq import (
     relation_pairs,
 )
 from quadalg.lin import add_into, rewrite
-from quadalg.ring import LaurentPoly, q_factorial
+from quadalg.ring import LaurentPoly
+
+from oracles import q_factorial
 
 Q = LaurentPoly.q
 ONE = LaurentPoly.one()

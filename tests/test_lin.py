@@ -7,7 +7,7 @@ import pytest
 from quadalg import lin
 from quadalg.aq import AqElement, center_element, normal_order
 from quadalg.lin import Lin, add_into, add_scaled, rewrite
-from quadalg.qcalc import Poly4, QOperator
+from quadalg.qcalc import Poly4, QOperator, mul_z, qdiff
 from quadalg.ring import LaurentPoly, RatQ
 from quadalg.transform import DualFunctional, box_operator, right_dual_closed
 from quadalg.uq import MU, UqElement, w_gen
@@ -130,7 +130,6 @@ UNBOUNDED_MEMOS = {
     "qcalc._axis_normal": "open: grows with the per-axis words of compose",
     "ring.q_int": "open: one entry per q-integer reached",
     "ring.q_rising": "open: one entry per rising q-factorial reached",
-    "ring.cyclotomic": "open: one entry per cyclotomic order reached",
     "transform.box_operator": "takes no argument: one operator",
     "transform.dual_w1_parts": "takes no argument: one pair of operators",
     "transform.right_dual_closed": "one entry per closed dual, five in all",
@@ -184,13 +183,50 @@ def test_no_new_memo_is_unbounded():
     assert all(reason and "\n" not in reason for reason in UNBOUNDED_MEMOS.values())
 
 
+def power_owners(source):
+    """The classes of ``source`` that define or assign ``__pow__``."""
+    return sorted(
+        cls.name for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+        if any(isinstance(n, ast.FunctionDef) and n.name == "__pow__"
+               or isinstance(n, ast.Name) and n.id == "__pow__" and isinstance(n.ctx, ast.Store)
+               for n in ast.walk(cls))
+    )
+
+
+def test_only_lin_defines_a_power_rule():
+    assert power_owners(
+        "class A:\n    def __pow__(self, n): pass\n"
+        "class B:\n    __pow__ = f\n"
+        "class C:\n    p = __pow__\n"
+    ) == ["A", "B"]
+    found = {
+        "%s.%s" % (path.stem, name)
+        for path in Path(lin.__file__).parent.glob("*.py")
+        for name in power_owners(path.read_text())
+    }
+    assert found == {"lin.Lin"}
+
+
+@pytest.mark.parametrize("x", [
+    Q(1) * 2 - Q(-1),
+    AqElement.generator(1) + AqElement.generator(4),
+    UqElement.f_gen(MU) + UqElement.e_gen(MU),
+    mul_z(2) + qdiff(1),
+], ids=["LaurentPoly", "AqElement", "UqElement", "QOperator"])
+def test_powers_start_from_one_and_refuse_negative_exponents(x):
+    assert x ** 0 == type(x).one()
+    assert x ** 1 == x and x ** 3 == x * x * x
+    with pytest.raises(ValueError):
+        x ** -1
+
+
 def test_rendering_keeps_unit_and_coefficient_forms():
     assert str(AqElement.zero()) == "0"
     assert str(AqElement.one().scale(2) + AqElement.generator(1)) == "(2) + w1"
     assert str(DualFunctional.indicator((0, 0, 0, 1))) == "(1)*delta((0, 0, 0, 1),)"
     assert str(VermaVector.highest_weight()) == "(1)*1*v"
     assert str(VermaVector({(MU,): 1, (MU, MU): Q(1)})) == "Fm*v + (q)*Fm*Fm*v"
-    assert repr(QOperator.identity()) == "QOperator((1))"
+    assert repr(QOperator.one()) == "QOperator((1))"
 
 
 def test_add_into_drops_zero_sums():

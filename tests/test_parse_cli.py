@@ -183,7 +183,7 @@ def rand_op(rng):
     ops = [qdiff(i) for i in (1, 2, 3, 4)]
     ops += [scaling(i, e) for i in (1, 2, 3, 4) for e in (-1, 1, 2)]
     ops += [mul_z(i) for i in (1, 2, 3, 4)]
-    el = QOperator.identity()
+    el = QOperator.one()
     for _ in range(rng.randint(1, 3)):
         el = compose(el, rng.choice(ops))
     return el.scale(Q(rng.randint(-1, 1)) + LaurentPoly.const(rng.randint(0, 1)))
@@ -587,6 +587,28 @@ def test_cli_deep_products_are_pinned(argv, digest):
     code, out = run_cli(*argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the printed normal forms of these inputs for n = 0..4, taken
+# when F, E, w and d powers were built by loops of their own and Laurent
+# powers by repeated squaring; the grammar takes no power of a parenthesis,
+# so those inputs are powers of the parsed sum
+POWER_INPUTS = ("w1^{n}", "(w1 + w2)^{n}", "Fm^{n}", "Em^{n}*Fm^{n}", "d_1^{n}", "(d_1 + z_2)^{n}")
+POWER_DIGEST = "f1e35a8134523455cb7700096fefe58a17c50d39ce3f1db7768c912e9df8ac69"
+
+
+def printed_power(text):
+    if text.startswith("("):
+        base, n = text[1:].split(")^")
+        return "%s\n" % (parse_expression(base)[1] ** int(n))
+    code, out = run_cli("normalize", text)
+    assert code == 0
+    return out
+
+
+def test_powers_print_as_pinned():
+    text = "".join(printed_power(form.format(n=n)) for form in POWER_INPUTS for n in range(5))
+    assert hashlib.sha256(text.encode()).hexdigest() == POWER_DIGEST
 
 
 # sha256 of the singular-vector --json outputs of the straightening path,

@@ -63,7 +63,7 @@ def test_k_identity_pointwise():
 
 def test_compose_identity_and_cross_axes():
     op = compose(scaling(1), qdiff(2))
-    assert compose(QOperator.identity(), op) == op
+    assert compose(QOperator.one(), op) == op
     # disjoint axes commute
     assert op == compose(qdiff(2), scaling(1))
     assert op.terms == {((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)): RatQ.one()}
@@ -179,7 +179,7 @@ def test_canonical_form_identifies_equal_operators():
     # z_i K_i [d_i] == (q - q K_i^2)/(q - q^-1): same canonical term map
     for i in (1, 2, 3, 4):
         lhs = compose(mul_z(i), compose(scaling(i), qdiff(i)))
-        rhs = (QOperator.identity() - scaling(i, 2)).scale(RatQ(Q(1)) / RatQ(MU))
+        rhs = (QOperator.one() - scaling(i, 2)).scale(RatQ(Q(1)) / RatQ(MU))
         assert lhs == rhs
         # and pointwise, as a second, independent check
         for beta in indices_up_to(5):
@@ -208,7 +208,7 @@ def test_constructor_coerces_coefficients_and_checks_keys():
     with pytest.raises(TypeError):
         QOperator({(z, z, z): 1.5})
     op = QOperator({(z, z, z): 1})
-    assert op == QOperator.identity() and hash(op) == hash(QOperator.identity())
+    assert op == QOperator.one() and hash(op) == hash(QOperator.one())
     assert all(type(c) is RatQ for c in op.terms.values())
     assert QOperator({(z, (0, 0, 0, 2), (0, 0, 0, 1)): Q(1)}).terms
     for key in (
@@ -264,7 +264,7 @@ def test_apply_divided_on_generators():
         (2, 0, 0, 0)
     ).scale(Q(-2))
     assert not apply_divided(QOperator.zero(), e((1, 0, 0, 0)))
-    assert apply_divided(QOperator.identity(), DualFunctional.zero()) == DualFunctional.zero()
+    assert apply_divided(QOperator.one(), DualFunctional.zero()) == DualFunctional.zero()
 
 
 def test_apply_divided_is_apply_through_psi_on_composites():
@@ -276,7 +276,7 @@ def test_apply_divided_is_apply_through_psi_on_composites():
     gens = [qdiff(1), qdiff(2), scaling(1), scaling(3, -2), scaling(4, 2), mul_z(3), mul_z(4, 2)]
     ops = [compose(scaling(1, k), qdiff(1)) for k in (1, -2)]
     for _ in range(15):
-        op = QOperator.identity()
+        op = QOperator.one()
         for g in rng.sample(gens, 3):
             op = compose(op, g).scale(rng.choice((1, -1, Q(1), Q(-2))))
         ops.append(op + rng.choice(gens))

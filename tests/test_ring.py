@@ -9,17 +9,19 @@ from quadalg.ring import (
     ExactDivisionError,
     LaurentPoly,
     RatQ,
+    _cyclotomic_split,
+    _q_factorial,
     as_laurent,
     as_ratq,
-    cyclotomic,
     divide_exact,
     laurent_gcd,
-    q_factorial,
     q_int,
     vanishes_at_root_of_unity,
 )
 
-from oracles import is_canonical, require_canonical_denominators, vanishes_by_division
+from oracles import (
+    cyclotomic, is_canonical, q_factorial, require_canonical_denominators, vanishes_by_division,
+)
 
 Q = LaurentPoly.q
 ONE = LaurentPoly.one()
@@ -54,18 +56,13 @@ def test_q_int_difference_quotient():
 
 
 def test_q_factorial():
-    assert q_factorial((0, 0, 0, 0)) == ONE
-    assert q_factorial((2, 0, 0, 0)) == LaurentPoly({1: 1, -1: 1})
-    assert q_factorial((1, 1, 1, 1)) == ONE
-    assert q_factorial((2, 2, 0, 0)) == q_int(2) * q_int(2)
+    assert _q_factorial((0, 0, 0, 0))[0] == ONE
+    assert _q_factorial((2, 0, 0, 0))[0] == LaurentPoly({1: 1, -1: 1})
+    assert _q_factorial((1, 1, 1, 1))[0] == ONE
+    assert _q_factorial((2, 2, 0, 0))[0] == q_int(2) * q_int(2)
 
 
 # ---------------------------------------------------------- ring axioms
-
-def test_q_factorial_takes_any_sequence_and_is_memoized():
-    assert q_factorial([2, 1, 0, 3]) is q_factorial((2, 1, 0, 3))
-    assert q_factorial(iter((0, 2, 2, 0))) == q_int(2) * q_int(2)
-
 
 def test_ring_axioms_random():
     rng = random.Random(20240811)
@@ -121,6 +118,14 @@ def test_cyclotomic_small():
     assert cyclotomic(4) == (1, 0, 1)
     assert cyclotomic(6) == (1, -1, 1)
     assert cyclotomic(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_split_builds_each_phi_as_the_reference():
+    # q^m - 1 = prod_{d | m} Phi_d, so its split names every Phi_d once
+    for m in range(1, 61):
+        factors, rest = _cyclotomic_split((-1,) + (0,) * (m - 1) + (1,))
+        assert factors == tuple((cyclotomic(d), 1) for d in range(1, m + 1) if m % d == 0), m
+        assert rest == (1,), m
 
 
 def test_vanishes_examples():

@@ -8,7 +8,7 @@ import pytest
 
 from quadalg.aq import AqElement, center_element
 from quadalg.qcalc import Poly4, compose, mul_z, qdiff, scaling
-from quadalg.ring import LaurentPoly, RatQ, divide_exact, indices_up_to, q_factorial, q_int
+from quadalg.ring import LaurentPoly, RatQ, divide_exact, indices_up_to, q_int
 from quadalg.transform import (
     DualFunctional,
     box_operator,
@@ -19,7 +19,7 @@ from quadalg.transform import (
 )
 
 from oracles import (
-    apply_divided, indicator, is_canonical, mutated, psi_inv, reference_dual,
+    apply_divided, indicator, is_canonical, mutated, psi_inv, q_factorial, reference_dual,
     require_canonical_denominators,
 )
 
