@@ -358,23 +358,30 @@ def vanishes_at_root_of_unity(p: LaurentPoly, m: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=256)
+def _cyclotomic(m: int):
+    """Phi_m, dense ascending, built once from its binomials."""
+    phi = [1]
+    for d, mu in sorted(_cyclotomic_binomials(m), key=lambda b: -b[1]):  # products first
+        phi = _times_binomial(phi, d) if mu > 0 else _over_binomial(phi, d)
+    return tuple(phi)
+
+
 @lru_cache(maxsize=4096)
 def _cyclotomic_split(den):
     """Split a monic dense polynomial as prod Phi_m^e times a rest.
 
-    Returns (((Phi_m, e), ...), rest), each Phi_m dense ascending and
-    built from its binomials.  Tries Phi_m for m <= deg + 2, which
-    finds every factor of a product of q-integers; ``rest`` keeps the
-    others, so it may still hold a cyclotomic factor of higher order.
+    Returns (((Phi_m, e), ...), rest), each Phi_m dense ascending.  Tries
+    Phi_m for m <= deg + 2, which finds every factor of a product of
+    q-integers; ``rest`` keeps the others, so it may still hold a
+    cyclotomic factor of higher order.
     """
     rest = den
     factors = []
     for m in range(1, len(den) + 2):
         if len(rest) == 1:
             break
-        phi = [1]
-        for d, mu in sorted(_cyclotomic_binomials(m), key=lambda b: -b[1]):  # products first
-            phi = _times_binomial(phi, d) if mu > 0 else _over_binomial(phi, d)
+        phi = _cyclotomic(m)
         e = 0
         while len(phi) <= len(rest):
             quo, rem = _dense_divmod(rest, phi)
@@ -382,7 +389,7 @@ def _cyclotomic_split(den):
                 break
             rest, e = quo, e + 1
         if e:
-            factors.append((tuple(phi), e))
+            factors.append((phi, e))
     return tuple(factors), tuple(rest)
 
 

@@ -22,7 +22,7 @@ their normal forms: a reduction that needs more on its own is refused
 with ValueError and the memo cleared, and one that earlier reductions
 leave no room for clears the memo and starts again.
 
-Elements of the full fragment are straightened by ``lin.rewrite`` to (F word)
+Products in the full fragment are straightened in closed form to (F word)
 (K monomial) (E word), with both words reduced to quotient-basis coordinates.
 
 The star action of the mu/nu subalgebra on the quadratic algebra is a
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import _CacheInfo, lru_cache
+from operator import add, mul
 
 from .aq import AqElement
 from .lin import Lin, add_into, add_scaled, rewrite
@@ -325,56 +326,47 @@ def graded_dimension(d: int) -> int:
 
 # ----------------------------------------------------- straightened form
 #
-# Symbols for the straightening engine: ("F", i), ("E", i), ("K", i, e).
-
-_RANK = {"F": 0, "K": 1, "E": 2}
-
-
-def _straighten_step(word):
-    """The leftmost E F, E K or K F pair of a symbol word commuted, or None if there is none."""
-    for idx in range(len(word) - 1):
-        x, y = word[idx], word[idx + 1]
-        if _RANK[x[0]] > _RANK[y[0]]:
-            break
-    else:
-        return None
-    head, tail = word[:idx], word[idx + 2:]
-    swapped = head + (y, x) + tail
-    if "K" in (x[0], y[0]):
-        # E_i K_j^e = q^(-e (a_i, a_j)) K_j^e E_i  and  K_i^e F_j = q^(-e (a_i, a_j)) F_j K_i^e
-        k = -(x[2] if x[0] == "K" else y[2]) * CARTAN[x[1]][y[1]]
-        return [(swapped, RatQ(_Q(k)) if k else None)]
-    if x[1] != y[1]:
-        return [(swapped, None)]
-    # E_i F_i - F_i E_i = (K_i - K_i^-1)/(q - q^-1)
-    i = x[1]
-    return [(swapped, None), (head + (("K", i, 1),) + tail, INV_MU),
-            (head + (("K", i, -1),) + tail, -INV_MU)]
+# A key (f, k, e) stands for F_f K^k E_e.  Each key of a left factor acts
+# on the keys of the right factor (Jantzen, *Lectures on Quantum Groups*,
+# 1996, ch. 1 and 4): its E letters one at a time, last first, by
+#
+#     E_i F_f K^k E_e = q^-(a_i,k) F_f K^k E_(i e) + sum over the p with f_p = i
+#         of F_(f without p) (q^-t K_i - q^t K_i^-1) K^k E_e / (q - q^-1),
+#     t = (a_i, weight of the letters of f after p),
+#
+# then its K monomial and F word in one step, K^x F_f = q^-(x, weight of f) F_f K^x.
 
 
-def _symbols(fw, k, ew):
-    """The symbol word (F word) (K monomial) (E word) of a straightened term."""
-    ks = [("K", i, e) for i, e in enumerate(k) if e]
-    return [("F", i) for i in fw] + ks + [("E", i) for i in ew]
+def _e_times(i, vec):
+    """E_i times the keys (f, k, e) of ``vec`` by the closed form above; F words stay unreduced."""
+    row = CARTAN[i]
+    out = {}
+    for (f, k, e), c in vec.items():
+        t = sum(map(mul, row, k))
+        for ew, ec in _sum_normal_forms([((i,) + e, c * _Q(-t) if t else c)]).items():
+            add_into(out, (f, k, ew), ec)
+        removed = {}  # f without one letter i -> {t: positions}
+        t = 0
+        for p in range(len(f) - 1, -1, -1):
+            if f[p] == i:
+                add_into(removed.setdefault(f[:p] + f[p + 1:], {}), t, 1)
+            t += row[f[p]]
+        if removed:
+            c = c * INV_MU
+            up = k[:i] + (k[i] + 1,) + k[i + 1:]
+            down = k[:i] + (k[i] - 1,) + k[i + 1:]
+            for g, ts in removed.items():
+                add_into(out, (g, up, e), c * LaurentPoly._make({-t: n for t, n in ts.items()}))
+                add_into(out, (g, down, e), -c * LaurentPoly._make(ts))
+    return out
 
 
 def straighten_word(symbols, coeff=None) -> "UqElement":
-    """Normal-order an arbitrary product of generators to F * K * E form."""
-    if coeff is None:
-        coeff = RatQ.one()
-    terms = {}
-    for word, c in rewrite({tuple(symbols): coeff}, _straighten_step).items():
-        k = [0, 0, 0]
-        for s in word:
-            if s[0] == "K":
-                k[s[1]] += s[2]
-        fword = tuple(s[1] for s in word if s[0] == "F")
-        eword = tuple(s[1] for s in word if s[0] == "E")
-        enf = _sum_normal_forms([(eword, _ONE)])
-        for fw, fc in _sum_normal_forms([(fword, c)]).items():
-            for ew, ec in enf.items():
-                add_into(terms, (fw, tuple(k), ew), fc * ec)
-    return UqElement._make(terms)
+    """Normal-order a product of generators to F * K * E form, folding from the right."""
+    out = UqElement.one() if coeff is None else UqElement.one().scale(coeff)
+    for s in reversed(symbols):
+        out = UqElement.generator(s) * out
+    return out
 
 
 class UqElement(Lin):
@@ -421,16 +413,16 @@ class UqElement(Lin):
             return self._scalar_mul(other)
         out = {}
         for (f1, k1, e1), c1 in self.terms.items():
-            for (f2, k2, e2), c2 in other.terms.items():
-                if not e1 and not any(k1):
-                    # pure F times anything needs only the F words' normal form:
-                    # through straighten_word, refusing Fm^5000 takes 4-5x as long
-                    for fw, c in _sum_normal_forms([(f1 + f2, c1 * c2)]).items():
-                        add_into(out, (fw, k2, e2), c)
-                    continue
-                word = _symbols(f1, k1, e1) + _symbols(f2, k2, e2)
-                for key, c in straighten_word(word, c1 * c2).terms.items():
-                    add_into(out, key, c)
+            vec = other.terms
+            for i in reversed(e1):
+                vec = _e_times(i, vec)
+            for (f, k, e), c in vec.items():
+                if any(k1):
+                    t = sum(sum(map(mul, k1, CARTAN[j])) for j in f)
+                    c = c * _Q(-t) if t else c
+                    k = tuple(map(add, k1, k))
+                for fw, fc in _sum_normal_forms([(f1 + f, c1 * c)]).items():
+                    add_into(out, (fw, k, e), fc)
         return UqElement._make(out)
 
     def __rmul__(self, other):

@@ -106,12 +106,19 @@ class TensorSum(Lin):
         return "%s (x) %s" % tuple(UqElement._mon(side) or "1" for side in key)
 
 
+def term_symbols(key):
+    """The symbol word F_f K^k E_e of a straightened key (f, k, e)."""
+    f, k, e = key
+    return ([("F", i) for i in f] + [("K", i, x) for i, x in enumerate(k) if x]
+            + [("E", i) for i in e])
+
+
 def coproduct(x: UqElement) -> TensorSum:
     """The coproduct extended multiplicatively over straightened terms."""
     total = {}
-    for (fw, k, ew), c in x.terms.items():
+    for key, c in x.terms.items():
         cur = TensorSum({((((), (0, 0, 0), ())), (((), (0, 0, 0), ()))): RatQ.one()})
-        for s in uq._symbols(fw, k, ew):
+        for s in term_symbols(key):
             cur = cur * TensorSum.from_pairs(coproduct_pairs(s))
         add_scaled(total, cur.terms, c)
     return TensorSum._make(total)

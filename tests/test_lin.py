@@ -207,6 +207,31 @@ def test_only_lin_defines_a_power_rule():
     assert found == {"lin.Lin"}
 
 
+def rewrite_callers(source):
+    """The functions of ``source`` that call ``rewrite``, bare or as an attribute."""
+    return sorted(
+        f.name for f in ast.walk(ast.parse(source))
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if any(isinstance(n, ast.Call) and _callee(n) == "rewrite" for n in ast.walk(f))
+    )
+
+
+def test_only_the_axis_rewrite_and_the_pbw_rows_run_rewrite():
+    # U_q products are straightened in closed form, not by rewriting symbol words
+    assert rewrite_callers(
+        "def a():\n    rewrite(v, s)\n"
+        "def b():\n    return lin.rewrite(v, s)\n"
+        "def c():\n    rewritten(v)\n"
+        "def d():\n    step = rewrite\n"
+    ) == ["a", "b"]
+    found = {
+        "%s.%s" % (path.stem, name)
+        for path in Path(lin.__file__).parent.glob("*.py")
+        for name in rewrite_callers(path.read_text())
+    }
+    assert found == {"qcalc._axis_normal", "uq._w_pbw_matrix"}
+
+
 @pytest.mark.parametrize("x", [
     Q(1) * 2 - Q(-1),
     AqElement.generator(1) + AqElement.generator(4),

@@ -611,6 +611,17 @@ def test_powers_print_as_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == POWER_DIGEST
 
 
+def test_raising_powers_times_lowering_powers_print_as_pinned():
+    # n = 0..7; the digest was taken when products were straightened by
+    # rewriting symbol words one adjacent swap at a time
+    text = "".join(printed_power(form.format(n=n))
+                   for form in ("Em^{n}*Fm^{n}", "Eb^{n}*Fb^{n}", "En^{n}*Kb*Fn^{n}")
+                   for n in range(8))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8c6d95874dd421da555da76c85a0916123cc6c8c2ba944932da90642b4916dde"
+    )
+
+
 # sha256 of the singular-vector --json outputs of the straightening path,
 # which acted on Verma vectors through UqElement products before the
 # closed-form raising rule replaced it

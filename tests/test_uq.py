@@ -38,6 +38,7 @@ from hopf_oracle import (
     coproduct_pairs,
     counit,
     hopf_star_act,
+    term_symbols,
     w_decompose,
 )
 
@@ -595,17 +596,34 @@ def test_straighten_matches_the_per_path_reference():
             assert straighten_word(word) == reference_straighten(word), word
 
 
+def test_products_of_sums_match_the_per_path_reference():
+    # multi-term left factors with K and E letters act on multi-term right
+    # factors; a term pair has at most 7 letters, as the reference follows
+    # every rewrite path
+    rng = random.Random(27)
+    symbols = sorted(uq.GENERATOR_SYMBOLS.values())
+    scalars = [RatQ.one(), RatQ(Q(1)), RatQ(2 - Q(-2)), INV_MU]
+
+    def element(length, keep):
+        while True:
+            x = sum((straighten_word([rng.choice(symbols) for _ in range(length)],
+                                     rng.choice(scalars)) for _ in range(2)), UqElement.zero())
+            if len(x.terms) > 1 and keep(x):
+                return x
+
+    for _ in range(60):
+        left = element(4, lambda x: any(any(k) and e for _, k, e in x.terms))
+        right = element(3, lambda x: True)
+        want = UqElement.zero()
+        for key1, c1 in left.terms.items():
+            for key2, c2 in right.terms.items():
+                word = term_symbols(key1) + term_symbols(key2)
+                want = want + reference_straighten(word).scale(c1 * c2)
+        assert left * right == want, (left, right)
+
+
 def test_straighten_distinct_indices_commute():
     assert straighten_word([("E", MU), ("F", BETA)]) == Fb * Em
-
-
-def test_plain_swaps_reach_rewrite_with_a_unit_factor():
-    # E_i F_j (i != j) and E_i K_j or K_j F_i with (a_i, a_j) = 0 commute with the factor None
-    em, fb, kn = ("E", MU), ("F", BETA), ("K", NU, 2)
-    assert uq._straighten_step((em, fb)) == [((fb, em), None)]
-    assert uq._straighten_step((em, kn)) == [((kn, em), None)]
-    assert uq._straighten_step((("K", MU, 1), fb)) == [((fb, ("K", MU, 1)), RatQ(Q(1)))]
-    assert uq._straighten_step((em, ("F", MU)))[0] == ((("F", MU), em), None)
 
 
 def test_k_past_f():
