@@ -19,17 +19,19 @@ t_i = q^(-n_i) for the action on z^n, an operator decomposes by shift
 vector alpha - gamma with a Laurent-polynomial "symbol" in t; canonical
 terms are in bijection with (shift, symbol) pairs.  So canonical terms are
 linearly independent: equality of canonical term maps is equality of
-operators, and any terminating rewrite by true identities reaches the
-same canonical term map.
+operators.
 
-Products are brought to canonical form by ``lin.rewrite``, one axis at a
-time, on words of triples (a, e, g), each standing for z^a K^e [d]^g and
-multiplied left to right.  The relations above become three rules:
+Products are put in canonical form one axis at a time, by one closed
+formula (``_axis_normal``).  On z^n the product of two triples, each
+(a, e, g) standing for z^a K^e [d]^g, is
 
-    z K^e [d] = q^e (K^(e-1) - K^(e+1)) / (q - q^-1)   inside a triple;
-    K^e z^a = q^(-e a) z^a K^e  and  [d]^g K^e = q^(-e g) K^e [d]^g
-        merge two leading triples unless a [d] meets a z between them;
-    [d] z = q z [d] + K  where it does.
+    z^a1 K^e1 [d]^g1 o z^a2 K^e2 [d]^g2 :
+        z^n -> q^-(e2 (n-g2) + e1 (n-g2+a2-g1)) prod_{j in S} [n-j]_q z^(n+s)
+
+with s = a1+a2-g1-g2 and S the multiset {0..g2-1} + {g2-a2 .. g2-a2+g1-1}.
+S holds {0..g-1} for g = max(-s, 0): those factors are the [d]^g of the
+canonical triples (max(s, 0), e, g).  With t = q^-n each other factor is
+(q^-j t^-1 - q^j t)/(q - q^-1), so the coefficient of K^e is read off t^e.
 
 Coefficients live in the fraction field Q(q): the canonical form can
 introduce denominators of q - q^-1 even for integer inputs (see the identity
@@ -47,8 +49,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lin import Lin, add_into, rewrite
-from .ring import INV_MU, ZERO4, LaurentPoly, RatQ, as_ratq, mi_check, q_rising
+from .lin import Lin, add_into
+from .ring import ZERO4, LaurentPoly, RatQ, as_ratq, mi_check, q_rising
 
 _Q = LaurentPoly.q
 
@@ -137,7 +139,7 @@ class QOperator(Lin):
         super().__init__(terms)
         out = {}
         for key, c in self.terms.items():
-            _canonical_into(out, c, (key,))
+            _canonical_into(out, c, key)
         self.terms = out
 
     # -- constructors --------------------------------------------------
@@ -204,44 +206,40 @@ class QOperator(Lin):
 # ------------------------------------------------ canonical form
 
 
-def _axis_step(word):
-    """One rewrite of a word of (a, e, g) triples on one axis, or None if it is canonical.
-
-    Each rule lowers, in lexicographic order, the count of [d]-before-z
-    pairs, then the count of z and [d] letters, then the count of triples,
-    so the rewriting terminates.
-    """
-    for i, (a, e, g) in enumerate(word):
-        if a and g:
-            # z K^e [d] = q^e (K^(e-1) - K^(e+1)) / (q - q^-1)
-            head, tail = word[:i], word[i + 1:]
-            f = INV_MU * _Q(e)
-            return [(head + ((a - 1, e - 1, g - 1),) + tail, f),
-                    (head + ((a - 1, e + 1, g - 1),) + tail, -f)]
-    if len(word) < 2:
-        return None
-    (a1, e1, g1), (a2, e2, g2), rest = word[0], word[1], word[2:]
-    if not g1 or not a2:
-        # K^e z^a = q^(-e a) z^a K^e  and  [d]^g K^e = q^(-e g) K^e [d]^g
-        k = e1 * a2 + e2 * g1
-        return [(((a1 + a2, e1 + e2, g1 + g2),) + rest, RatQ(_Q(-k)) if k else None)]
-    # [d] z = q z [d] + K, with q z [d] as the triple (1, 0, 1)
-    left, right = (a1, e1, g1 - 1), (a2 - 1, e2, g2)
-    return [((left, (1, 0, 1), right) + rest, RatQ(_Q(1))),
-            ((left, (0, 1, 0), right) + rest, None)]
-
-
-@lru_cache(maxsize=None)
-def _axis_normal(word):
-    """The canonical form of one axis's word: pairs ((a, e, g), factor), None for a factor 1."""
-    return tuple((w[0], None if c == 1 else c) for w, c in rewrite({word: 1}, _axis_step).items())
+@lru_cache(maxsize=4096)
+def _axis_normal(t1, t2):
+    """The canonical form of t1 o t2 on one axis, by the product formula of the module
+    docstring: pairs ((a, e, g), factor), None for a factor 1."""
+    (a1, e1, g1), (a2, e2, g2) = t1, t2
+    s = a1 + a2 - g1 - g2
+    a, g = max(s, 0), max(-s, 0)
+    rest = list(range(g2)) + list(range(g2 - a2, g2 - a2 + g1))
+    for j in range(g):
+        rest.remove(j)
+    # On z^n, t^(e1+e2) q^(e2 g2 + e1 (g2-a2+g1)) prod_{j in rest} (q^-j t^-1 - q^j t) over
+    # (q - q^-1)^r = q^-r (q^2 - 1)^r, as {(t-exponent, q-exponent): int} over (q^2 - 1)^r
+    r = len(rest)
+    prod = {(e1 + e2, e2 * g2 + e1 * (g2 - a2 + g1) + r): 1}
+    for j in rest:
+        nxt = {}
+        for (e, m), c in prod.items():
+            add_into(nxt, (e - 1, m - j), c)
+            add_into(nxt, (e + 1, m + j), -c)
+        prod = nxt
+    nums = {}  # K^e [d]^g acts on z^n as t^e q^(e g)
+    for (e, m), c in prod.items():
+        nums.setdefault(e, {})[m - e * g] = c
+    den = LaurentPoly({0: -1, 2: 1}) ** r
+    fs = ((e, RatQ._over(LaurentPoly._make(num), den)) for e, num in nums.items())
+    return tuple(((a, e, g), None if f == 1 else f) for e, f in fs)
 
 
-def _canonical_into(out, c, keys):
-    """Add c times the product of the terms ``keys`` (left to right) to ``out``, canonically."""
+def _canonical_into(out, c, left, right=(ZERO4,) * 3):
+    """Add c times the product of the terms ``left`` o ``right`` to ``out``, canonically."""
     parts = [((), (), (), c)]
     for i in range(4):
-        nf = _axis_normal(tuple((k[0][i], k[1][i], k[2][i]) for k in keys))
+        nf = _axis_normal((left[0][i], left[1][i], left[2][i]),
+                          (right[0][i], right[1][i], right[2][i]))
         parts = [
             (al + (a,), de + (e,), ga + (g,), pc if f is None else pc * f)
             for al, de, ga, pc in parts
@@ -256,7 +254,7 @@ def compose(a: QOperator, b: QOperator) -> QOperator:
     out = {}
     for kb, cb in b.terms.items():
         for ka, ca in a.terms.items():
-            _canonical_into(out, ca * cb, (ka, kb))
+            _canonical_into(out, ca * cb, ka, kb)
     return QOperator._make(out)
 
 

@@ -11,9 +11,12 @@ sums ``qcalc.divided_column`` columns into the image of a functional;
 ``cyclotomic`` builds Phi_m by recursive division of q^m - 1, the
 reference for the binomial Phi_m of ``ring``; ``vanishes_by_division`` is
 the long division by Phi_m that the folded binomial test of
-``ring.vanishes_at_root_of_unity`` replaced; and
+``ring.vanishes_at_root_of_unity`` replaced;
 ``require_canonical_denominators`` makes every ``RatQ`` built check that
-its denominator is canonical.
+its denominator is canonical; and ``_axis_step`` is the three-rule rewrite of
+one axis's word of (a, e, g) triples, each z^a K^e [d]^g multiplied left
+to right: on ``lin.rewrite`` it is the oracle of the closed product
+formula ``qcalc._axis_normal`` that replaced it.
 """
 
 from functools import lru_cache
@@ -22,7 +25,7 @@ from quadalg.aq import AqElement
 from quadalg.lin import add_into
 from quadalg.qcalc import QOperator, divided_column
 from quadalg.ring import (
-    LaurentPoly, RatQ, _dense_divmod, _to_dense, indices_up_to, mi_degree, q_int,
+    INV_MU, LaurentPoly, RatQ, _dense_divmod, _to_dense, indices_up_to, mi_degree, q_int,
 )
 from quadalg.transform import DualFunctional
 
@@ -165,3 +168,33 @@ def require_canonical_denominators(monkeypatch):
 
     monkeypatch.setattr(ring, "_cancel", checked)
     return seen
+
+
+_Q = LaurentPoly.q
+
+
+def _axis_step(word):
+    """One rewrite of a word of (a, e, g) triples on one axis, or None if it is canonical.
+
+    Each rule lowers, in lexicographic order, the count of [d]-before-z pairs,
+    then the count of z and [d] letters, then the count of triples, so the
+    rewriting terminates.
+    """
+    for i, (a, e, g) in enumerate(word):
+        if a and g:
+            # z K^e [d] = q^e (K^(e-1) - K^(e+1)) / (q - q^-1)
+            head, tail = word[:i], word[i + 1:]
+            f = INV_MU * _Q(e)
+            return [(head + ((a - 1, e - 1, g - 1),) + tail, f),
+                    (head + ((a - 1, e + 1, g - 1),) + tail, -f)]
+    if len(word) < 2:
+        return None
+    (a1, e1, g1), (a2, e2, g2), rest = word[0], word[1], word[2:]
+    if not g1 or not a2:
+        # K^e z^a = q^(-e a) z^a K^e  and  [d]^g K^e = q^(-e g) K^e [d]^g
+        k = e1 * a2 + e2 * g1
+        return [(((a1 + a2, e1 + e2, g1 + g2),) + rest, RatQ(_Q(-k)) if k else None)]
+    # [d] z = q z [d] + K, with q z [d] as the triple (1, 0, 1)
+    left, right = (a1, e1, g1 - 1), (a2 - 1, e2, g2)
+    return [((left, (1, 0, 1), right) + rest, RatQ(_Q(1))),
+            ((left, (0, 1, 0), right) + rest, None)]

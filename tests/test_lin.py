@@ -127,7 +127,6 @@ UNBOUNDED_MEMOS = {
     "dirac.dirac_parts": "one entry per D+- variant",
     "dirac.dirac_matrix": "one entry per D+- variant",
     "qcalc._divided_factor": "open: grows with the multi-indices an operator meets",
-    "qcalc._axis_normal": "open: grows with the per-axis words of compose",
     "ring.q_int": "open: one entry per q-integer reached",
     "ring.q_rising": "open: one entry per rising q-factorial reached",
     "transform.box_operator": "takes no argument: one operator",
@@ -216,8 +215,9 @@ def rewrite_callers(source):
     )
 
 
-def test_only_the_axis_rewrite_and_the_pbw_rows_run_rewrite():
-    # U_q products are straightened in closed form, not by rewriting symbol words
+def test_only_the_pbw_rows_run_rewrite():
+    # U_q products are straightened and q-difference operators composed in
+    # closed form, not by rewriting words
     assert rewrite_callers(
         "def a():\n    rewrite(v, s)\n"
         "def b():\n    return lin.rewrite(v, s)\n"
@@ -229,7 +229,7 @@ def test_only_the_axis_rewrite_and_the_pbw_rows_run_rewrite():
         for path in Path(lin.__file__).parent.glob("*.py")
         for name in rewrite_callers(path.read_text())
     }
-    assert found == {"qcalc._axis_normal", "uq._w_pbw_matrix"}
+    assert found == {"uq._w_pbw_matrix"}
 
 
 @pytest.mark.parametrize("x", [

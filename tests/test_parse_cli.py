@@ -622,6 +622,18 @@ def test_raising_powers_times_lowering_powers_print_as_pinned():
     )
 
 
+# sha256 of the printed normal forms of a [d] power before a z power on one
+# axis, taken when compose rewrote each axis's word one rule at a time
+@pytest.mark.parametrize("forms,ns,digest", [
+    (("d_1^{n}*z_1^{n}", "z_1^{n}*d_1^{n}*K_1^-2*z_1^{n}", "d_2^{n}*K_2*z_2^{m}"), range(9),
+     "ea35fa20b4436c66f8e98983f96ccf02952b646cc90a08cee58115ca3fdedfe2"),
+    (("d_1^{n}*z_1^{n}",), (24,), "111bddd6127620c7540572624ec7606e23c9073808b68c24cb4cc7d83cc4c087"),
+], ids=["n=0..8", "n=24"])
+def test_same_axis_d_before_z_prints_as_pinned(forms, ns, digest):
+    text = "".join(printed_power(form.format(n=n, m=n + 1)) for form in forms for n in ns)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # sha256 of the singular-vector --json outputs of the straightening path,
 # which acted on Verma vectors through UqElement products before the
 # closed-form raising rule replaced it

@@ -4,10 +4,11 @@ from itertools import product
 
 import pytest
 
-from quadalg.qcalc import Poly4, QOperator, _axis_step, compose, mul_z, qdiff, scaling
+from quadalg.lin import rewrite
+from quadalg.qcalc import Poly4, QOperator, _axis_normal, compose, mul_z, qdiff, scaling
 from quadalg.ring import LaurentPoly, RatQ, divide_exact, indices_up_to, q_int
 
-from oracles import apply_divided
+from oracles import _axis_step, apply_divided
 
 Q = LaurentPoly.q
 MU = Q(1) - Q(-1)
@@ -117,6 +118,21 @@ def test_axis_rules_are_operator_identities():
                             got = _word_action(axis, w, p)
                             want = want + (got if f is None else got.scale(f))
                         assert _word_action(axis, word, p) == want, (rule, axis, word, p)
+
+
+def test_axis_product_formula_matches_the_rewriting_oracle():
+    # every pair of canonical triples with a, g <= 5 and e in -3..3, and every raw triple
+    raw = [(a, e, g) for a in range(6) for e in range(-3, 4) for g in range(6)]
+    pairs = list(product([t for t in raw if not (t[0] and t[2])], repeat=2))
+    assert len(pairs) + len(raw) == 6181
+    for t1, t2 in pairs:
+        want = rewrite({(t1, t2): 1}, _axis_step)
+        got = {(w,): 1 if f is None else f for w, f in _axis_normal(t1, t2)}
+        assert got == want, (t1, t2)
+    for t in raw:
+        want = rewrite({(t,): 1}, _axis_step)
+        got = {(w,): 1 if f is None else f for w, f in _axis_normal(t, (0, 0, 0))}
+        assert got == want, t
 
 
 def _compose_corpus():
