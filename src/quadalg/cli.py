@@ -30,7 +30,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def cmd_normalize(args) -> int:
     kind, value = parse_expression(args.expr)
-    _emit(args, {"kind": kind, "normal_form": str(value)}, str(value))
+    text = str(value)
+    _emit(args, {"kind": kind, "normal_form": text}, text)
     return 0
 
 
@@ -38,7 +39,8 @@ def cmd_mul(args) -> int:
     _, left = parse_expression(args.left)
     _, right = parse_expression(args.right)
     out = combine(left, right, "*", 0)
-    _emit(args, {"kind": KINDS[type(out)], "product": str(out)}, str(out))
+    text = str(out)
+    _emit(args, {"kind": KINDS[type(out)], "product": text}, text)
     return 0
 
 
@@ -48,8 +50,9 @@ def cmd_serre_reduce(args) -> int:
         value = UqElement.one().scale(value)
     elif kind != "uq":
         raise ParseError("serre-reduce expects an expression in Fm/Fn/Fb/Em/En/Eb/K*", 0)
-    payload = {"input": args.expr, "reduced": str(value), "is_zero": not value}
-    _emit(args, payload, "%s\nzero: %s" % (value, not value))
+    text = str(value)
+    payload = {"input": args.expr, "reduced": text, "is_zero": not value}
+    _emit(args, payload, "%s\nzero: %s" % (text, not value))
     return 0
 
 
@@ -69,19 +72,18 @@ def cmd_star(args) -> int:
     symbol = _STAR_SYMBOLS.get(args.k)
     if symbol is None:
         raise ParseError("star generator must be one of %s" % sorted(_STAR_SYMBOLS), 0)
-    result = uq.star_act(symbol, AqElement.generator(args.w))
-    payload = {"k": args.k, "w": args.w, "result": str(result)}
-    _emit(args, payload, str(result))
+    text = str(uq.star_act(symbol, AqElement.generator(args.w)))
+    _emit(args, {"k": args.k, "w": args.w, "result": text}, text)
     return 0
 
 
 def cmd_dual(args) -> int:
     which = args.generator if args.generator == "box" else int(args.generator)
-    closed = transform.right_dual_closed(which)
+    closed = str(transform.right_dual_closed(which))
     ok = transform.verify_dual(which, args.check_degree)
     payload = {
         "generator": str(args.generator),
-        "closed_form": str(closed),
+        "closed_form": closed,
         "check_degree": args.check_degree,
         "oracle_agrees": ok,
     }
@@ -96,11 +98,9 @@ def cmd_dual(args) -> int:
 
 def cmd_dirac(args) -> int:
     matrix = dirac.dirac_matrix(args.which)
-    payload = {
-        "which": args.which,
-        "entries": [[str(matrix[i, j]) for j in (0, 1)] for i in (0, 1)],
-    }
-    _emit(args, payload, str(matrix))
+    entries = [[str(matrix[i, j]) for j in (0, 1)] for i in (0, 1)]
+    text = dirac.MATRIX_TEXT % (*entries[0], *entries[1])
+    _emit(args, {"which": args.which, "entries": entries}, text)
     return 0
 
 
@@ -114,23 +114,24 @@ def cmd_singular_vector(args) -> int:
     vanishing = [v for v in vanishing if lo <= v <= hi]
     x = args.x if args.x is not None else (vanishing[0] if vanishing else lo)
     chosen = next(r for r in reports if r.x == x)
+    e_mu, e_mu_sq, e_nu, e_beta = map(
+        str, (chosen.e_mu, chosen.e_mu_sq, chosen.e_nu, chosen.e_beta)
+    )
+    orders = list(chosen.root_of_unity_orders)
     payload = {
         "x": x,
         "convention": args.convention,
-        "E_mu": str(chosen.e_mu),
-        "E_mu_squared": str(chosen.e_mu_sq),
-        "E_nu": str(chosen.e_nu),
-        "E_beta": str(chosen.e_beta),
+        "E_mu": e_mu,
+        "E_mu_squared": e_mu_sq,
+        "E_nu": e_nu,
+        "E_beta": e_beta,
         "vanishing_x": vanishing,
-        "root_of_unity_orders": list(chosen.root_of_unity_orders),
+        "root_of_unity_orders": orders,
     }
     text = (
         "x = %d (%s convention)\nE_mu:   %s\nE_mu^2: %s\nE_nu:   %s\nE_beta: %s\n"
         "generic vanishing in scan: %s\nroot-of-unity orders: %s"
-        % (
-            x, args.convention, chosen.e_mu, chosen.e_mu_sq, chosen.e_nu,
-            chosen.e_beta, vanishing, list(chosen.root_of_unity_orders),
-        )
+        % (x, args.convention, e_mu, e_mu_sq, e_nu, e_beta, vanishing, orders)
     )
     _emit(args, payload, text)
     return 0

@@ -63,6 +63,10 @@ def _row_times(v, m, act):
     return tuple(act(m[0][j], v[0]) + act(m[1][j], v[1]) for j in (0, 1))
 
 
+# The text form of a 2x2 matrix, from its four entries row by row.
+MATRIX_TEXT = "[[%s | %s]\n [%s | %s]]"
+
+
 class OpMatrix2:
     """A 2x2 matrix of q-difference operators acting on row vectors."""
 
@@ -110,10 +114,7 @@ class OpMatrix2:
         return cls(((op, QOperator.zero()), (QOperator.zero(), op)))
 
     def __str__(self):
-        return "[[%s | %s]\n [%s | %s]]" % (
-            self.entries[0][0], self.entries[0][1],
-            self.entries[1][0], self.entries[1][1],
-        )
+        return MATRIX_TEXT % (*self.entries[0], *self.entries[1])
 
 
 @lru_cache(maxsize=None)

@@ -73,8 +73,8 @@ class Lin:
     Per-class hooks: ``coerce`` converts a coefficient to the scalar type
     and has no default, so every subclass names its own (``as_laurent``,
     ``as_ratq`` or the int-or-Fraction coercion of ``ring``); ``check_key``,
-    when set, validates a monomial key; ``one()`` is the unit ``**`` starts
-    from; ``_mon`` renders a monomial, with the empty string for the unit
+    when set, validates a monomial key; ``one()`` is the unit, the zeroth
+    power; ``_mon`` renders a monomial, with the empty string for the unit
     monomial, and a class whose terms print differently overrides
     ``_term``.  Instances are immutable by convention.
     """
@@ -150,12 +150,13 @@ class Lin:
         return self.scale(c)
 
     def __pow__(self, n: int):
-        """n >= 0 products by ``self`` from ``one()``, not repeated squaring: squaring
-        a many-term noncommutative element costs more than n products by a generator."""
+        """``one()`` for n = 0, else n - 1 products by ``self`` from ``self``; not
+        repeated squaring, which costs more on a many-term noncommutative element
+        than n products by a generator."""
         if n < 0:
             raise ValueError("negative powers are not defined, got %d" % n)
-        out = self.one()
-        for _ in range(n):
+        out = self if n else self.one()
+        for _ in range(n - 1):
             out = out * self
         return out
 

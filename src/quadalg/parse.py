@@ -22,8 +22,10 @@ order and only normal-ordered by the algebra itself.
 
 A parse value is the element itself, and its type names its family
 (``KINDS``): ``RatQ`` for a scalar, ``AqElement``, ``UqElement`` or
-``QOperator``.  ``combine`` applies one binary operator, promoting a
-scalar into the other operand's family.
+``QOperator``.  ``combine`` applies one binary operator.  A scalar times
+an element scales it (scalars are central, so that is the product with
+the promoted scalar); for ``+`` and ``-`` a scalar is promoted into the
+other operand's family.
 """
 
 from __future__ import annotations
@@ -61,12 +63,9 @@ def _tokenize(text):
             if not stripped:
                 break
             raise ParseError("unknown symbol %r" % stripped[:8], pos)
-        if m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        elif m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        val = m.group(kind)
+        tokens.append((kind, int(val) if kind == "int" else val, m.start(kind)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -101,6 +100,9 @@ def combine(a, b, op: str, pos: int):
         return a + b if op == "+" else a - b if op == "-" else a * b
     if op == "/":
         raise ParseError("division is defined between scalars only", pos)
+    if op == "*" and RatQ in (type(a), type(b)):
+        s, x = (a, b) if type(a) is RatQ else (b, a)
+        return x.scale(s.to_laurent() if type(x) is AqElement else s)
     kind = KINDS[type(a) if type(a) is not RatQ else type(b)]
     a = _promote(a, kind, pos)
     b = _promote(b, kind, pos)

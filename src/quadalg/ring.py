@@ -17,7 +17,7 @@ type has one coercion, next to it: ``as_laurent`` (int and Fraction
 become constants) and ``as_ratq`` (int, Fraction and LaurentPoly become
 x/1).  Element classes name one of them as their ``coerce``, and the
 arithmetic dunders use them too, returning NotImplemented for any other
-operand type.
+operand type.  A product with a one-term factor is a shift and scale.
 
 Also provides the q-combinatorics ([n]_q, q-factorials of multi-indices)
 and one definition of Phi_m: the binomials q^d - 1 of the Moebius identity
@@ -31,7 +31,10 @@ The cancel rule below builds each Phi_m it divides by from them.
 monic, of valuation 0, with q-power units in the numerator.  A product of
 canonical denominators is canonical, so sums and products, and ``psi`` and
 ``apply`` downstream, build their results with ``RatQ._over``, which only
-cancels; ``RatQ(num, den)`` and quotients normalise den first.
+cancels; ``RatQ(num, den)`` and quotients normalise den first.  A
+canonical den of one term is 1, so a product of two such fractions is
+the product of the numerators over 1, with nothing to cancel, and
+``RatQ.one()`` is one shared instance: no RatQ is ever mutated.
 Denominators are products of q-integers, and [n]_q = q^(1-n) prod_{d | 2n,
 d > 2} Phi_d(q), so it cancels over cyclotomic factors rather than by
 Euclid over Q: a monomial numerator shares no factor with a denominator
@@ -49,7 +52,7 @@ from functools import lru_cache, wraps
 from itertools import chain, repeat
 from operator import sub
 
-from .lin import Lin, add_into
+from .lin import Lin
 
 
 class ExactDivisionError(ArithmeticError):
@@ -148,11 +151,20 @@ class LaurentPoly(Lin):
 
     @_coerced(as_laurent)
     def __mul__(self, other) -> "LaurentPoly":
+        a, b = self.terms, other.terms
         out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                add_into(out, k1 + k2, c1 * c2)
-        return LaurentPoly._make(out)
+        if len(a) == 1 or len(b) == 1:  # a shift and scale: no two products meet
+            for k1, c1 in a.items():
+                for k2, c2 in b.items():
+                    out[k1 + k2] = c1 * c2
+            return LaurentPoly._make(out)
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                c = get(k)
+                out[k] = c1 * c2 if c is None else c + c1 * c2
+        return LaurentPoly._make({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -193,7 +205,7 @@ class LaurentPoly(Lin):
 # -- q-combinatorics ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def q_int(n: int) -> LaurentPoly:
     """The symmetric q-integer (q^n - q^-n)/(q - q^-1) = q^(n-1) + q^(n-3) + ... + q^(1-n)."""
     if n < 0:
@@ -201,7 +213,7 @@ def q_int(n: int) -> LaurentPoly:
     return LaurentPoly({n - 1 - 2 * i: 1 for i in range(n)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def q_rising(n: int, a: int) -> LaurentPoly:
     """The rising q-factorial [n+1]_q [n+2]_q ... [n+a]_q = [n+a]_q!/[n]_q!."""
     if n < 0 or a < 0:
@@ -459,7 +471,8 @@ class RatQ:
 
     @classmethod
     def one(cls) -> "RatQ":
-        return cls(1)
+        """The one shared unit 1/1."""
+        return _RATQ_ONE
 
     def __bool__(self):
         return bool(self.num)
@@ -496,6 +509,10 @@ class RatQ:
 
     @_coerced(as_ratq)
     def __mul__(self, other):
+        if len(self.den.terms) == len(other.den.terms) == 1:  # both dens are 1
+            out = object.__new__(RatQ)
+            out.num, out.den = self.num * other.num, self.den
+            return out
         return RatQ._over(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -527,6 +544,7 @@ class RatQ:
         return "RatQ(%s)" % self
 
 
+_RATQ_ONE = RatQ(1)
 INV_MU = RatQ(1, LaurentPoly.q(1) - LaurentPoly.q(-1))  # 1/(q - q^-1)
 
 

@@ -383,21 +383,21 @@ class UqElement(Lin):
 
     @classmethod
     def one(cls):
-        return cls({((), (0, 0, 0), ()): RatQ.one()})
+        return cls._make({((), (0, 0, 0), ()): RatQ.one()})
 
     @classmethod
     def f_gen(cls, i):
-        return cls({((i,), (0, 0, 0), ()): RatQ.one()})
+        return cls._make({((i,), (0, 0, 0), ()): RatQ.one()})
 
     @classmethod
     def e_gen(cls, i):
-        return cls({((), (0, 0, 0), (i,)): RatQ.one()})
+        return cls._make({((), (0, 0, 0), (i,)): RatQ.one()})
 
     @classmethod
     def k_gen(cls, i, power=1):
         k = [0, 0, 0]
         k[i] = power
-        return cls({((), tuple(k), ()): RatQ.one()})
+        return cls._make({((), tuple(k), ()): RatQ.one()})
 
     @classmethod
     def generator(cls, symbol):

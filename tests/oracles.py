@@ -16,7 +16,9 @@ the long division by Phi_m that the folded binomial test of
 its denominator is canonical; and ``_axis_step`` is the three-rule rewrite of
 one axis's word of (a, e, g) triples, each z^a K^e [d]^g multiplied left
 to right: on ``lin.rewrite`` it is the oracle of the closed product
-formula ``qcalc._axis_normal`` that replaced it.
+formula ``qcalc._axis_normal`` that replaced it; ``laurent_product`` is
+the product of two Laurent polynomials term by term, with no shortcut for
+a one-term factor, the reference for ``LaurentPoly.__mul__``.
 """
 
 from functools import lru_cache
@@ -198,3 +200,12 @@ def _axis_step(word):
     left, right = (a1, e1, g1 - 1), (a2 - 1, e2, g2)
     return [((left, (1, 0, 1), right) + rest, RatQ(_Q(1))),
             ((left, (0, 1, 0), right) + rest, None)]
+
+
+def laurent_product(a, b):
+    """The terms of a * b: every pair of terms, each added into the sum."""
+    out = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            add_into(out, k1 + k2, c1 * c2)
+    return out

@@ -127,8 +127,6 @@ UNBOUNDED_MEMOS = {
     "dirac.dirac_parts": "one entry per D+- variant",
     "dirac.dirac_matrix": "one entry per D+- variant",
     "qcalc._divided_factor": "open: grows with the multi-indices an operator meets",
-    "ring.q_int": "open: one entry per q-integer reached",
-    "ring.q_rising": "open: one entry per rising q-factorial reached",
     "transform.box_operator": "takes no argument: one operator",
     "transform.dual_w1_parts": "takes no argument: one pair of operators",
     "transform.right_dual_closed": "one entry per closed dual, five in all",

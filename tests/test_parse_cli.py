@@ -159,6 +159,65 @@ def test_negative_k_powers():
     assert value == UqElement.one()
 
 
+@pytest.mark.parametrize("text, products", [
+    ("w1", 0), ("Fm", 0), ("d_1", 0), ("K_1^-1", 0), ("2*Fm", 0), ("Fm*(q - q^-1)", 0),
+    ("(q^2 + 1)*w1", 0), ("Fm^3", 2), ("w1^2", 1), ("d_1^3", 2), ("2*d_1*3", 0),
+])
+def test_parsing_takes_no_product_by_the_unit(text, products, monkeypatch):
+    # a symbol is built as it is and a scalar factor scales: only a power's
+    # n - 1 products and the products the input writes remain
+    from quadalg import parse, qcalc
+
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(fn) or fn(*args)
+
+    monkeypatch.setattr(AqElement, "__mul__", counted(AqElement.__mul__))
+    monkeypatch.setattr(UqElement, "__mul__", counted(UqElement.__mul__))
+    monkeypatch.setattr(qcalc, "compose", counted(qcalc.compose))
+    monkeypatch.setattr(parse, "compose", qcalc.compose)
+    value = parse_expression(text)[1]
+    assert len(calls) == products
+    monkeypatch.undo()
+    assert value == parse_expression(text)[1]
+
+
+SCALAR_FACTORS = ("2", "(q - q^-1)", "(q^2 + 1)", "(q + 1/2)", "(q^-3)", "(0)")
+NON_LAURENT_FACTORS = ("((q)/(q^2 + 1))", "(1/(q + 1))")
+
+
+@pytest.mark.parametrize("family, elements", [
+    ("aq", ("w4*w1", "w1 + w2^2*w3", "w4^3")),
+    ("uq", ("Em*Fm", "Fn*Fb - (q)*Fb*Fn", "Kb^-1*En + Fm^2")),
+    ("op", ("d_1*z_1", "K_2 K_3 d_1 d_4 - (q) d_2 d_3", "z_2^2*K_2^-1")),
+])
+def test_a_scalar_factor_scales_as_its_promotion_multiplies(family, elements):
+    # scalars are central: scaling an element equals the product with the
+    # scalar promoted into its family, with the scalar on either side
+    from quadalg.parse import _promote, combine
+
+    scalars = SCALAR_FACTORS + (NON_LAURENT_FACTORS if family != "aq" else ())
+    for s in (parse_expression(text)[1] for text in scalars):
+        for x in (parse_expression(text)[1] for text in elements):
+            promoted = _promote(s, family, 0)
+            for got, want in ((combine(s, x, "*", 0), promoted * x),
+                              (combine(x, s, "*", 0), x * promoted)):
+                assert type(got) is type(want) and got == want, (s, x)
+                assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("argv, scalar", [
+    (("normalize", "((q)/(q^2 + 1))*w1"), "(q)/(q^2 + 1)"),
+    (("normalize", "w1*(1/(q + 1))"), "(1)/(q + 1)"),
+    (("mul", "(1/(q + 1))", "w2"), "(1)/(q + 1)"),
+    (("mul", "w2", "((q)/(q^2 + 1))"), "(q)/(q^2 + 1)"),
+])
+def test_a_non_laurent_scalar_times_a_w_symbol_exits_2(argv, scalar, capsys):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr() == ("", "error: not a Laurent polynomial: %s\n" % scalar)
+
+
 # ------------------------------------------------- print/parse roundtrip
 
 def rand_aq(rng):
@@ -786,3 +845,97 @@ def test_generator_names_come_from_one_table(capsys):
     assert main(["star", "--k", "Fb", "--w", "1"]) == 2
     names = "['Em', 'En', 'Fm', 'Fn', 'Km', 'Km^-1', 'Kn', 'Kn^-1']"
     assert "star generator must be one of %s" % names in capsys.readouterr().err
+
+
+# ------------------------------------------------ a pinned request stream
+
+_STREAM_SCALARS = ("2", "3", "(q - q^-1)", "(q^2 + 1)", "(q^-1)", "(1 - q^-2)",
+                   "(q + 1/2)", "1/2", "(2.q)", "q^2")
+_STREAM_SYMBOLS = {
+    "aq": ("w1", "w2", "w3", "w4"),
+    "uq": ("Fm", "Fn", "Fb", "Em", "En", "Eb", "Km", "Kn", "Kb", "Km^-1", "Kn^-1", "Kb^-1"),
+    "op": tuple("%s_%d" % (s, i) for s in "dKz" for i in (1, 2, 3, 4))
+    + ("K_1^-1", "K_2^-1", "K_3^-1", "K_4^-1"),
+}
+# the README's scalar-only and mixed-sign forms, zeroth powers, K^-1 and
+# scalars that are not Laurent polynomials, each in the family it reaches
+_STREAM_FIXED = (
+    ("normalize", "(q + 1/2)"), ("normalize", "1/2"), ("normalize", "(2.q)"),
+    ("normalize", "q^-3"), ("normalize", "-(q - q^-1)*2"), ("normalize", "w1 * -w2"),
+    ("normalize", "w1 + -w2"), ("normalize", "--w1"), ("normalize", "1/2*w1"),
+    ("normalize", "-Fm * -(q)Fb"), ("normalize", "Kb^-1 * Kb"), ("normalize", "K_4^-2"),
+    ("normalize", "w1^0"), ("normalize", "Fm^0*2"), ("normalize", "3*d_1^0"),
+    ("mul", "2", "w1"), ("mul", "w1", "(q)"), ("mul", "(1/2)", "(q)"),
+    ("mul", "(q - q^-1)", "Fm^2"), ("mul", "d_2^3", "(q^2 + 1)"),
+    ("serre-reduce", "3"), ("serre-reduce", "(q + 1/2)"),
+    ("serre-reduce", "Fn*Fb - (q)*Fb*Fn"), ("normalize", "((q)/(q^2 + 1))*Fm"),
+    ("normalize", "d_1*(1/(q + 1))"), ("normalize", "((q)/(q^2 + 1))*w1"),
+    ("mul", "w1", "(1/(q + 1))"), ("normalize", "Fm^3"), ("normalize", "d_1^3*z_1^3"),
+)
+
+
+def _stream_factor(rng, family):
+    if rng.random() < 0.25:
+        return rng.choice(_STREAM_SCALARS)
+    symbol = rng.choice(_STREAM_SYMBOLS[family])
+    if "^" not in symbol and rng.random() < 0.3:
+        symbol += "^%d" % rng.randint(0, 3)
+    return symbol
+
+
+def _stream_product(rng, family, lo, hi):
+    return rng.choice(("*", ".", " ")).join(
+        _stream_factor(rng, family) for _ in range(rng.randint(lo, hi))
+    )
+
+
+def _stream_expression(rng, family):
+    out = _stream_product(rng, family, 1, 4)
+    for _ in range(rng.randint(0, 2)):
+        out += rng.choice((" + ", " - ", " + -")) + _stream_product(rng, family, 1, 3)
+    return out
+
+
+def request_stream(seed=29, n=300):
+    """The seeded stream: the fixed forms, then random requests of every kind.
+
+    Each argv asks for --json; a ``--`` before the expressions lets them
+    start with a sign.
+    """
+    rng = random.Random(seed)
+    out = [list(r) for r in _STREAM_FIXED]
+    for _ in range(n):
+        kind = rng.choice(("normalize", "mul", "serre-reduce", "star", "dual"))
+        if kind == "normalize":
+            out.append(["normalize", _stream_expression(rng, rng.choice(("aq", "uq", "op")))])
+        elif kind == "mul":
+            family = rng.choice(("aq", "uq", "op"))
+            out.append(["mul", _stream_product(rng, family, 1, 3),
+                        _stream_product(rng, family, 1, 3)])
+        elif kind == "serre-reduce":
+            factor = lambda: rng.choice(_STREAM_SCALARS + ("Fm", "Fn", "Fb", "Fm^2", "Fn^3"))
+            terms = ("*".join(factor() for _ in range(rng.randint(1, 5)))
+                     for _ in range(rng.randint(1, 3)))
+            out.append(["serre-reduce", rng.choice((" + ", " - ")).join(terms)])
+        elif kind == "star":
+            k = rng.choice(("Fm", "Em", "Km", "Km^-1", "Fn", "En", "Kn", "Kn^-1"))
+            out.append(["star", "--k", k, "--w", str(rng.randint(1, 4))])
+        else:
+            out.append(["dual", "--generator", rng.choice(("1", "2", "3", "4", "box")),
+                        "--check-degree", str(rng.randint(1, 3))])
+    return [[cmd, "--json"] + ([] if cmd in ("star", "dual") else ["--"]) + rest
+            for cmd, *rest in out]
+
+
+# sha256 of the exit codes, --json outputs and errors of ``request_stream()``,
+# taken when every symbol was built as a product with the unit and every
+# scalar factor was promoted to an element before its product
+REQUEST_STREAM_DIGEST = "82d06bf18a312112b62ca09bfb4108eb5d0c5c95c134d3c63a6c8bab42c1554d"
+
+
+def test_request_stream_prints_as_pinned(capsys):
+    text = []
+    for argv in request_stream():
+        code, out = run_cli(*argv)
+        text.append("%s %d\n%s%s" % (argv, code, out, capsys.readouterr().err))
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == REQUEST_STREAM_DIGEST

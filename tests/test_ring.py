@@ -16,11 +16,13 @@ from quadalg.ring import (
     divide_exact,
     laurent_gcd,
     q_int,
+    q_rising,
     vanishes_at_root_of_unity,
 )
 
 from oracles import (
-    cyclotomic, is_canonical, q_factorial, require_canonical_denominators, vanishes_by_division,
+    cyclotomic, is_canonical, laurent_product, q_factorial, require_canonical_denominators,
+    vanishes_by_division,
 )
 
 Q = LaurentPoly.q
@@ -529,3 +531,61 @@ def test_sums_and_products_over_canonical_denominators_are_in_lowest_terms(monke
             assert (q.num, q.den) == reference_ratq(x.num * y.den, x.den * y.num), (x, y)
         assert is_canonical((-x).den)
     assert len(seen) > len(xs) // 5
+
+
+# ------------------------------------------- products with a unit or a monomial
+
+
+def laurent_product_corpus(seed=2029):
+    """Pairs of Laurent polynomials: a one-term factor on either side of a
+    many-term one, two many-term factors, and zero; int and Fraction
+    coefficients, exponents of both signs."""
+    rng = random.Random(seed)
+
+    def coefficient():
+        if rng.random() < 0.5:
+            return rng.choice((-3, -1, 1, 2, 5))
+        return Fraction(rng.choice((-5, -1, 1, 3)), rng.randint(2, 4))
+
+    def poly(nterms):
+        return LaurentPoly({rng.randint(-6, 6): coefficient() for _ in range(nterms)})
+
+    pairs = [(LaurentPoly.zero(), poly(3)), (poly(1), LaurentPoly.zero()),
+             (LaurentPoly.zero(), LaurentPoly.zero()), (ONE, ONE)]
+    for _ in range(150):
+        one_term, many = poly(1), poly(rng.randint(2, 7))
+        pairs += [(one_term, many), (many, one_term), (one_term, poly(1)),
+                  (poly(rng.randint(2, 5)), poly(rng.randint(2, 5)))]
+    return pairs
+
+
+def test_laurent_products_match_the_term_by_term_reference():
+    pairs = laurent_product_corpus()
+    assert sum(len(a.terms) == 1 or len(b.terms) == 1 for a, b in pairs) > 300
+    assert any(isinstance(c, Fraction) for a, _ in pairs for c in a.terms.values())
+    for a, b in pairs:
+        got = a * b
+        assert got.terms == laurent_product(a, b), (a, b)
+        assert 0 not in got.terms.values()
+        assert str(got) == str(LaurentPoly._make(laurent_product(a, b)))
+
+
+def test_products_of_fractions_over_one_match_the_canceling_product():
+    for a, b in laurent_product_corpus()[::3]:
+        got = RatQ(a) * RatQ(b)
+        want = RatQ._over(LaurentPoly._make(laurent_product(a, b)), ONE)
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms), (a, b)
+        assert got.den.terms == {0: 1} and got == a * b
+
+
+def test_the_unit_fraction_is_shared_and_unchanged_by_use():
+    one = RatQ.one()
+    assert one is RatQ.one() and (one.num.terms, one.den.terms) == ({0: 1}, {0: 1})
+    x = RatQ(Q(1) + 2, Q(2) + ONE)
+    assert one * x == x == x * one and one + x == x + 1
+    assert (one.num.terms, one.den.terms) == ({0: 1}, {0: 1})
+
+
+def test_q_integer_memos_are_bounded():
+    for memo in (q_int, q_rising):
+        assert memo.cache_info().maxsize == 4096
