@@ -33,7 +33,7 @@ GENERATORS = (1, 2, 3, 4)
 _UNITS = {i: {tuple(int(j == i) for j in GENERATORS): LaurentPoly.one()} for i in GENERATORS}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _d_past_a(m, n):
     """The coefficients of w1^(n-k) w2^k w3^k w4^(m-k) in w4^m w1^n, for k = 0..min(m, n)."""
     # c_k = [m k]_q [n k]_q [k]_q! by the ratio c_k / c_(k-1) = [m-k+1]_q [n-k+1]_q / [k]_q
@@ -68,9 +68,14 @@ def reduce_word(word):
 
 
 class AqElement(Lin):
-    """A linear combination of normal-ordered monomials with Laurent coefficients."""
+    """A linear combination of normal-ordered monomials with Laurent coefficients.
 
-    __slots__ = ()
+    The slot ``_hash`` is filled on first use by ``__hash__``: an element
+    keys the memoised product tables of ``transform``, so it is hashed
+    once, not once per lookup.
+    """
+
+    __slots__ = ("_hash",)
     coerce = staticmethod(as_laurent)
     check_key = staticmethod(mi_check)
 
@@ -99,6 +104,13 @@ class AqElement(Lin):
 
     def __rmul__(self, other):
         return self._scalar_mul(other)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = Lin.__hash__(self)
+            return self._hash
 
     def degrees(self):
         return sorted({sum(g) for g in self.terms})

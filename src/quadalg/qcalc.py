@@ -40,6 +40,10 @@ coefficients, and they act on functionals in the divided basis
 e_beta = z^beta / [beta]_q! without leaving Z[q, q^-1]: the one divided
 action, ``divided_column``, gives the image of e_beta as a sparse column,
 and a functional's image is the sum of its values times their columns.
+Both it and ``QOperator.apply`` shift a term's coefficient by q^(-delta.n)
+first and then multiply by the bounded ``ring.q_rising`` memo on the axes
+that raise or lower a power, so no factor table grows with the indices
+met.
 An operator converts its coefficients to Laurent form once
 (``laurent_terms``), so the oracle sweeps read one column per index with
 no conversion.
@@ -51,8 +55,6 @@ from functools import lru_cache
 
 from .lin import Lin, add_into
 from .ring import ZERO4, LaurentPoly, RatQ, as_ratq, mi_check, q_rising
-
-_Q = LaurentPoly.q
 
 
 # ------------------------------------------------------------ Poly4
@@ -84,14 +86,18 @@ class Poly4(Lin):
 # ------------------------------------------------- action factors
 
 
-@lru_cache(maxsize=None)
-def _divided_factor(n, alpha, delta) -> LaurentPoly:
-    """prod_i [n_i+alpha_i]!/[n_i]! * q^(-delta.n): z^alpha K^delta on e_n, in e_(n+alpha)."""
-    out = _Q(-(delta[0] * n[0] + delta[1] * n[1] + delta[2] * n[2] + delta[3] * n[3]))
-    for m, a in zip(n, alpha):
-        if a:
-            out = out * q_rising(m, a)
-    return out
+def _shift(c: LaurentPoly, delta, n) -> LaurentPoly:
+    """c q^(-delta.n): the action of K^delta on z^n."""
+    e = delta[0] * n[0] + delta[1] * n[1] + delta[2] * n[2] + delta[3] * n[3]
+    return LaurentPoly._make({p - e: v for p, v in c.terms.items()}) if e else c
+
+
+def _times_rising(c: LaurentPoly, n, a) -> LaurentPoly:
+    """c prod_i [n_i+a_i]!/[n_i]!, one bounded ``q_rising`` per axis with a_i > 0."""
+    for m, k in zip(n, a):
+        if k:
+            c = c * q_rising(m, k)
+    return c
 
 
 def divided_column(terms, beta) -> dict:
@@ -108,7 +114,7 @@ def divided_column(terms, beta) -> dict:
         if min(n) < 0:
             continue
         target = (n[0] + alpha[0], n[1] + alpha[1], n[2] + alpha[2], n[3] + alpha[3])
-        add_into(out, target, c * _divided_factor(n, alpha, delta))
+        add_into(out, target, _times_rising(_shift(c, delta, n), n, alpha))
     return out
 
 
@@ -177,7 +183,7 @@ class QOperator(Lin):
                     continue
                 # z^alpha K^delta [d]^gamma z^beta = [beta]!/[n]! q^(-delta.n) z^(n+alpha)
                 target = (n[0] + alpha[0], n[1] + alpha[1], n[2] + alpha[2], n[3] + alpha[3])
-                num = c.num * pc.num * _divided_factor(n, gamma, delta)
+                num = _times_rising(_shift(c.num, delta, n) * pc.num, n, gamma)
                 add_into(out, target, RatQ._over(num, c.den * pc.den))
         return Poly4._make(out)
 

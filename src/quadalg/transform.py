@@ -26,12 +26,16 @@ comes from ``qcalc.divided_column``, the one divided action (which psi,
 a bijection, ties to ``apply`` on the polynomials Psi_f), so no Q(q)
 arithmetic is needed;
 ``first_column_failure`` runs it for one side per dual or matrix entry.
-The brute-force side forms each product w^gamma w0 once per process with
-the normal-ordering engine and keeps it transposed, per degree of gamma;
-a sweep looks those tables up once per degree and reads each column off
-them, and a dual on a functional reads its values off the columns of the
-functional's support.  The closed forms are built once per process as
-well; verdicts never are.
+The brute-force side keeps right multiplication by w0 transposed, one
+table per degree of gamma, built once per process.  Only the products
+w^gamma w0 with gamma_1 = 0 go through the normal-ordering engine; every
+other row is the table one degree down shifted by e1 in gamma and delta,
+since w1 leads the normal order and w1 w^delta = w^(delta + e1) applies
+no relation.  A sweep asks for the degrees in ascending order, so each
+table reads the one below it from the memo.  A sweep looks the tables up
+once per degree and reads each column off them, and a dual on a
+functional reads its values off the columns of the functional's support.
+The closed forms are built once per process as well; verdicts never are.
 """
 
 from __future__ import annotations
@@ -92,12 +96,24 @@ def _right_mul_transpose(w0: AqElement, degree: int):
     """Right multiplication by w0 on the monomials of one degree, transposed.
 
     Maps each w^delta to the pairs (gamma, c), deg gamma = degree, where c
-    is the coefficient of w^delta in w^gamma w0.
+    is the coefficient of w^delta in w^gamma w0, with the gammas in
+    ``all_indices`` order.  Only the rows with gamma_1 = 0 are products in
+    the algebra.  Every other row is the table of degree - 1 shifted by e1
+    in both gamma and delta: w^gamma = w1 w^(gamma - e1), and w1 w^delta =
+    w^(delta + e1) because w1 leads the normal order, so the shift applies
+    no relation.
     """
     table = {}
     for gamma in all_indices(degree):
+        if gamma[0]:  # lexicographic: the gamma_1 = 0 rows come first
+            break
         for delta, c in (AqElement._make({gamma: LaurentPoly.one()}) * w0).terms.items():
             table.setdefault(delta, []).append((gamma, c))
+    if degree:
+        for (a, b, c, d), pairs in _right_mul_transpose(w0, degree - 1).items():
+            table.setdefault((a + 1, b, c, d), []).extend(
+                ((g[0] + 1, g[1], g[2], g[3]), x) for g, x in pairs
+            )
     return {delta: tuple(pairs) for delta, pairs in table.items()}
 
 
@@ -105,9 +121,8 @@ def right_dual_bruteforce(w0: AqElement):
     """The operator f -> (g: g(w^gamma) = f(w^gamma w0)), computed in the algebra.
 
     Returns a callable on DualFunctional.  Right multiplication by w0 is
-    evaluated with the normal-ordering engine, each product w^gamma w0
-    once per process; g is summed from the transposed products over the
-    support of f only.
+    read off the transposed tables of ``_right_mul_transpose``, built
+    once per process; g is summed from them over the support of f only.
     """
     degrees = w0.degrees()
 

@@ -1,7 +1,10 @@
 """Oracles and helpers shared by the test modules.
 
 ``reference_dual`` is the per-index brute-force dual that the transposed
-tables of ``transform.right_dual_bruteforce`` replaced; ``psi_inv`` inverts
+tables of ``transform.right_dual_bruteforce`` replaced;
+``reference_transpose`` builds one such table with a product for every
+index, the reference for the shifted rows of
+``transform._right_mul_transpose``; ``psi_inv`` inverts
 ``transform.psi``; ``expected_beta_obstruction`` is the predicted beta
 obstruction of ``verma.singular_test``; ``apply_divided``
 sums ``qcalc.divided_column`` columns into the image of a functional;
@@ -27,7 +30,8 @@ from quadalg.aq import AqElement
 from quadalg.lin import add_into
 from quadalg.qcalc import QOperator, divided_column
 from quadalg.ring import (
-    INV_MU, LaurentPoly, RatQ, _dense_divmod, _to_dense, indices_up_to, mi_degree, q_int,
+    INV_MU, LaurentPoly, RatQ, _dense_divmod, _to_dense, all_indices, indices_up_to, mi_degree,
+    q_int,
 )
 from quadalg.transform import DualFunctional
 
@@ -47,6 +51,16 @@ def reference_dual(w0):
         return DualFunctional(out)
 
     return act
+
+
+def reference_transpose(w0, degree):
+    """Right multiplication by w0 on the monomials of one degree, transposed:
+    {delta: ((gamma, c), ...)}, one product w^gamma w0 for every gamma."""
+    table = {}
+    for gamma in all_indices(degree):
+        for delta, c in (AqElement.monomial(gamma) * w0).terms.items():
+            table.setdefault(delta, []).append((gamma, c))
+    return {delta: tuple(pairs) for delta, pairs in table.items()}
 
 
 def q_factorial(gamma):

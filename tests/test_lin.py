@@ -122,11 +122,9 @@ def test_no_module_keeps_an_unused_import():
 # Memos with no bound, each with the reason it may stay unbounded.  Those
 # that grow with the input are open under ROADMAP item 7; no new one may join.
 UNBOUNDED_MEMOS = {
-    "aq._d_past_a": "open: grows with the w-exponents of the products",
     "cli._shared_parser": "takes no argument: one parser",
     "dirac.dirac_parts": "one entry per D+- variant",
     "dirac.dirac_matrix": "one entry per D+- variant",
-    "qcalc._divided_factor": "open: grows with the multi-indices an operator meets",
     "transform.box_operator": "takes no argument: one operator",
     "transform.dual_w1_parts": "takes no argument: one pair of operators",
     "transform.right_dual_closed": "one entry per closed dual, five in all",

@@ -20,7 +20,7 @@ from quadalg.transform import (
 
 from oracles import (
     apply_divided, indicator, is_canonical, mutated, psi_inv, q_factorial, reference_dual,
-    require_canonical_denominators,
+    reference_transpose, require_canonical_denominators,
 )
 
 Q = LaurentPoly.q
@@ -169,12 +169,28 @@ def test_each_product_is_formed_once_per_process(monkeypatch):
 
     transform._right_mul_transpose.cache_clear()
     monkeypatch.setattr(AqElement, "__mul__", counting)
-    # w^gamma w_i for the four generators and every gamma of degree <= 3
+    # w^gamma w_i for the four generators and every gamma of degree <= 3 with
+    # gamma_1 = 0: 20 of them; the other rows are shifted tables
     assert intertwine_check(4, "plus") and intertwine_check(4, "minus")
-    assert count[0] == 4 * len(indices_up_to(3))
+    assert count[0] == 4 * 20 == 80
+    # the generators' tables of degree 4 (15 rows each) and the center's to degree 3
     for which in (1, 2, 3, 4, "box"):
         assert verify_dual(which, 5)
-    assert count[0] == 4 * len(indices_up_to(4)) + len(indices_up_to(3))
+    assert count[0] == 80 + 4 * 15 + 20 == 160
+
+
+@pytest.mark.parametrize("which", [1, 2, 3, 4, "box"])
+def test_shifted_tables_equal_the_per_index_products(which):
+    from quadalg import transform
+
+    w0 = transform._brute_element(which)
+    transform._right_mul_transpose.cache_clear()
+    ascending = [transform._right_mul_transpose(w0, d) for d in range(8)]
+    transform._right_mul_transpose.cache_clear()
+    top_first = [transform._right_mul_transpose(w0, d) for d in range(7, -1, -1)][::-1]
+    for d in range(8):
+        reference = reference_transpose(w0, d)
+        assert ascending[d] == reference and top_first[d] == reference
 
 
 # ------------------------------------- warm caches keep every check live
