@@ -5,6 +5,11 @@ singular-vector, verify.  Exit codes: 0 on success, 1 when a
 verification check fails, 2 on usage, parse or arithmetic errors (such
 as a scalar that is not a Laurent polynomial where one is required) and
 on input nested too deeply for the interpreter's recursion limit.
+
+A request whose first argument names a subcommand is parsed by that
+subcommand's parser alone.  Any other request, and any request that
+leaves arguments over, goes to the whole parser tree, so help texts and
+usage errors read the same either way.
 """
 
 from __future__ import annotations
@@ -217,13 +222,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @lru_cache(maxsize=None)
-def _shared_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process."""
-    return build_parser()
+def _shared_parser():
+    """The argparse tree, built once per process, and its name -> subparser table."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, commands.choices
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _shared_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+    if sub is None or rest:
+        args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, KeyError, ArithmeticError, RecursionError) as exc:

@@ -531,6 +531,126 @@ def test_cli_builds_its_parser_once(monkeypatch):
     assert build() is not build()
 
 
+# ------------------------------------------------ diagnostics, byte for byte
+
+DIAGNOSTIC_CORPUS = (
+    (), ("-h",), ("nope",), ("Normalize", "w1"), ("norm", "w1"), ("normalize",),
+    ("normalize", "w1", "w2"), ("normalize", "-h"), ("normalize", "-w1"),
+    ("normalize", "--", "-w1*w2"), ("normalize", "--json=1", "w1"), ("normalize", "w1", "--jso"),
+    ("mul", "w1"), ("dual", "--generator", "5"), ("dual", "--gen", "box", "--json"),
+    ("dual", "--generator", "1", "--check", "3"), ("star", "--k", "Fm"),
+    ("star", "--w", "9", "--k", "Fm"), ("verify",), ("verify", "nosuch"),
+    ("verify", "box", "--scan", "0..2"), ("verify", "dims", "--degree", "-1"),
+    ("singular-vector", "--scan", "-4..10"), ("singular-vector", "--scan=-4..10", "--json"),
+    ("dims", "--max", "3"), ("dims", "--max-degree", "x"), ("--", "normalize", "w1"),
+    ("-h", "normalize"),
+)
+_COMMANDS = ("normalize", "mul", "serre-reduce", "dims", "star", "dual", "dirac",
+             "singular-vector", "verify")
+# command and option names, their abbreviations, small integers, a few
+# expressions and junk
+_DIAGNOSTIC_TOKENS = _COMMANDS + (
+    "-h", "--help", "--he", "--json", "--js", "--max-degree", "--max", "--k", "--w",
+    "--generator", "--gen", "--check-degree", "--check", "--which", "--x", "--scan", "--sc",
+    "--convention", "--conv", "--degree", "--deg", "--", "0", "1", "2", "3", "4", "5",
+    "w1", "w4*w1", "Fm*Fn", "-w1", "0..2", "plus", "box", "nope", "-", "--nope", "=", "",
+)
+
+
+def diagnostic_stream(seed=7, n=1500):
+    """Seeded argv lists of 0-5 tokens; about half of them start with a command."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        argv = [rng.choice(_DIAGNOSTIC_TOKENS) for _ in range(rng.randint(0, 5))]
+        if argv and rng.random() < 0.5:
+            argv[0] = rng.choice(_COMMANDS)
+        out.append(argv)
+    return out
+
+
+def cli_record(argv, capsys):
+    """argv, exit code, stdout and stderr of one request, exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), argv
+    out, err = capsys.readouterr()
+    return "%r %d\n%s\n%s\n" % (list(argv), code, out, err)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The first 16 hex digits of each corpus request's sha256, and the sha256 of
+# the whole stream, at an 80-column terminal.  Argparse words its help and
+# usage errors differently from one CPython minor version to the next, so the
+# digests hold for the version named here.
+DIAGNOSTICS_PINNED_ON = (3, 11)
+DIAGNOSTIC_DIGESTS = {
+    "": "21f1c537ed2e538e",
+    "-h": "a5d7c2402900a7bb",
+    "nope": "2fab434d48c042b4",
+    "Normalize w1": "7aa6cf603a005086",
+    "norm w1": "e28f316ac56e26db",
+    "normalize": "c6df700820eeb944",
+    "normalize w1 w2": "0bb97bc94b435b65",
+    "normalize -h": "a61ed3018781465e",
+    "normalize -w1": "85e24688045d48b3",
+    "normalize -- -w1*w2": "c290d1a2c62710cc",
+    "normalize --json=1 w1": "59618d95f8a6fbd0",
+    "normalize w1 --jso": "38067a037c1cc3f0",
+    "mul w1": "5c3ddb81b5c39c79",
+    "dual --generator 5": "579b25264d28595f",
+    "dual --gen box --json": "cc07bddbfc33633d",
+    "dual --generator 1 --check 3": "91fd902fbac5d1c4",
+    "star --k Fm": "ec287b85ddab82b7",
+    "star --w 9 --k Fm": "aa2b109c9ebc0a87",
+    "verify": "6f54fd3de0b64c99",
+    "verify nosuch": "256dff364dc3c688",
+    "verify box --scan 0..2": "aa78e7102674bc10",
+    "verify dims --degree -1": "327e7bb7d761b288",
+    "singular-vector --scan -4..10": "123b8c4f3aaada0f",
+    "singular-vector --scan=-4..10 --json": "debb68742971e14a",
+    "dims --max 3": "926f47211887e511",
+    "dims --max-degree x": "3032904134dbd05a",
+    "-- normalize w1": "add02f8f79307f36",
+    "-h normalize": "f1ab9fd1e3501fbf",
+}
+DIAGNOSTIC_STREAM_DIGEST = "4008081d52c7e9e70057aff3a2f01073533e26d3176854f720da1d4250e260ef"
+
+
+def test_cli_diagnostics_print_as_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    corpus = {" ".join(argv): sha256(cli_record(argv, capsys))[:16] for argv in DIAGNOSTIC_CORPUS}
+    stream = sha256("".join(cli_record(argv, capsys) for argv in diagnostic_stream()))
+    if sys.version_info[:2] == DIAGNOSTICS_PINNED_ON:
+        assert corpus == DIAGNOSTIC_DIGESTS
+        assert stream == DIAGNOSTIC_STREAM_DIGEST
+
+
+@pytest.mark.parametrize(
+    "argv, tree_parses",
+    [
+        (("normalize", "w4*w1"), 0),
+        (("dual", "--generator", "1", "--check-degree", "2"), 0),
+        (("-h",), 1),
+        ((), 1),
+        (("nope",), 1),
+        (("normalize", "w1", "w2"), 1),
+    ],
+)
+def test_a_request_that_names_its_command_skips_the_whole_tree(argv, tree_parses, monkeypatch, capsys):
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *args: parses.append(self.prog) or parse_known_args(self, *args))
+    cli_record(argv, capsys)
+    assert parses.count("quadalg") == tree_parses
+
+
 def test_run_suite_rejects_negative_degree():
     from quadalg.suites import run_suite
 
