@@ -111,7 +111,7 @@ def cmd_dirac(args) -> int:
 
 def cmd_singular_vector(args) -> int:
     lo, hi = args.scan
-    xs = list(range(lo, hi + 1))
+    xs = verma.scan_points(range(lo, hi + 1))
     if args.x is not None and not lo <= args.x <= hi:
         xs.append(args.x)  # reported, but not part of the scan
     u0 = verma.singular_candidate_plus()

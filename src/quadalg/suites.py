@@ -322,11 +322,11 @@ def run_suite(name, degree=None, scan=None, convention=None) -> Report:
     params = {}
     start = time.monotonic()
     if name == "singular-vector":
-        scan = scan if scan is not None else range(0, 7)
+        scan = verma.scan_points(scan if scan is not None else range(0, 7))
         convention = convention if convention is not None else DEFAULT_CONVENTION
         params = {"scan": "%d..%d" % (min(scan), max(scan)), "convention": convention}
         report = Report(name, params)
-        fn(report, list(scan), convention)
+        fn(report, scan, convention)
     elif default_degree is not None:
         bound = degree if degree is not None else default_degree
         params = {"degree": bound}

@@ -30,10 +30,10 @@ closed formula on the PBW monomials w1^a w2^b w3^c w4^d: the degree-1
 star table extended by the Leibniz rule of the module-algebra structure.
 The Hopf projection it replaces (sum_i b_i a S(a_i), the counit on the K
 and E parts, and PBW coordinates w^gamma F_mu^r F_nu^s) is the tests'
-oracle for it.  Those PBW coordinates come from a second rewriting
-system, ``PBW_RULES``: one commutation rule for each pair of the root
-vectors w1 < w2 < w3 < w4 < F_mu < F_nu, run by ``lin.rewrite`` one F
-word at a time.
+oracle for it, with PBW coordinates from a rule table of its own.  Here
+the PBW coordinates of an F word are a fold of the same star
+coefficients, as ``straighten_word`` is a fold of products: left
+multiplication by F_mu or F_nu is F x = (F |> x) + (K |> x) F on x = w^gamma.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from functools import _CacheInfo, lru_cache
 from operator import add, mul
 
 from .aq import AqElement
-from .lin import Lin, add_into, add_scaled, rewrite
+from .lin import Lin, add_into, add_scaled
 from .ring import INV_MU, LaurentPoly, RatQ, as_laurent, as_ratq, q_int
 
 MU, NU, BETA = 0, 1, 2
@@ -489,6 +489,10 @@ def _swap23(gamma):
     return gamma[0], gamma[2], gamma[1], gamma[3]
 
 
+def _same(gamma):
+    return gamma
+
+
 def star_act(symbol, a: AqElement) -> AqElement:
     """The co-adjoint action of a mu/nu generator on the quadratic algebra.
 
@@ -512,7 +516,7 @@ def star_act(symbol, a: AqElement) -> AqElement:
     if kind not in ("F", "E", "K"):
         raise ValueError("unknown generator symbol %r" % (symbol,))
     k = symbol[2] if len(symbol) > 2 else 1
-    mirror = _swap23 if i == NU else (lambda g: g)
+    mirror = _swap23 if i == NU else _same
     out = {}
     for gamma, c in a.terms.items():
         for g, t in _mu_star(kind, k, mirror(gamma)):
@@ -522,9 +526,9 @@ def star_act(symbol, a: AqElement) -> AqElement:
 
 # -------------------------------------------------------- PBW coordinates
 #
-# The engine reads no PBW coordinates: the tests' Hopf oracle does, through
-# these names, and the perfbench worker reads the cache_info() of the two
-# memo tables on every pass.
+# The engine reads no PBW coordinates: the tests do, through these names,
+# and the perfbench worker reads the cache_info() of the two memo tables on
+# every pass.
 
 
 @lru_cache(maxsize=None)
@@ -543,62 +547,29 @@ def _w_pbw_basis(content):
     return tuple(sorted(items))
 
 
-# The PBW root vectors in the order w1 < w2 < w3 < w4 < Fm < Fn, as the
-# letters 1..6 (Levendorskii-Soibelman; Lusztig, *Introduction to Quantum
-# Groups*, 1993).  Each pair out of order commutes by one rule: the six
-# relations of aq, Fm and Fn past the w's, and Fn Fm = Fm Fn.  The rules
-# are not derived from w_gen; the tests check each one by its products.
-_QINV = _Q(-1)
-PBW_RULES = {
-    tuple(map(int, lead)): {tuple(map(int, w)): as_laurent(c) for w, c in rhs.items()}
-    for lead, rhs in (
-        ("21", {"12": _QINV}),
-        ("31", {"13": _QINV}),
-        ("32", {"23": 1}),
-        ("41", {"14": 1, "23": _QINV - _Q(1)}),
-        ("42", {"24": _QINV}),
-        ("43", {"34": _QINV}),
-        ("51", {"15": _Q(1), "2": 1}),
-        ("52", {"25": _QINV}),
-        ("53", {"35": _Q(1), "4": 1}),
-        ("54", {"45": _QINV}),
-        ("61", {"16": _Q(1), "3": 1}),
-        ("62", {"26": _Q(1), "4": 1}),
-        ("63", {"36": _QINV}),
-        ("64", {"46": _QINV}),
-        ("65", {"56": 1}),
-    )
-}
-_PBW_LETTER = {MU: 5, NU: 6, BETA: 1}  # F_mu = Fm, F_nu = Fn, F_beta = w1
-
-
-def _pbw_step(word):
-    """The leftmost pair of PBW letters out of order commuted, or None if there is none."""
-    for idx in range(len(word) - 1):
-        if word[idx] > word[idx + 1]:
-            head, tail = word[:idx], word[idx + 2:]
-            return [(head + u + tail, c) for u, c in PBW_RULES[word[idx:idx + 2]].items()]
-    return None
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _w_pbw_matrix(fword):
     """PBW coordinates of one F word: {(gamma, r, s): LaurentPoly} for w^gamma F_mu^r F_nu^s.
 
-    The row of w is w[0] times the row of w[1:], rewritten by ``PBW_RULES``.
+    A fold of left multiplication from the right, in the PBW order
+    w1 < w2 < w3 < w4 < F_mu < F_nu (Levendorskii-Soibelman; Lusztig,
+    *Introduction to Quantum Groups*, 1993).  F_beta = w1 leads, so it
+    raises gamma_1; F_mu and F_nu act by F x = (F |> x) + (K |> x) F on
+    x = w^gamma, with the star coefficients of ``_mu_star`` and its mirror,
+    and F joins F_mu^r F_nu^s on the left, since F_nu F_mu = F_mu F_nu.
     """
-    if not fword:
-        return {((0, 0, 0, 0), 0, 0): _ONE}
-    first = (_PBW_LETTER[fword[0]],)
-    vec = {}
-    for (gamma, r, s), c in _w_pbw_matrix(fword[1:]).items():
-        word = first  # then the ordered PBW word of the item
-        for x, n in enumerate(gamma + (r, s), 1):
-            word += (x,) * n
-        vec[word] = c
-    row = {}
-    for word, c in rewrite(vec, _pbw_step).items():
-        row[tuple(map(word.count, (1, 2, 3, 4))), word.count(5), word.count(6)] = c
+    row = {((0, 0, 0, 0), 0, 0): _ONE}
+    for letter in reversed(fword):
+        mirror = _swap23 if letter == NU else _same
+        out = {}
+        for (gamma, r, s), c in row.items():
+            if letter == BETA:  # one-to-one on the items: nothing to sum
+                out[(gamma[0] + 1,) + gamma[1:], r, s] = c
+                continue
+            g = mirror(gamma)
+            for moved, t in _mu_star("F", 1, g):
+                add_into(out, (mirror(moved), r, s), c * t)
+            ((_, t),) = _mu_star("K", 1, g)
+            add_into(out, (gamma, r + (letter == MU), s + (letter == NU)), c * t)
+        row = out
     return row
-
-

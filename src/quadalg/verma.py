@@ -33,7 +33,9 @@ caller is therefore read-only.  |x| is capped at ``MAX_ABS_X``: the
 obstruction has |x| terms and is tested at every divisor of its modulus, so
 the ceiling bounds one report's cost.  A scan's cost is about the sum of
 |x| over its points, which is capped at ``MAX_SCAN_ABS_X``; a scan checks
-every x and the sum before building any report.
+every x and the sum before building any report, and lists its points
+(``scan_points``) only as each x passes, so a range as long as 0..10^12 is
+refused at its first x past the ceiling, not listed first.
 """
 
 from __future__ import annotations
@@ -184,13 +186,20 @@ def singular_test(u0: UqElement, x: int, convention: str) -> SingularReport:
     return SingularReport(x, convention, e_mu, e_mu_sq, e_nu, e_beta, not e_beta, found)
 
 
+def scan_points(xs) -> list:
+    """The points of a scan as a list, each checked against ``MAX_ABS_X`` as it is
+    listed: a scan beyond the ceiling is refused at its first such x, before
+    more than 2 * MAX_ABS_X + 1 points are listed, however long the range."""
+    return [_bounded_x(x) for x in xs]
+
+
 def scan_singular(u0: UqElement, xs, convention: str):
     """Reports for each x in the scan; returns (reports, generically vanishing xs).
 
     Every x is checked against ``MAX_ABS_X``, and the sum of |x| against
     ``MAX_SCAN_ABS_X``, before any report is built.
     """
-    xs = [_bounded_x(x) for x in xs]
+    xs = scan_points(xs)
     total = sum(map(abs, xs))
     if total > MAX_SCAN_ABS_X:
         raise ValueError("singular-vector scan must satisfy sum of |x| <= %d, got %d"

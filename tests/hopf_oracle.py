@@ -4,16 +4,19 @@
 of a generator, straightens it, applies the counit to the Cartan and
 raising parts, and projects the remaining lowering part onto the pure-w
 component of the PBW basis w^gamma F_mu^r F_nu^s.  The PBW coordinates
-come from ``uq.PBW_RULES`` through ``uq._w_pbw_matrix``, read as a module
-attribute so that a test can swap the memo table.  None of this shares
-code with the closed formula of ``uq.star_act``.
+come from the rule table ``oracles.PBW_RULES`` through
+``oracles.reference_pbw_matrix``, read as a module attribute so that a
+test can swap the memo table, and not from ``uq._w_pbw_matrix``, a fold
+of the star coefficients.  None of this shares code with the closed
+formula of ``uq.star_act``.
 """
 
-from quadalg import uq
 from quadalg.aq import AqElement
 from quadalg.lin import Lin, add_into, add_scaled
 from quadalg.ring import RatQ, as_ratq
 from quadalg.uq import BETA, UqElement, straighten_word, w_embed
+
+import oracles
 
 
 def coproduct_pairs(symbol):
@@ -131,15 +134,15 @@ class NotInWSpanError(ValueError):
 def w_decompose(x: UqElement) -> dict:
     """Coefficients of x over the PBW items (gamma, r, s); x must be pure F.
 
-    Each F word is brought to PBW coordinates by ``PBW_RULES``, memoised
-    per word, and the rows are summed with the coefficients of x.
+    Each F word is brought to PBW coordinates by ``oracles.PBW_RULES``,
+    memoised per word, and the rows are summed with the coefficients of x.
     """
     for (fw, k, ew) in x.terms:
         if ew or any(k):
             raise NotInWSpanError("element has K or E factors: %s" % x)
     coords = {}
     for (fw, _, _), c in x.terms.items():
-        add_scaled(coords, uq._w_pbw_matrix(fw), c)
+        add_scaled(coords, oracles.reference_pbw_matrix(fw), c)
     return coords
 
 

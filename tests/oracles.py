@@ -16,12 +16,16 @@ reference for the binomial Phi_m of ``ring``; ``vanishes_by_division`` is
 the long division by Phi_m that the folded binomial test of
 ``ring.vanishes_at_root_of_unity`` replaced;
 ``require_canonical_denominators`` makes every ``RatQ`` built check that
-its denominator is canonical; and ``_axis_step`` is the three-rule rewrite of
-one axis's word of (a, e, g) triples, each z^a K^e [d]^g multiplied left
-to right: on ``lin.rewrite`` it is the oracle of the closed product
-formula ``qcalc._axis_normal`` that replaced it; ``laurent_product`` is
-the product of two Laurent polynomials term by term, with no shortcut for
-a one-term factor, the reference for ``LaurentPoly.__mul__``.
+its denominator is canonical; ``rewrite`` is the rewriting loop that the
+engine's closed formulas replaced, run on the tests' rule tables, two of
+them here: ``_axis_step`` is the three-rule rewrite of one axis's word of
+(a, e, g) triples, each z^a K^e [d]^g multiplied left to right, the
+oracle of the closed product formula ``qcalc._axis_normal``, and
+``PBW_RULES`` commutes the PBW root vectors, the oracle of the fold
+``uq._w_pbw_matrix`` through ``reference_pbw_matrix``, which
+``hopf_oracle`` reads; ``laurent_product``
+is the product of two Laurent polynomials term by term, with no shortcut
+for a one-term factor, the reference for ``LaurentPoly.__mul__``.
 """
 
 from functools import lru_cache
@@ -30,10 +34,11 @@ from quadalg.aq import AqElement
 from quadalg.lin import add_into
 from quadalg.qcalc import QOperator, divided_column
 from quadalg.ring import (
-    INV_MU, LaurentPoly, RatQ, _dense_divmod, _to_dense, all_indices, indices_up_to, mi_degree,
-    q_int,
+    INV_MU, LaurentPoly, RatQ, _dense_divmod, _to_dense, all_indices, as_laurent, indices_up_to,
+    mi_degree, q_int,
 )
 from quadalg.transform import DualFunctional
+from quadalg.uq import BETA, MU, NU
 
 
 def reference_dual(w0):
@@ -189,6 +194,30 @@ def require_canonical_denominators(monkeypatch):
 _Q = LaurentPoly.q
 
 
+def rewrite(vec: dict, step) -> dict:
+    """The normal form of the combination ``vec`` {word: coefficient}.
+
+    ``step(word)`` is None for a normal word, else the pairs (word', factor)
+    of one rewrite: word = sum factor * word'.  A factor of None stands for
+    1: the coefficient moves to word' as it is, with no product.  Each
+    round rewrites every word once and merges equal results, so the cost
+    follows the distinct words, not the rewrite paths.  The rewriting must
+    terminate; if it is confluent, the result does not depend on the
+    rewrite ``step`` picks.
+    """
+    out = {}
+    while vec:
+        todo, vec = vec, {}
+        for word, c in todo.items():
+            rhs = step(word)
+            if rhs is None:
+                add_into(out, word, c)
+                continue
+            for w, f in rhs:
+                add_into(vec, w, c if f is None else c * f)
+    return out
+
+
 def _axis_step(word):
     """One rewrite of a word of (a, e, g) triples on one axis, or None if it is canonical.
 
@@ -223,3 +252,62 @@ def laurent_product(a, b):
         for k2, c2 in b.terms.items():
             add_into(out, k1 + k2, c1 * c2)
     return out
+
+
+# The PBW root vectors in the order w1 < w2 < w3 < w4 < Fm < Fn, as the
+# letters 1..6 (Levendorskii-Soibelman; Lusztig, *Introduction to Quantum
+# Groups*, 1993).  Each pair out of order commutes by one rule: the six
+# relations of aq, Fm and Fn past the w's, and Fn Fm = Fm Fn.  The rules
+# are not derived from uq.w_gen; test_uq checks each one by its products.
+_QINV = _Q(-1)
+PBW_RULES = {
+    tuple(map(int, lead)): {tuple(map(int, w)): as_laurent(c) for w, c in rhs.items()}
+    for lead, rhs in (
+        ("21", {"12": _QINV}),
+        ("31", {"13": _QINV}),
+        ("32", {"23": 1}),
+        ("41", {"14": 1, "23": _QINV - _Q(1)}),
+        ("42", {"24": _QINV}),
+        ("43", {"34": _QINV}),
+        ("51", {"15": _Q(1), "2": 1}),
+        ("52", {"25": _QINV}),
+        ("53", {"35": _Q(1), "4": 1}),
+        ("54", {"45": _QINV}),
+        ("61", {"16": _Q(1), "3": 1}),
+        ("62", {"26": _Q(1), "4": 1}),
+        ("63", {"36": _QINV}),
+        ("64", {"46": _QINV}),
+        ("65", {"56": 1}),
+    )
+}
+_PBW_LETTER = {MU: 5, NU: 6, BETA: 1}  # F_mu = Fm, F_nu = Fn, F_beta = w1
+
+
+def _pbw_step(word):
+    """The leftmost pair of PBW letters out of order commuted, or None if there is none."""
+    for idx in range(len(word) - 1):
+        if word[idx] > word[idx + 1]:
+            head, tail = word[:idx], word[idx + 2:]
+            return [(head + u + tail, c) for u, c in PBW_RULES[word[idx:idx + 2]].items()]
+    return None
+
+
+@lru_cache(maxsize=None)
+def reference_pbw_matrix(fword):
+    """PBW coordinates of one F word: {(gamma, r, s): LaurentPoly} for w^gamma F_mu^r F_nu^s.
+
+    The row of w is w[0] times the row of w[1:], rewritten by ``PBW_RULES``.
+    """
+    if not fword:
+        return {((0, 0, 0, 0), 0, 0): LaurentPoly.one()}
+    first = (_PBW_LETTER[fword[0]],)
+    vec = {}
+    for (gamma, r, s), c in reference_pbw_matrix(fword[1:]).items():
+        word = first  # then the ordered PBW word of the item
+        for x, n in enumerate(gamma + (r, s), 1):
+            word += (x,) * n
+        vec[word] = c
+    row = {}
+    for word, c in rewrite(vec, _pbw_step).items():
+        row[tuple(map(word.count, (1, 2, 3, 4))), word.count(5), word.count(6)] = c
+    return row

@@ -11,10 +11,10 @@ from quadalg.aq import (
     reduce_word,
     relation_pairs,
 )
-from quadalg.lin import add_into, rewrite
+from quadalg.lin import add_into
 from quadalg.ring import LaurentPoly
 
-from oracles import q_factorial
+from oracles import q_factorial, rewrite
 
 Q = LaurentPoly.q
 ONE = LaurentPoly.one()
@@ -61,7 +61,7 @@ def _word_of(gamma):
 #
 # The relations as rewriting rules, leading pair -> {word: factor}: the
 # leading pair equals the sum of factor * word.  Each rule lowers the
-# lexicographic order of words of a fixed length, so ``lin.rewrite``
+# lexicographic order of words of a fixed length, so ``oracles.rewrite``
 # terminates on them; they are checked against relation_pairs() below.
 
 RULES = {
@@ -73,7 +73,7 @@ RULES = {
     (4, 1): {(1, 4): ONE, (2, 3): -MU},
 }
 
-# RULES as the step hands them to lin.rewrite: a factor 1 becomes None, so
+# RULES as the step hands them to rewrite: a factor 1 becomes None, so
 # a plain swap moves the coefficient without a product.
 _STEPS = {
     lead: tuple((w, None if f == 1 else f) for w, f in rhs.items()) for lead, rhs in RULES.items()
@@ -153,7 +153,7 @@ def test_rules_agree_with_the_relations():
 
 
 def test_plain_swaps_reach_rewrite_with_a_unit_factor():
-    # a factor None makes lin.rewrite move the coefficient without a product
+    # a factor None makes rewrite move the coefficient without a product
     assert _step((1, 3, 2)) == [((1, 2, 3), None)]
     assert _step((4, 1)) == [((1, 4), None), ((2, 3), -MU)]
     assert _step((2, 1)) == [((1, 2), Q(-1))]

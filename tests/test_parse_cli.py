@@ -892,6 +892,32 @@ def test_singular_vector_beyond_the_ceiling_exits_2_naming_it(argv, capsys):
     assert "|x| <= 10000" in err
 
 
+# A fresh interpreter that may grow its address space by 64 MiB at most:
+# listing the points 0..4000000 takes about 150 MB, and 0..10^12 cannot be
+# listed, nor walked through in a minute.
+_UNDER_AN_ADDRESS_SPACE_LIMIT = """
+import resource, sys
+from quadalg import cli
+size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (size + (64 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs the Linux statm table")
+@pytest.mark.parametrize("argv, first", [
+    (("singular-vector", "--scan", "0..4000000"), 10_001),
+    (("singular-vector", "--scan", "0..1000000000000", "--json"), 10_001),
+    (("verify", "singular-vector", "--scan", "0..4000000"), 10_001),
+    (("verify", "singular-vector", "--scan=-1000000000000..0", "--json"), -10**12),
+])
+def test_a_scan_beyond_the_ceiling_is_refused_before_it_is_listed(argv, first):
+    run = subprocess.run([sys.executable, "-c", _UNDER_AN_ADDRESS_SPACE_LIMIT, *argv],
+                         capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (run.returncode, run.stdout) == (2, ""), run.stderr
+    assert run.stderr == "error: singular-vector x must satisfy |x| <= 10000, got %d\n" % first
+
+
 @pytest.mark.parametrize("argv, total", [
     (("singular-vector", "--scan", "0..774", "--x", "10000"), 299_925 + 10_000),
     (("verify", "singular-vector", "--scan", "9900..9930", "--json"), 307_365),

@@ -4,11 +4,10 @@ from itertools import product
 
 import pytest
 
-from quadalg.lin import rewrite
 from quadalg.qcalc import Poly4, QOperator, _axis_normal, compose, mul_z, qdiff, scaling
 from quadalg.ring import LaurentPoly, RatQ, divide_exact, indices_up_to, q_int
 
-from oracles import _axis_step, apply_divided
+from oracles import _axis_step, apply_divided, rewrite
 
 Q = LaurentPoly.q
 MU = Q(1) - Q(-1)

@@ -14,7 +14,7 @@ import pytest
 import quadalg
 from quadalg import uq
 from quadalg.aq import AqElement, relation_pairs
-from quadalg.lin import add_into, add_scaled, rewrite
+from quadalg.lin import add_into, add_scaled
 from quadalg.ring import LaurentPoly, RatQ, all_indices, indices_up_to, mi_degree
 from quadalg.uq import (
     BETA,
@@ -41,6 +41,8 @@ from hopf_oracle import (
     term_symbols,
     w_decompose,
 )
+import oracles
+from oracles import PBW_RULES, _pbw_step, reference_pbw_matrix, rewrite
 
 Q = LaurentPoly.q
 ONE = LaurentPoly.one()
@@ -853,8 +855,9 @@ def test_covariance_catches_a_mutated_star_formula(monkeypatch):
 
 # ------------------------------------------------- PBW cross-validation
 #
-# The rule table uq.PBW_RULES is checked through the U_q^- word engine:
-# the letters 1..4 are w_gen(1..4), 5 and 6 are F_mu and F_nu.
+# The reference rule table oracles.PBW_RULES is checked through the U_q^-
+# word engine: the letters 1..4 are w_gen(1..4), 5 and 6 are F_mu and F_nu.
+# The fold uq._w_pbw_matrix is checked against the rules on every short word.
 
 PBW_GENERATORS = {i: w_gen(i) for i in (1, 2, 3, 4)}
 PBW_GENERATORS.update({5: Fm, 6: Fn})
@@ -882,8 +885,8 @@ def pbw_element(item):
 
 def test_pbw_rules_hold_in_the_lowering_part():
     # one rule per pair of letters out of order, onto ordered words
-    assert set(uq.PBW_RULES) == {(x, y) for x in range(1, 7) for y in range(1, x)}
-    for lead, rhs in uq.PBW_RULES.items():
+    assert set(PBW_RULES) == {(x, y) for x in range(1, 7) for y in range(1, x)}
+    for lead, rhs in PBW_RULES.items():
         want = UqElement.zero()
         for word, c in rhs.items():
             assert list(word) == sorted(word), (lead, word)
@@ -895,7 +898,7 @@ def _rightmost_pbw_step(word):
     for idx in reversed(range(len(word) - 1)):
         if word[idx] > word[idx + 1]:
             head, tail = word[:idx], word[idx + 2:]
-            return [(head + u + tail, c) for u, c in uq.PBW_RULES[word[idx:idx + 2]].items()]
+            return [(head + u + tail, c) for u, c in PBW_RULES[word[idx:idx + 2]].items()]
     return None
 
 
@@ -904,9 +907,41 @@ def test_pbw_overlaps_resolve():
     overlaps = [(x, y, z) for x in range(1, 7) for y in range(1, x) for z in range(1, y)]
     assert len(overlaps) == 20
     for word in overlaps:
-        left = rewrite({word: ONE}, uq._pbw_step)
+        left = rewrite({word: ONE}, _pbw_step)
         assert left == rewrite({word: ONE}, _rightmost_pbw_step), word
         assert all(list(w) == sorted(w) for w in left), word
+
+
+def test_w_pbw_matrix_is_the_rule_table_on_every_short_word():
+    # the fold of the closed left action against PBW_RULES on rewrite
+    words = [w for n in range(8) for w in product((MU, NU, BETA), repeat=n)]
+    assert len(words) == 3280
+    for word in words:
+        assert uq._w_pbw_matrix(word) == reference_pbw_matrix(word), word
+
+
+def test_pbw_images_certify_serre_normal_forms():
+    # PBW coordinates are taken in U_q^-, where the Serre relations hold, so
+    # a word and its normal form have one image; the check reads neither
+    # uq.RULES nor the u.r.v span
+    rng = random.Random(2000)
+    reduced = 0
+    for _ in range(30):
+        word = tuple(rng.randrange(3) for _ in range(rng.randint(2, 14)))
+        nf = serre_reduce({word: 1})
+        reduced += nf != {word: RatQ.one()}
+        image = {}
+        for u, c in nf.items():
+            add_scaled(image, uq._w_pbw_matrix(u), c.to_laurent())
+        assert image == uq._w_pbw_matrix(word), word
+    assert reduced >= 20
+
+
+def test_pbw_rows_of_long_words_need_no_recursion():
+    # a fold over the letters: far past the default recursion limit
+    assert uq._w_pbw_matrix((MU,) * 3000) == {((0, 0, 0, 0), 3000, 0): ONE}
+    assert uq._w_pbw_matrix((BETA,) * 3000) == {((3000, 0, 0, 0), 0, 0): ONE}
+    assert uq._w_pbw_matrix.cache_info().maxsize == 4096
 
 
 def test_w_pbw_spans_low_degrees():
@@ -948,10 +983,15 @@ def test_w_pbw_matrix_builds_no_component(monkeypatch):
         raise AssertionError("component(%r)" % (content,))
 
     monkeypatch.setattr(uq, "component", no_component)
-    # an empty memo, so that w_decompose builds every row it reads
-    monkeypatch.setattr(uq, "_w_pbw_matrix", lru_cache(maxsize=None)(uq._w_pbw_matrix.__wrapped__))
+    # empty memos, so that w_decompose and the fold build every row they read
+    monkeypatch.setattr(oracles, "reference_pbw_matrix",
+                        lru_cache(maxsize=None)(oracles.reference_pbw_matrix.__wrapped__))
+    monkeypatch.setattr(uq, "_w_pbw_matrix", lru_cache(maxsize=4096)(uq._w_pbw_matrix.__wrapped__))
     for item, el in zip(items, elements):
         assert w_decompose(el) == {item: RatQ.one()}, item
+        for fw, _, _ in el.terms:
+            uq._w_pbw_matrix(fw)
+    assert oracles.reference_pbw_matrix.cache_info().misses > 0
     assert uq._w_pbw_matrix.cache_info().misses > 0
 
 
